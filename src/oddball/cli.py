@@ -37,7 +37,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .explaurent import DEFAULT_PRECISION
-from .hankel import HankelSpec, build_hankel, det_bareiss
+from .hankel import HankelSpec, hankel_det
 from .magnitude import (
     magnitude_report,
     verify_derivative_conjecture,
@@ -163,7 +163,7 @@ def _cmd_chi(args) -> int:
 
 def _cmd_det(args) -> int:
     spec = HankelSpec(args.p + 1, args.offset)
-    d = det_bareiss(build_hankel(spec, reverse_bessel(spec.top_index)))
+    d = hankel_det(spec.size, spec.offset)
     if args.fmt == "json":
         print(_dump({"p": args.p, "offset": args.offset, "det": d.coeff_strings()}))
     else:

@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import GoldenMismatch
 from .poly import IntPoly, RatFunc
 
 
 def _rf(num_coeffs, den_coeffs=(1,)) -> RatFunc:
     f = RatFunc(IntPoly(num_coeffs), IntPoly(den_coeffs))
     # fixtures are stated in lowest terms; refuse any that silently reduce
-    assert f.num.coeffs == tuple(num_coeffs) and f.den.coeffs == tuple(den_coeffs)
+    if f.num.coeffs != tuple(num_coeffs) or f.den.coeffs != tuple(den_coeffs):
+        raise GoldenMismatch(f"fixture {num_coeffs} / {den_coeffs} is not in lowest terms")
     return f
 
 

@@ -7,10 +7,24 @@ would mean broken arithmetic, so it raises InexactDivision instead of being
 silently discarded.  A memoized cofactor expansion serves as an independent
 oracle on small matrices.
 
-Linear solves use Cramer's rule against the unit right-hand side (1, 0, ...,
-0).  Each solution component is a ratio of determinants, reduced to canonical
-form, and the residual of the whole system is re-checked symbolically before
-anything is returned.
+Without row swaps the pivots of that elimination are the leading principal
+minors, and a leading principal minor of a Hankel matrix is again a Hankel
+determinant at the same offset.  So `hankel_det` keeps one elimination per
+offset and grows it by bordering: the new column is pushed through the stored
+pivot columns with the same updates Bareiss would apply, and by symmetry the
+new row is that column again.  The pivot at position k is the size-(k+1)
+determinant, so a sweep over sizes pays for one elimination of the largest
+size, about half of a plain Bareiss.  A zero pivot (a vanishing leading
+minor) stops the growth; that size and every larger one at the offset go to
+`det_bareiss`, which swaps rows.
+
+Linear solves against the unit right-hand side (1, 0, ..., 0) run one
+fraction-free elimination of the augmented matrix, with row swaps, and a
+fraction-free back-substitution: O(dim^3) products instead of the O(dim^4) of
+one Cramer determinant per component.  The numerators share the determinant
+as denominator, each component is reduced to canonical form, and the
+residual of the whole system is re-checked symbolically before anything is
+returned.
 
 Hankel determinants are cached by (size, offset) since the downstream
 magnitude formulas keep asking for the same handful.
@@ -22,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import BesselTable, reverse_bessel
-from .errors import DimensionTooLarge, SingularMatrix, TableTooSmall
+from .errors import DimensionTooLarge, RouteMismatch, SingularMatrix, TableTooSmall
 from .poly import IntPoly, RatFunc
 
 _MINOR_EXPANSION_LIMIT = 13
@@ -70,13 +84,6 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(zip(*self.rows))
 
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        return PolyMatrix(
-            tuple(e for j, e in enumerate(row) if j != drop_col)
-            for i, row in enumerate(self.rows)
-            if i != drop_row
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.rows == other.rows
 
@@ -95,10 +102,10 @@ def build_hankel(spec: HankelSpec, table: BesselTable) -> PolyMatrix:
         for i in range(spec.size)
     ]
     m = PolyMatrix(rows)
-    for i in range(spec.size):
-        for j in range(spec.size):
-            if i + 1 < spec.size and j > 0:
-                assert m.rows[i][j] == m.rows[i + 1][j - 1], "anti-diagonal broken"
+    for i in range(spec.size - 1):
+        for j in range(1, spec.size):
+            if m.rows[i][j] != m.rows[i + 1][j - 1]:
+                raise RouteMismatch(f"anti-diagonal broken at ({i}, {j})")
     return m
 
 
@@ -173,6 +180,61 @@ def det_minor_expansion(m: PolyMatrix) -> IntPoly:
     return minor_det((1 << n) - 1)
 
 
+class HankelElimination:
+    """Fraction-free elimination of the Hankel matrix [a_{i+j}], grown one
+    border at a time.
+
+    `columns[k]` holds the stage-k pivot column: entry i - k is the value
+    Bareiss holds at (i, k) after k steps, for k <= i < size.  Its head is
+    the pivot, the leading principal minor of size k + 1.  The matrix is
+    symmetric, so the stage-k pivot row is the same list.
+    """
+
+    def __init__(self):
+        self.columns: list = []
+        self.stalled = False  # a zero pivot was reached; growth has stopped
+
+    @property
+    def size(self) -> int:
+        return len(self.columns)
+
+    def grow(self, entries) -> None:
+        """Border by one row and column; entries[k] = a_k, k <= 2 * size.
+
+        The new column runs through every stored step; its value at stage k
+        and row k is also the new row's entry in pivot column k.
+        """
+        t = self.size
+        col = [entries[i + t] for i in range(t + 1)]
+        prev = IntPoly.one()
+        for k, ck in enumerate(self.columns):
+            top = col[k]
+            ck.append(top)
+            pivot = ck[0]
+            for i in range(k + 1, t + 1):
+                col[i] = (pivot * col[i] - ck[i - k] * top).divexact(prev)
+            prev = pivot
+        if col[t].is_zero:
+            self.stalled = True
+        else:
+            self.columns.append([col[t]])
+
+    def det(self, size: int, entries) -> IntPoly:
+        """det [a_{i+j}] over i, j < size; from the grown pivots, or by
+        Bareiss with row swaps once a zero pivot has stopped the growth."""
+        while self.size < size and not self.stalled:
+            self.grow(entries)
+        if size <= self.size:
+            return self.columns[size - 1][0]
+        return det_bareiss(PolyMatrix(
+            [entries[i + j] for j in range(size)] for i in range(size)
+        ))
+
+
+# offset -> its grown elimination; process-wide like hankel_det's own cache
+_ELIMINATIONS: dict = {}
+
+
 @lru_cache(maxsize=None)
 def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
@@ -180,7 +242,14 @@ def hankel_det(size: int, offset: int) -> IntPoly:
     if size == 0:
         return IntPoly.one()
     spec = HankelSpec(size, offset)
-    return det_bareiss(build_hankel(spec, reverse_bessel(spec.top_index)))
+    entries = reverse_bessel(spec.top_index).polys[offset:]
+    return _ELIMINATIONS.setdefault(offset, HankelElimination()).det(size, entries)
+
+
+def clear_hankel_cache() -> None:
+    """Forget every cached Hankel determinant and grown elimination."""
+    hankel_det.cache_clear()
+    _ELIMINATIONS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +257,45 @@ def hankel_det(size: int, offset: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 def solve_unit_rhs(m: PolyMatrix) -> tuple:
-    """Solve m x = (1, 0, ..., 0)^T exactly by Cramer's rule.
+    """Solve m x = (1, 0, ..., 0)^T exactly.
 
-    Component i is the cofactor of entry (0, i) over det(m); the residual of
-    the full system is recomputed symbolically and asserted before returning.
+    Fraction-free elimination of [m | e_0] with row swaps leaves an upper
+    triangular system whose last pivot d is the determinant of the permuted
+    matrix.  Back-substitution then gives the integer numerators y = d x
+    through y_i = (d b_i - sum_{j>i} u_ij y_j) / u_ii, each division exact.
+    The residual m y = d e_0 is recomputed symbolically before returning.
     """
     n = m.dim
-    d = det_bareiss(m)
-    if d.is_zero:
-        raise SingularMatrix("unit-RHS solve on a singular matrix")
-    if n == 1:
-        nums = [IntPoly.one()]
-    else:
-        nums = []
-        for i in range(n):
-            sub = det_bareiss(m.minor(0, i))
-            nums.append(sub if i % 2 == 0 else -sub)
+    a = [list(row) + [IntPoly.one() if i == 0 else IntPoly.zero()]
+         for i, row in enumerate(m.rows)]
+    prev = IntPoly.one()
+    for k in range(n):
+        if a[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+            if swap is None:
+                raise SingularMatrix("unit-RHS solve on a singular matrix")
+            a[k], a[swap] = a[swap], a[k]
+        pivot = a[k][k]
+        base = a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            fac = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - fac * base[j]).divexact(prev)
+        prev = pivot
+    d = prev
+    nums = [IntPoly.zero()] * n
+    for i in range(n - 1, -1, -1):
+        acc = d * a[i][n]
+        for j in range(i + 1, n):
+            acc = acc - a[i][j] * nums[j]
+        nums[i] = acc.divexact(a[i][i])
     for r in range(n):
         acc = IntPoly.zero()
         for j in range(n):
             acc = acc + m.rows[r][j] * nums[j]
-        expect = d if r == 0 else IntPoly.zero()
-        assert acc == expect, f"residual check failed in row {r}"
+        if acc != (d if r == 0 else IntPoly.zero()):
+            raise RouteMismatch(f"unit-RHS residual check failed in row {r}")
     return tuple(RatFunc(num, d) for num in nums)
 
 

@@ -38,6 +38,7 @@ from .errors import (
     NonpositiveRadius,
     ObservationFails,
     QuadratureNonconvergence,
+    RouteMismatch,
 )
 from .explaurent import DEFAULT_PRECISION
 from .hankel import PolyMatrix, det_bareiss, hankel_det, unit_solution
@@ -220,7 +221,8 @@ def derivative_conjecture_rhs(n: int, table: BesselTable | None = None) -> RatFu
     rhs = RatFunc(h1 * h1, (math.factorial(2 * p) * (h0 * h0)).shift(2))
     bld = boundary_limit_derivative(n)
     other = bld * bld * RatFunc(IntPoly.monomial(n - 1), IntPoly.const(math.factorial(n - 1)))
-    assert rhs == other, f"the two conjecture right-hand sides differ at n={n}"
+    if rhs != other:
+        raise RouteMismatch(f"the two conjecture right-hand sides differ at n={n}")
     return rhs
 
 

@@ -21,7 +21,14 @@ from oddball.bessel import (
     kernel_table,
     reverse_bessel,
 )
-from oddball.hankel import HankelSpec, build_hankel, det_bareiss, det_minor_expansion, solve_unit_rhs
+from oddball.hankel import (
+    HankelSpec,
+    build_hankel,
+    det_bareiss,
+    det_minor_expansion,
+    hankel_det,
+    solve_unit_rhs,
+)
 from oddball.magnitude import (
     verify_derivative_conjecture,
     verify_formula_equality,
@@ -107,9 +114,11 @@ def test_criterion_6_oracle_pairs():
         for p in range(13):
             for offset in (0, 1, 2):
                 m = build_hankel(HankelSpec(p + 1, offset), tb)
-                assert det_minor_expansion(m) == det_bareiss(m), (p, offset)
+                oracle = det_minor_expansion(m)
+                assert oracle == det_bareiss(m), (p, offset)
+                assert hankel_det(p + 1, offset) == oracle, (p, offset)
         for p in range(16):
-            # solve_unit_rhs asserts the symbolic residual internally
+            # solve_unit_rhs checks the symbolic residual internally
             sol = solve_unit_rhs(build_hankel(HankelSpec(p + 1, 0), tb))
             assert len(sol) == p + 1
 

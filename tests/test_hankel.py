@@ -5,13 +5,16 @@ import random
 
 import pytest
 
+from oddball import hankel
 from oddball.bessel import reverse_bessel
 from oddball.errors import DimensionTooLarge, SingularMatrix, TableTooSmall
 from oddball.golden import FIRST_COEFF, LAST_COEFF
 from oddball.hankel import (
+    HankelElimination,
     HankelSpec,
     PolyMatrix,
     build_hankel,
+    clear_hankel_cache,
     det_bareiss,
     det_minor_expansion,
     first_coeff_formula,
@@ -120,6 +123,88 @@ class TestDeterminants:
             assert not det_bareiss(m).is_zero, p
 
 
+def _synthetic_hankel(entries, size) -> PolyMatrix:
+    return PolyMatrix([entries[i + j] for j in range(size)] for i in range(size))
+
+
+def _counting_bareiss(monkeypatch) -> list:
+    """Route hankel's det_bareiss through a counter; returns the call log."""
+    calls = []
+
+    def counted(m):
+        calls.append(m.dim)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(hankel, "det_bareiss", counted)
+    return calls
+
+
+class TestGrownElimination:
+    MAX_SIZE = 12
+    OFFSETS = range(4)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {
+            (k, s): det_bareiss(build_hankel(HankelSpec(k, s), TB))
+            for k in range(1, self.MAX_SIZE + 1)
+            for s in self.OFFSETS
+        }
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        clear_hankel_cache()
+        yield
+        clear_hankel_cache()
+
+    def _requests(self, order):
+        sizes = range(1, self.MAX_SIZE + 1)
+        if order == "ascending":
+            return [(k, s) for s in self.OFFSETS for k in sizes]
+        if order == "descending":
+            return [(k, s) for s in self.OFFSETS for k in reversed(sizes)]
+        rest = [(k, s) for s in self.OFFSETS for k in sizes if k < self.MAX_SIZE]
+        random.Random(7).shuffle(rest)
+        return [(self.MAX_SIZE, s) for s in self.OFFSETS] + rest
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "largest-first"])
+    def test_matches_bareiss_in_any_order(self, reference, order, monkeypatch):
+        calls = _counting_bareiss(monkeypatch)
+        for key in self._requests(order):
+            assert hankel_det(*key) == reference[key], (order, key)
+        assert calls == []  # every size came from the grown pivots
+
+    def test_desnanot_jacobi(self):
+        for s in self.OFFSETS:
+            for k in range(2, self.MAX_SIZE + 1):
+                lhs = hankel_det(k, s) * hankel_det(k - 2, s + 2)
+                mid = hankel_det(k - 1, s + 1)
+                rhs = hankel_det(k - 1, s) * hankel_det(k - 1, s + 2) - mid * mid
+                assert lhs == rhs, (k, s)
+
+    def test_zero_leading_pivot_falls_back(self, monkeypatch):
+        # [(i + j) mod 2] has H_1 = 0 but H_2 = -1, and rank 2 beyond that
+        entries = [IntPoly.const(k % 2) for k in range(12)]
+        calls = _counting_bareiss(monkeypatch)
+        elim = HankelElimination()
+        got = [elim.det(size, entries) for size in range(1, 7)]
+        assert elim.stalled and elim.size == 0
+        assert calls == [1, 2, 3, 4, 5, 6]
+        assert got == [det_bareiss(_synthetic_hankel(entries, k)) for k in range(1, 7)]
+        assert got[:2] == [IntPoly.zero(), IntPoly.const(-1)]
+
+    def test_zero_inner_pivot_falls_back(self, monkeypatch):
+        # a_k R^k with a = 1, 0, 1, 0, 1, 1, 0: H_1, H_2 nonzero, H_3 = 0, H_4 != 0
+        entries = [IntPoly.monomial(k, a) for k, a in enumerate((1, 0, 1, 0, 1, 1, 0, 1, 1))]
+        calls = _counting_bareiss(monkeypatch)
+        elim = HankelElimination()
+        got = [elim.det(size, entries) for size in (5, 4, 3, 2, 1)]
+        assert elim.stalled and elim.size == 2
+        assert calls == [5, 4, 3]
+        assert got == [det_bareiss(_synthetic_hankel(entries, k)) for k in (5, 4, 3, 2, 1)]
+        assert got[2].is_zero and not got[1].is_zero
+
+
 class TestSolve:
     def test_printed_solutions(self):
         assert unit_solution(0) == (RatFunc.const(1),)
@@ -139,6 +224,31 @@ class TestSolve:
         m = build_hankel(HankelSpec(4, 0), TB)
         sol = solve_unit_rhs(m)
         assert len(sol) == 4
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        r = IntPoly([0, 1])
+        sol = solve_unit_rhs(PolyMatrix([[IntPoly.zero(), r], [r, IntPoly.one()]]))
+        assert sol == (RatFunc(IntPoly.const(-1), IntPoly([0, 0, 1])), RatFunc(IntPoly.one(), r))
+
+    def test_matches_cramer_on_general_matrices(self):
+        rng = random.Random(2024)
+        for dim in range(1, 6):
+            m = PolyMatrix([
+                [IntPoly([rng.randint(-6, 6) for _ in range(rng.randrange(1, 4))])
+                 for _ in range(dim)]
+                for _ in range(dim)
+            ])
+            d = det_minor_expansion(m)
+            assert not d.is_zero
+            cramer = []
+            for i in range(dim):
+                replaced = PolyMatrix(
+                    [IntPoly.const(int(r == 0)) if j == i else m.rows[r][j]
+                     for j in range(dim)]
+                    for r in range(dim)
+                )
+                cramer.append(RatFunc(det_minor_expansion(replaced), d))
+            assert solve_unit_rhs(m) == tuple(cramer), dim
 
     def test_closed_forms_match_solve(self):
         for p in range(8):

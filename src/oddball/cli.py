@@ -35,6 +35,7 @@ from .errors import (
     QuadratureNonconvergence,
     TableTooSmall,
     ZeroDenominator,
+    positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION
 from .hankel import HankelSpec, hankel_det
@@ -46,7 +47,7 @@ from .magnitude import (
     verify_observation,
     verify_triple_route,
 )
-from .poly import RatFunc, format_poly, format_ratfunc
+from .poly import format_poly, format_ratfunc
 from .potential import (
     build_potential,
     verify_annihilation,
@@ -87,7 +88,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _precision_bits(args) -> int:
+def _precision_bits() -> int:
     env = os.environ.get("ODDBALL_PRECISION")
     if env:
         try:
@@ -106,15 +107,15 @@ def _add_format_flags(parser, default="pretty"):
 
 
 def _emit_records(records, fmt) -> None:
-    """records: list of dicts with keys n, route, num, den, agree, millis."""
+    """records: list of dicts with keys n, route, func (a RatFunc), agree,
+    millis, and optionally value."""
     if fmt == "json":
         canonical = []
         for r in records:
             rec = {
                 "n": r["n"],
                 "route": r["route"],
-                "num": r["num"],
-                "den": r["den"],
+                **r["func"].as_dict(),
                 "agree": r["agree"],
                 "millis": None,  # dropped for byte-stable output
             }
@@ -125,25 +126,16 @@ def _emit_records(records, fmt) -> None:
     elif fmt == "csv":
         print("n,num,den")
         for r in records:
-            print("{},{},{}".format(r["n"], " ".join(r["num"]), " ".join(r["den"])))
+            d = r["func"].as_dict()
+            print("{},{},{}".format(r["n"], " ".join(d["num"]), " ".join(d["den"])))
     else:
         for r in records:
-            f = RatFunc.from_dict(r)
             mark = "ok" if r["agree"] else "DISAGREE"
-            print(f"n={r['n']:>3} [{r['route']}] {format_ratfunc(f)}   ({mark}, {r['millis']:.1f} ms)")
+            print(f"n={r['n']:>3} [{r['route']}] {format_ratfunc(r['func'])}   ({mark}, {r['millis']:.1f} ms)")
 
 
-def _record(n, route, ratfunc, millis, agree=True, **extra):
-    rec = {
-        "n": n,
-        "route": route,
-        "num": ratfunc.num.coeff_strings(),
-        "den": ratfunc.den.coeff_strings(),
-        "agree": agree,
-        "millis": millis,
-    }
-    rec.update(extra)
-    return rec
+def _record(n, route, func, millis, agree=True, **extra):
+    return {"n": n, "route": route, "func": func, "agree": agree, "millis": millis, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +193,17 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_magnitude(args) -> int:
+    radius = None if args.radius is None else positive_radius(parse_rational(args.radius))
     routes = ("det", "hankel", "boundary") if args.route == "all" else (args.route,)
     rep = magnitude_report(args.n, routes=routes)
+    values = {"det": rep.mag_det, "hankel": rep.mag_hankel, "boundary": rep.mag_boundary}
     records = []
     for route in routes:
-        value = {"det": rep.mag_det, "hankel": rep.mag_hankel, "boundary": rep.mag_boundary}[route]
-        extra = {}
-        if args.radius is not None:
-            radius = parse_rational(args.radius)
-            extra["value"] = _fraction_str(value(radius))
-        records.append(_record(args.n, route, value, rep.timing[route], rep.agree, **extra))
+        extra = {} if radius is None else {"value": _fraction_str(values[route](radius))}
+        records.append(_record(args.n, route, values[route], rep.timing[route], rep.agree, **extra))
     _emit_records(records, args.fmt)
-    if args.radius is not None and args.fmt == "pretty":
-        radius = parse_rational(args.radius)
-        first = {"det": rep.mag_det, "hankel": rep.mag_hankel, "boundary": rep.mag_boundary}[routes[0]]
-        print(f"value at R={args.radius}: {_fraction_str(first(radius))}")
+    if radius is not None and args.fmt == "pretty":
+        print(f"value at R={args.radius}: {_fraction_str(values[routes[0]](radius))}")
     return 0 if rep.agree else 1
 
 
@@ -260,20 +248,23 @@ def _integral_grid():
 
 
 def _cmd_verify_integral(args) -> int:
-    prec = _precision_bits(args)
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    prec = _precision_bits()
     count = 0
+    ok = True
     for i, b, radius in itertools.islice(_integral_grid(), args.samples):
         ok = verify_integral_lemma(i, b, radius, prec_bits=prec)
         count += 1
         if args.fmt != "json":
             print(f"i={i} b={b} R={_fraction_str(radius)}: {'pass' if ok else 'FAIL'}")
         if not ok:
-            return 1
+            break
     if args.fmt == "json":
-        print(_dump({"samples": count, "agree": True}))
-    else:
+        print(_dump({"samples": count, "agree": ok}))
+    elif ok:
         print(f"{count} quadrature checks passed")
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_verify_triple(args) -> int:

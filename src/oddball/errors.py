@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two input checks
+that raise them: every n must be odd and >= 1, every radius a positive
+rational.  They live here, beside their errors, so that every module can
+import them without an import cycle."""
+
+from fractions import Fraction
 
 
 class OddballError(Exception):
@@ -92,3 +97,18 @@ class GoldenMismatch(OddballError):
 
 class ParseError(OddballError):
     """Malformed textual input (rational number or polynomial)."""
+
+
+def odd_dimension(n: int) -> int:
+    """p = (n - 1) / 2 for an odd dimension n >= 1; EvenDimension otherwise."""
+    if n < 1 or n % 2 == 0:
+        raise EvenDimension(f"dimension must be odd and >= 1, got {n}")
+    return (n - 1) // 2
+
+
+def positive_radius(r) -> Fraction:
+    """r as an exact Fraction; NonpositiveRadius unless r > 0."""
+    r = Fraction(r)
+    if r <= 0:
+        raise NonpositiveRadius(f"radius must be positive, got {r}")
+    return r

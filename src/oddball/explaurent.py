@@ -18,7 +18,7 @@ from typing import Mapping
 
 import mpmath
 
-from .errors import EvenDimension, NonpositiveRadius
+from .errors import EvenDimension, positive_radius
 
 DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
@@ -121,9 +121,7 @@ class ExpLaurent:
 
     def eval(self, at, prec_bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
         """Numeric value e^(-at) * sum c_k at^k at the given precision."""
-        at = Fraction(at)
-        if at <= 0:
-            raise NonpositiveRadius(f"evaluation point must be positive, got {at}")
+        at = positive_radius(at)
         with mpmath.workprec(prec_bits):
             x = mpmath.mpf(at.numerator) / at.denominator
             total = mpmath.mpf(0)

@@ -18,7 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import GoldenMismatch
+from .hankel import unit_solution
+from .magnitude import magnitude_det, magnitude_hankel
 from .poly import IntPoly, RatFunc
+from .potential import boundary_limit_derivative
 
 
 def _rf(num_coeffs, den_coeffs=(1,)) -> RatFunc:
@@ -106,10 +109,6 @@ class GoldenResult:
 
 def check_all() -> list:
     """Recompute every fixture from the engine and diff, table by table."""
-    from .hankel import unit_solution
-    from .magnitude import magnitude_det, magnitude_hankel
-    from .potential import boundary_limit_derivative
-
     results = []
 
     for n, want in sorted(MAGNITUDE.items()):

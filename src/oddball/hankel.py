@@ -78,9 +78,6 @@ class PolyMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> IntPoly:
-        return self.rows[i][j]
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(zip(*self.rows))
 

@@ -29,26 +29,21 @@ from functools import lru_cache
 
 import mpmath
 
-from .bessel import BesselTable, reverse_bessel
+from . import potential
+from .bessel import reverse_bessel
 from .errors import (
     ConjectureFails,
     Disagreement,
-    EvenDimension,
     IdentityFails,
-    NonpositiveRadius,
     ObservationFails,
     QuadratureNonconvergence,
     RouteMismatch,
+    odd_dimension,
+    positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION
 from .hankel import PolyMatrix, det_bareiss, hankel_det, unit_solution
 from .poly import IntPoly, RatFunc
-
-
-def _half_dim(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise EvenDimension(f"dimension must be odd and >= 1, got {n}")
-    return (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +58,7 @@ class BorderRow:
     polys: tuple
 
 
-def border_polys(p: int, table: BesselTable | None = None) -> BorderRow:
+def border_polys(p: int) -> BorderRow:
     """Border-row polynomials xi_{p,0..p}.
 
     xi_{p,i} = R^(2p+2) B_i
@@ -73,7 +68,7 @@ def border_polys(p: int, table: BesselTable | None = None) -> BorderRow:
     if p < 0:
         raise ValueError("p must be >= 0")
     n = 2 * p + 1
-    tb = table if table is not None else reverse_bessel(p + 1)
+    tb = reverse_bessel(p + 1)
     out = []
     for i in range(p + 1):
         xi = tb.poly(i).shift(2 * p + 2)
@@ -84,47 +79,33 @@ def border_polys(p: int, table: BesselTable | None = None) -> BorderRow:
     return BorderRow(p, tuple(out))
 
 
-def _hdet(size: int, offset: int, table: BesselTable | None) -> IntPoly:
-    """Hankel determinant, from the shared cache or an explicit table."""
-    if table is None:
-        return hankel_det(size, offset)
-    if size == 0:
-        return IntPoly.one()
-    from .hankel import HankelSpec, build_hankel
-
-    return det_bareiss(build_hankel(HankelSpec(size, offset), table))
-
-
 @lru_cache(maxsize=None)
-def _bordered_det_cached(p: int) -> IntPoly:
-    return _bordered_det(p, reverse_bessel(2 * p + 1))
-
-
-def _bordered_det(p: int, table: BesselTable) -> IntPoly:
+def _bordered_det(p: int) -> IntPoly:
     """Determinant of the offset-1 Hankel rows stacked on the border row."""
-    border = border_polys(p, table).polys
+    table = reverse_bessel(2 * p + 1)
+    border = border_polys(p).polys
     rows = [[table.poly(i + j + 1) for j in range(p + 1)] for i in range(p)]
     rows.append(list(border))
     return det_bareiss(PolyMatrix(rows))
 
 
-def magnitude_det(n: int, table: BesselTable | None = None) -> RatFunc:
+def magnitude_det(n: int) -> RatFunc:
     """|B^n_R| via the bordered-determinant route, reduced."""
-    p = _half_dim(n)
-    num = _bordered_det_cached(p) if table is None else _bordered_det(p, table)
-    den = (math.factorial(n) * _hdet(p + 1, 0, table)).shift(1)
+    p = odd_dimension(n)
+    num = _bordered_det(p)
+    den = (math.factorial(n) * hankel_det(p + 1, 0)).shift(1)
     return RatFunc(num if p % 2 == 0 else -num, den)
 
 
-def magnitude_hankel(n: int, table: BesselTable | None = None) -> RatFunc:
+def magnitude_hankel(n: int) -> RatFunc:
     """|B^n_R| via the ratio of offset-2 and offset-0 Hankel determinants."""
-    p = _half_dim(n)
-    num = _hdet(p + 1, 2, table)
-    den = (math.factorial(n) * _hdet(p + 1, 0, table)).shift(1)
+    p = odd_dimension(n)
+    num = hankel_det(p + 1, 2)
+    den = (math.factorial(n) * hankel_det(p + 1, 0)).shift(1)
     return RatFunc(num, den)
 
 
-def magnitude_explicit(n: int, radius, table: BesselTable | None = None) -> Fraction:
+def magnitude_explicit(n: int, radius) -> Fraction:
     """|B^n_R| at one rational radius, from the solved coefficients directly.
 
     (1/n!) { R^n + n * sum_i a_i sum_j 2^j (p-i)!/(p-i-j)!
@@ -132,11 +113,9 @@ def magnitude_explicit(n: int, radius, table: BesselTable | None = None) -> Frac
     where a_i solve the unit-RHS Hankel system at this radius.  Note the
     exponent 2(p-j)-1 hits -1 when j = p; exact rational powers handle it.
     """
-    p = _half_dim(n)
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise NonpositiveRadius(f"radius must be positive, got {radius}")
-    tb = table if table is not None else reverse_bessel(p + 1)
+    p = odd_dimension(n)
+    radius = positive_radius(radius)
+    tb = reverse_bessel(p + 1)
     coeffs = [f(radius) for f in unit_solution(p)]
     total = radius ** n
     for i, a in enumerate(coeffs):
@@ -160,11 +139,9 @@ def boundary_value_at(n: int, radius) -> Fraction:
     surface-to-volume constant enters only as the ratio n, which is how the
     dimensional constants cancel.
     """
-    from .potential import build_potential  # local import; potential builds on hankel
-
-    p = _half_dim(n)
+    p = odd_dimension(n)
     radius = Fraction(radius)
-    pot = build_potential(n, radius)
+    pot = potential.build_potential(n, radius)
     total = Fraction(radius ** n, math.factorial(n))
     acc = Fraction(0)
     for j in range((p + 1) // 2 + 1, p + 2):
@@ -178,14 +155,14 @@ def boundary_value_at(n: int, radius) -> Fraction:
     return total
 
 
-def magnitude_boundary(n: int, table: BesselTable | None = None) -> RatFunc:
+def magnitude_boundary(n: int) -> RatFunc:
     """|B^n_R| via the boundary route, certified against the det route.
 
     The boundary pipeline is evaluated at deg(num) + deg(den) + 2 distinct
     rational radii; pointwise agreement at that many points pins down the
     rational function, so the det-route answer is returned once certified.
     """
-    p = _half_dim(n)
+    p = odd_dimension(n)
     mag = magnitude_det(n)
     needed = mag.num.degree + mag.den.degree + 2
     det0 = hankel_det(p + 1, 0)
@@ -206,20 +183,18 @@ def magnitude_boundary(n: int, table: BesselTable | None = None) -> RatFunc:
 # derivative conjecture
 # ---------------------------------------------------------------------------
 
-def derivative_conjecture_rhs(n: int, table: BesselTable | None = None) -> RatFunc:
+def derivative_conjecture_rhs(n: int) -> RatFunc:
     """Conjectured d|B^n_R|/dR: squared offset-1 Hankel determinant over
     (2p)! R^2 times the squared offset-0 one.
 
     The equivalent form R^(n-1)/(n-1)! times the squared boundary limit
     derivative is computed too and must reduce to the identical function.
     """
-    from .potential import boundary_limit_derivative
-
-    p = _half_dim(n)
-    h1 = _hdet(p + 1, 1, table)
-    h0 = _hdet(p + 1, 0, table)
+    p = odd_dimension(n)
+    h1 = hankel_det(p + 1, 1)
+    h0 = hankel_det(p + 1, 0)
     rhs = RatFunc(h1 * h1, (math.factorial(2 * p) * (h0 * h0)).shift(2))
-    bld = boundary_limit_derivative(n)
+    bld = potential.boundary_limit_derivative(n)
     other = bld * bld * RatFunc(IntPoly.monomial(n - 1), IntPoly.const(math.factorial(n - 1)))
     if rhs != other:
         raise RouteMismatch(f"the two conjecture right-hand sides differ at n={n}")
@@ -235,46 +210,31 @@ class CampaignEntry:
     n: int
     value: RatFunc
     millis: float
-    extra: tuple = ()
 
 
 @dataclass(frozen=True)
 class CampaignReport:
+    """A campaign's per-n entries; a failed campaign raises instead."""
+
     kind: str
     max_n: int
     entries: tuple
 
-    @property
-    def ok(self) -> bool:
-        return True  # a failed campaign raises instead of returning
 
-
-def _equality_job(n: int) -> dict:
+def _equality_job(n: int) -> tuple:
+    """(n, det route, hankel route, millis); the driver compares them."""
     t0 = time.perf_counter()
     d = magnitude_det(n)
     h = magnitude_hankel(n)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return {
-        "n": n,
-        "agree": d == h,
-        "value": d.as_dict(),
-        "other": h.as_dict(),
-        "millis": millis,
-    }
+    return n, d, h, (time.perf_counter() - t0) * 1000.0
 
 
-def _derivative_job(n: int) -> dict:
+def _derivative_job(n: int) -> tuple:
+    """(n, conjectured right-hand side, d/dR of the hankel route, millis)."""
     t0 = time.perf_counter()
     lhs = magnitude_hankel(n).derivative()
     rhs = derivative_conjecture_rhs(n)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return {
-        "n": n,
-        "agree": lhs == rhs,
-        "value": rhs.as_dict(),
-        "other": lhs.as_dict(),
-        "millis": millis,
-    }
+    return n, rhs, lhs, (time.perf_counter() - t0) * 1000.0
 
 
 def _run_jobs(worker, ns, jobs: int) -> list:
@@ -286,37 +246,37 @@ def _run_jobs(worker, ns, jobs: int) -> list:
             results = [worker(n) for n in ns]
     else:
         results = [worker(n) for n in ns]
-    return sorted(results, key=lambda rec: rec["n"])
+    return sorted(results, key=lambda rec: rec[0])
 
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
     """Assert det route == hankel route for every odd n <= max_n."""
-    _half_dim(max_n)
+    odd_dimension(max_n)
     ns = list(range(1, max_n + 1, 2))
     entries = []
-    for rec in _run_jobs(_equality_job, ns, jobs):
-        if not rec["agree"]:
-            raise Disagreement(rec["n"], f"det={rec['value']} hankel={rec['other']}")
-        entries.append(CampaignEntry(rec["n"], RatFunc.from_dict(rec["value"]), rec["millis"]))
+    for n, d, h, millis in _run_jobs(_equality_job, ns, jobs):
+        if d != h:
+            raise Disagreement(n, f"det={d.as_dict()} hankel={h.as_dict()}")
+        entries.append(CampaignEntry(n, d, millis))
     return CampaignReport("equality", max_n, tuple(entries))
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Assert d/dR of the hankel-route magnitude equals the conjectured form
     for every odd n <= max_n."""
-    _half_dim(max_n)
+    odd_dimension(max_n)
     ns = list(range(1, max_n + 1, 2))
     entries = []
-    for rec in _run_jobs(_derivative_job, ns, jobs):
-        if not rec["agree"]:
-            raise ConjectureFails(rec["n"], f"rhs={rec['value']} d/dR={rec['other']}")
-        entries.append(CampaignEntry(rec["n"], RatFunc.from_dict(rec["value"]), rec["millis"]))
+    for n, rhs, lhs, millis in _run_jobs(_derivative_job, ns, jobs):
+        if rhs != lhs:
+            raise ConjectureFails(n, f"rhs={rhs.as_dict()} d/dR={lhs.as_dict()}")
+        entries.append(CampaignEntry(n, rhs, millis))
     return CampaignReport("derivative", max_n, tuple(entries))
 
 
 def verify_triple_route(max_n: int) -> CampaignReport:
     """Assert boundary route == det route == hankel route for odd n <= max_n."""
-    _half_dim(max_n)
+    odd_dimension(max_n)
     entries = []
     for n in range(1, max_n + 1, 2):
         t0 = time.perf_counter()
@@ -356,11 +316,11 @@ def verify_observation(max_n: int) -> CampaignReport:
     """Check that the magnitude numerator at n matches the numerator of the
     zeroth solve coefficient at n + 2, up to integer content and a power of
     R; the extracted factors are reported, not assumed."""
-    _half_dim(max_n)
+    odd_dimension(max_n)
     entries = []
     for n in range(1, max_n + 1, 2):
         t0 = time.perf_counter()
-        p_up = _half_dim(n + 2)
+        p_up = odd_dimension(n + 2)
         mag_num = magnitude_hankel(n).num
         coeff_num = RatFunc(hankel_det(p_up, 2), hankel_det(p_up + 1, 0)).num
         prim_m, v_m, c_m = _strip_poly(mag_num)
@@ -381,7 +341,7 @@ def determinantal_identity_check(p: int) -> bool:
     """(-1)^p det(bordered) == det(offset-2 Hankel), checked exactly."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    lhs = _bordered_det_cached(p)
+    lhs = _bordered_det(p)
     if p % 2 == 1:
         lhs = -lhs
     rhs = hankel_det(p + 1, 2)
@@ -410,9 +370,7 @@ def verify_integral_lemma(
     """
     if i < 0 or b < 0:
         raise ValueError("i and b must be >= 0")
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise NonpositiveRadius(f"radius must be positive, got {radius}")
+    radius = positive_radius(radius)
     tb = reverse_bessel(i + b + 1)
     rhs_rational = Fraction(0)
     for j in range(b + 1):

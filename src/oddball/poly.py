@@ -262,6 +262,10 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, which re-canonicalises
+        return IntPoly, (self.coeffs,)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -522,13 +526,13 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, which re-reduces
+        return RatFunc, (self.num, self.den)
+
     @classmethod
     def const(cls, c: int) -> "RatFunc":
         return cls(IntPoly.const(c))
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RatFunc":
-        return cls(IntPoly.const(q.numerator), IntPoly.const(q.denominator))
 
     @property
     def is_zero(self) -> bool:

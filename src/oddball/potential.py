@@ -24,16 +24,10 @@ from fractions import Fraction
 import mpmath
 
 from .bessel import kernel_table, reverse_bessel
-from .errors import EvenDimension, NonpositiveRadius, RouteMismatch, SingularMatrix
+from .errors import RouteMismatch, SingularMatrix, odd_dimension, positive_radius
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
 from .hankel import hankel_det, unit_solution
 from .poly import RatFunc
-
-
-def _check_dimension(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise EvenDimension(f"dimension must be odd and >= 1, got {n}")
-    return (n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,7 @@ class Potential:
 
     def value_at(self, r, prec_bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
         """Numeric h(r) for r >= radius."""
-        r = Fraction(r)
-        if r <= 0:
-            raise NonpositiveRadius(f"need r > 0, got {r}")
+        r = positive_radius(r)
         if r < self.radius:
             return mpmath.mpf(1)
         with mpmath.workprec(prec_bits):
@@ -67,17 +59,15 @@ class Potential:
             return scale * self.exterior.eval(r, prec_bits)
 
 
-def build_potential(n: int, radius, table=None) -> Potential:
+def build_potential(n: int, radius) -> Potential:
     """Assemble the potential of the n-ball of rational radius > 0."""
-    p = _check_dimension(n)
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise NonpositiveRadius(f"radius must be positive, got {radius}")
+    p = odd_dimension(n)
+    radius = positive_radius(radius)
     if hankel_det(p + 1, 0)(radius) == 0:
         raise SingularMatrix(f"Hankel system singular at radius {radius}")
     coeff_funcs = unit_solution(p)
     coeffs = tuple(f(radius) for f in coeff_funcs)
-    bessels = table if table is not None else reverse_bessel(p)
+    bessels = reverse_bessel(p)
     exterior = ExpLaurent.zero()
     for i, c in enumerate(coeffs):
         scalar = c * radius ** (2 * i)
@@ -129,23 +119,19 @@ def h_sequence(pot: Potential, j: int) -> ExpLaurent:
     return via_operator
 
 
-def boundary_limit_derivative(n: int, table=None) -> RatFunc:
+def boundary_limit_derivative(n: int) -> RatFunc:
     """Limit from above of the (p+1)-st radial derivative at the boundary,
     as a rational function of the radius: minus the offset-1 Hankel
     determinant over R^(p+1) times the offset-0 one."""
-    from .magnitude import _hdet
-
-    p = _check_dimension(n)
-    num = -_hdet(p + 1, 1, table)
-    den = _hdet(p + 1, 0, table).shift(p + 1)
+    p = odd_dimension(n)
+    num = -hankel_det(p + 1, 1)
+    den = hankel_det(p + 1, 0).shift(p + 1)
     return RatFunc(num, den)
 
 
 def verify_limit_derivative(n: int, radius) -> bool:
     """Differentiate the exterior p+1 times and compare with the closed form."""
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise NonpositiveRadius(f"radius must be positive, got {radius}")
+    radius = positive_radius(radius)
     pot = build_potential(n, radius)
     g = pot.exterior
     for _ in range(pot.p + 1):

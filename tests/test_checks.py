@@ -25,6 +25,19 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_function_local_imports_in_package():
+    # a function-local import is how an import cycle hides; keep them out
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
+
+
 def test_fixture_not_in_lowest_terms_is_refused():
     with pytest.raises(GoldenMismatch):
         golden._rf((2, 2), (2,))

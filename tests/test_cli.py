@@ -145,6 +145,23 @@ class TestExitCodes:
         code, _, _ = _run(capsys, "potential", "--n", "3", "--radius", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("radius", ["-3", "0"])
+    def test_magnitude_nonpositive_radius(self, capsys, radius):
+        code, out, err = _run(capsys, "magnitude", "--n", "3", "--radius", radius)
+        assert code == 2 and out == ""
+        assert "radius must be positive" in err
+
+    def test_integral_negative_samples(self, capsys):
+        code, out, err = _run(capsys, "verify", "integral", "--samples", "-3")
+        assert code == 2 and out == ""
+        assert "--samples" in err and "islice" not in err
+
+    def test_integral_failure_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_integral_lemma", lambda *a, **k: False)
+        code, out, _ = _run(capsys, "verify", "integral", "--samples", "4", "--json")
+        assert code == 1
+        assert out == '{"agree":false,"samples":1}\n'
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["magnitude"])  # missing --n

@@ -138,8 +138,8 @@ class TestObservation:
         import oddball.magnitude as mag
         real = mag.magnitude_hankel
 
-        def crooked(n, table=None):
-            f = real(n, table)
+        def crooked(n):
+            f = real(n)
             return RatFunc(f.num + IntPoly.one(), f.den)
 
         monkeypatch.setattr(mag, "magnitude_hankel", crooked)
@@ -152,6 +152,11 @@ class TestDerivativeConjecture:
         assert derivative_conjecture_rhs(1) == RatFunc.const(1)
         assert derivative_conjecture_rhs(3) == RatFunc(IntPoly([4, 4, 1]), IntPoly.const(2))
         assert derivative_conjecture_rhs(7) == MAGNITUDE_DERIVATIVE[7]
+
+    def test_parallel_jobs_match_sequential(self):
+        seq = verify_derivative_conjecture(9, jobs=1)
+        par = verify_derivative_conjecture(9, jobs=2)
+        assert [(e.n, e.value) for e in seq.entries] == [(e.n, e.value) for e in par.entries]
 
     def test_derivative_equals_rhs_small(self):
         report = verify_derivative_conjecture(9)

@@ -1,6 +1,7 @@
 """Polynomial and rational-function arithmetic: spec examples, ring axioms,
 reduction canonicity, and the numeric derivative cross-check."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -191,6 +192,16 @@ class TestRatFunc:
         f = RatFunc(MAG3_NUM, IntPoly.const(6))
         assert RatFunc.from_dict(f.as_dict()) == f
         assert f.as_dict() == {"num": ["6", "12", "6", "1"], "den": ["6"]}
+
+    def test_pickle_round_trip(self):
+        # campaign workers send their results back pickled
+        high = IntPoly([(-1) ** k * 3 ** (5 * k) for k in range(60)])
+        polys = [IntPoly.zero(), IntPoly.const(7), IntPoly([-24, -27, -9, -1]), high]
+        funcs = [RatFunc(IntPoly.zero()), RatFunc.const(-5), RatFunc(MAG3_NUM, IntPoly.const(6)),
+                 RatFunc(-high, high * R + IntPoly.one())]
+        for x in polys + funcs:
+            y = pickle.loads(pickle.dumps(x))
+            assert type(y) is type(x) and y == x
 
 
 class TestFormatting:

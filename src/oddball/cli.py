@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: chi, det, potential, magnitude, verify {equality, observation,
-derivative, integral}, reproduce.  Output formats are canonical JSON
+derivative, boundary, integral}, reproduce.  Output formats are canonical JSON
 (deterministic: sorted keys, compact separators, polynomials as decimal
 coefficient strings in ascending powers), CSV (one row per n), or a pretty
 rendering in descending powers.  Exit codes: 0 success, 1 verification
@@ -9,7 +9,7 @@ failure, 2 usage error.
 
 Radii are always exact rationals written as P or P/Q; there is no floating
 point radius path.  The ODDBALL_PRECISION environment variable overrides the
-mantissa bits used by the numeric checks.
+mantissa bits used by the numeric checks; it must lie in [64, 1024].
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ from .potential import (
     verify_limit_derivative,
 )
 
+# mantissa bits ODDBALL_PRECISION may set: 40 bits misses the quadrature error
+# bound, and at 4096 bits three integral samples take over a minute
+_MIN_PRECISION, _MAX_PRECISION = 64, 1024
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 _USAGE_ERRORS = (
@@ -90,12 +94,15 @@ def _dump(obj) -> str:
 
 def _precision_bits() -> int:
     env = os.environ.get("ODDBALL_PRECISION")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"bad ODDBALL_PRECISION value {env!r}") from exc
-    return DEFAULT_PRECISION
+    if not env:
+        return DEFAULT_PRECISION
+    try:
+        bits = int(env)
+    except ValueError as exc:
+        raise ParseError(f"bad ODDBALL_PRECISION value {env!r}") from exc
+    if not _MIN_PRECISION <= bits <= _MAX_PRECISION:
+        raise ParseError(f"ODDBALL_PRECISION must be in [{_MIN_PRECISION}, {_MAX_PRECISION}], got {bits}")
+    return bits
 
 
 def _add_format_flags(parser, default="pretty"):
@@ -268,7 +275,7 @@ def _cmd_verify_integral(args) -> int:
 
 
 def _cmd_verify_triple(args) -> int:
-    max_n = args.max_n if args.max_n is not None else 15
+    max_n = args.max_n if args.max_n is not None else (33 if args.extended else 15)
     report = verify_triple_route(max_n)
     records = [_record(e.n, "boundary", e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
@@ -357,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _campaign("derivative", "derivative of the magnitude matches the Hankel form",
               _cmd_verify_derivative, with_extended=True)
     _campaign("boundary", "boundary-integral route agrees with both determinant routes",
-              _cmd_verify_triple, with_jobs=False)
+              _cmd_verify_triple, with_jobs=False, with_extended=True)
 
     integ = versub.add_parser("integral", help="quadrature check of the closed-form integral")
     integ.add_argument("--samples", type=int, default=60)

@@ -8,8 +8,11 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 * hankel route: the offset-2 Hankel determinant over n! R times the
   offset-0 one;
 * boundary route: volume plus boundary integrals of Laplacian powers of the
-  potential function, evaluated exactly at enough rational radii to pin the
-  rational function.
+  potential function.  One Laplacian chain per decaying kernel gives an
+  integer Laurent polynomial in R; weighted by the unit-RHS solution over
+  its common Hankel denominator, they sum to one exact rational function,
+  reduced once.  boundary_value_at evaluates the same formula at a single
+  radius from the potential built there, and serves as its oracle.
 
 The campaigns check det = hankel for a range of n, the numerator
 proportionality between |B^n| and the leading solve coefficient two
@@ -41,7 +44,7 @@ from .errors import (
     odd_dimension,
     positive_radius,
 )
-from .explaurent import DEFAULT_PRECISION
+from .explaurent import DEFAULT_PRECISION, ExpLaurent
 from .hankel import PolyMatrix, det_bareiss, hankel_det, unit_solution
 from .poly import IntPoly, RatFunc
 
@@ -131,52 +134,71 @@ def magnitude_explicit(n: int, radius) -> Fraction:
 # boundary-integral route
 # ---------------------------------------------------------------------------
 
+def _boundary_sum(f: ExpLaurent, n: int) -> ExpLaurent:
+    """sum over (p+1)/2 < j <= p+1 of (-1)^j C(p+1, j) (L^(j-1) f)', with L
+    the radial Laplacian in dimension n = 2p + 1: one chain of p Laplacians."""
+    p = n // 2
+    acc = ExpLaurent.zero()
+    for j in range(1, p + 2):
+        if j > (p + 1) // 2:
+            acc = acc + f.diff().scale((-1) ** j * math.comb(p + 1, j))
+        if j <= p:
+            f = f.laplacian(n)
+    return acc
+
+
 def boundary_value_at(n: int, radius) -> Fraction:
-    """|B^n_R| at one rational radius via the boundary formula.
+    """Pointwise oracle for the boundary route: |B^n_R| at one rational radius.
 
     R^n/n! plus R^(n-1)/(n-1)! times the alternating binomial sum of
-    (Laplacian^(j-1) h)'(R) over (p+1)/2 < j <= p+1, everything exact.  The
-    surface-to-volume constant enters only as the ratio n, which is how the
-    dimensional constants cancel.
+    (Laplacian^(j-1) h)'(R) over (p+1)/2 < j <= p+1, with h the potential
+    built at this radius, everything exact.  The surface-to-volume constant
+    enters only as the ratio n, which is how the dimensional constants cancel.
     """
-    p = odd_dimension(n)
     radius = Fraction(radius)
     pot = potential.build_potential(n, radius)
-    total = Fraction(radius ** n, math.factorial(n))
-    acc = Fraction(0)
-    for j in range((p + 1) // 2 + 1, p + 2):
-        g = pot.exterior
-        for _ in range(j - 1):
-            g = g.laplacian(n)
-        g = g.diff()
-        term = g.laurent_at(radius)
-        acc += (-1) ** j * math.comb(p + 1, j) * term
-    total += radius ** (n - 1) / math.factorial(n - 1) * acc
-    return total
+    acc = _boundary_sum(pot.exterior, n).laurent_at(radius)
+    return Fraction(radius ** n, math.factorial(n)) + radius ** (n - 1) / math.factorial(n - 1) * acc
+
+
+def _integer_poly(f: ExpLaurent) -> IntPoly:
+    """The Laurent part of f, which must have integer coefficients and no
+    negative powers, as an IntPoly."""
+    coeffs = [0] * (max(f.terms, default=-1) + 1)
+    for k, c in f.terms.items():
+        if c.denominator != 1:
+            raise RouteMismatch(f"boundary chain coefficient {c} is not an integer")
+        coeffs[k] = c.numerator
+    return IntPoly(coeffs)
 
 
 def magnitude_boundary(n: int) -> RatFunc:
-    """|B^n_R| via the boundary route, certified against the det route.
+    """|B^n_R| via the boundary route, as one exact rational function.
 
-    The boundary pipeline is evaluated at deg(num) + deg(den) + 2 distinct
-    rational radii; pointwise agreement at that many points pins down the
-    rational function, so the det-route answer is returned once certified.
+    The exterior potential is sum_i a_i R^(2i) k_i with k_i = e^(-r)
+    r^(-2i) B_i(r) and a_i the unit-RHS solution.  The boundary sum is
+    linear, so one Laplacian chain per kernel gives the integer Laurent
+    polynomial Lambda_i(R), free of the radius-dependent a_i.  Over the
+    common denominator H_0 = hankel_det(p+1, 0):
+
+        |B| = (R^n H_0 + n R^(n-1) sum_i (a_i H_0) R^(2i) Lambda_i) / (n! H_0)
+
+    with every a_i H_0 an exact quotient; negative powers of R are cleared
+    into the denominator, and the sum is reduced once, at the end.
     """
     p = odd_dimension(n)
-    mag = magnitude_det(n)
-    needed = mag.num.degree + mag.den.degree + 2
-    det0 = hankel_det(p + 1, 0)
-    samples = 0
-    r = 0
-    while samples < needed:
-        r += 1
-        radius = Fraction(r)
-        if det0(radius) == 0 or mag.den(radius) == 0:
-            continue
-        if boundary_value_at(n, radius) != mag(radius):
-            raise Disagreement(n, f"boundary route differs from det route at R={radius}")
-        samples += 1
-    return mag
+    bessels = reverse_bessel(p)
+    laurents = []
+    for i in range(p + 1):
+        k_i = ExpLaurent({k - 2 * i: c for k, c in enumerate(bessels.poly(i).coeffs)})
+        laurents.append(_boundary_sum(k_i, n).mul_rpow(2 * i + n - 1))
+    low = min([0] + [f.min_exp() for f in laurents if not f.is_zero])
+    h0 = hankel_det(p + 1, 0)
+    total = IntPoly.zero()
+    for a, f in zip(unit_solution(p), laurents):
+        total = total + h0.divexact(a.den) * a.num * _integer_poly(f.mul_rpow(-low))
+    num = h0.shift(n - low) + n * total
+    return RatFunc(num, (math.factorial(n) * h0).shift(-low))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +297,15 @@ def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
 
 
 def verify_triple_route(max_n: int) -> CampaignReport:
-    """Assert boundary route == det route == hankel route for odd n <= max_n."""
+    """Assert boundary route == det route == hankel route, as rational
+    functions, for every odd n <= max_n."""
     odd_dimension(max_n)
     entries = []
     for n in range(1, max_n + 1, 2):
         t0 = time.perf_counter()
-        mag = magnitude_boundary(n)  # certifies against the det route
+        mag = magnitude_boundary(n)
+        if mag != magnitude_det(n):
+            raise Disagreement(n, "boundary route differs from det route")
         if mag != magnitude_hankel(n):
             raise Disagreement(n, "hankel route differs")
         entries.append(CampaignEntry(n, mag, (time.perf_counter() - t0) * 1000.0))

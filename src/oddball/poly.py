@@ -527,8 +527,16 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     def __reduce__(self):
-        # rebuilt through the constructor, which re-reduces
-        return RatFunc, (self.num, self.den)
+        # already canonical: rebuilt without a second reduction
+        return RatFunc._raw, (self.num, self.den)
+
+    @classmethod
+    def _raw(cls, num: IntPoly, den: IntPoly) -> "RatFunc":
+        """num/den taken as given; the caller vouches for canonical form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     @classmethod
     def const(cls, c: int) -> "RatFunc":
@@ -545,10 +553,7 @@ class RatFunc:
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
-        out = object.__new__(RatFunc)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return RatFunc._raw(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)

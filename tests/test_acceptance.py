@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Default bounds are desk scale; set ODDBALL_EXTENDED=1 to run the extended
-sweeps (equality to n=39, derivative conjecture to n=57), which take hours.
+sweeps (equality to n=39, derivative conjecture to n=57, boundary route to
+n=33), which take hours.
 Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 """
 
@@ -47,7 +48,7 @@ EXTENDED = os.environ.get("ODDBALL_EXTENDED", "") not in ("", "0")
 
 EQUALITY_MAX = 39 if EXTENDED else 25
 DERIVATIVE_MAX = 57 if EXTENDED else 33
-TRIPLE_MAX = 15
+TRIPLE_MAX = 33 if EXTENDED else 15
 POTENTIAL_MAX = 25
 POTENTIAL_RADII = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3))
 

@@ -112,6 +112,11 @@ class TestSubcommands:
         code, out, _ = _run(capsys, "verify", "boundary", "--max", "5", "--json")
         assert code == 0
 
+    def test_verify_boundary_extended_honours_max(self, capsys):
+        code, out, _ = _run(capsys, "verify", "boundary", "--extended", "--max", "5", "--json")
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)] == [1, 3, 5]
+
     def test_verify_integral(self, capsys):
         code, out, _ = _run(capsys, "verify", "integral", "--samples", "4", "--json")
         assert code == 0
@@ -161,6 +166,13 @@ class TestExitCodes:
         code, out, _ = _run(capsys, "verify", "integral", "--samples", "4", "--json")
         assert code == 1
         assert out == '{"agree":false,"samples":1}\n'
+
+    @pytest.mark.parametrize("bits", ["-100", "0", "63", "1025"])
+    def test_precision_out_of_range(self, capsys, monkeypatch, bits):
+        monkeypatch.setenv("ODDBALL_PRECISION", bits)
+        code, out, err = _run(capsys, "verify", "integral", "--samples", "1", "--json")
+        assert code == 2 and out == ""
+        assert "ODDBALL_PRECISION" in err
 
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

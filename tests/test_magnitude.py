@@ -86,8 +86,16 @@ class TestMagnitudeRoutes:
                 hits += 1
 
     def test_boundary_route_small(self):
-        for n in (1, 3, 5):
-            assert magnitude_boundary(n) == MAGNITUDE[n]
+        for n, want in MAGNITUDE.items():
+            assert magnitude_boundary(n) == want
+
+    def test_boundary_route_matches_pointwise_oracle(self):
+        rng = random.Random(4051)
+        for n in range(1, 16, 2):
+            f = magnitude_boundary(n)
+            for _ in range(3):
+                q = Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                assert f(q) == boundary_value_at(n, q)
 
     def test_boundary_value_pointwise(self):
         assert boundary_value_at(1, 1) == 2
@@ -100,7 +108,7 @@ class TestMagnitudeRoutes:
         assert report.entries[3].value == MAGNITUDE[7]
 
     def test_triple_route_desk_scale(self):
-        # the heavy sweep: boundary pipeline pinned at every odd n to 25
+        # the heavy sweep: boundary == det == hankel at every odd n to 25
         report = verify_triple_route(25)
         assert len(report.entries) == 13
 
@@ -181,8 +189,23 @@ class TestDisagreementPath:
         import oddball.magnitude as mag
         from oddball.errors import Disagreement
 
-        monkeypatch.setattr(mag, "boundary_value_at", lambda n, r: Fraction(0))
+        real = mag.unit_solution
+
+        def crooked(p):
+            coeffs = real(p)
+            return (coeffs[0] + RatFunc.const(1),) + coeffs[1:]
+
+        monkeypatch.setattr(mag, "unit_solution", crooked)
         with pytest.raises(Disagreement):
+            mag.verify_triple_route(3)
+
+    def test_fractional_boundary_chain_is_fatal(self, monkeypatch):
+        import oddball.magnitude as mag
+        from oddball.errors import RouteMismatch
+
+        real = mag._boundary_sum
+        monkeypatch.setattr(mag, "_boundary_sum", lambda f, n: real(f, n).scale(Fraction(1, 2)))
+        with pytest.raises(RouteMismatch):
             mag.magnitude_boundary(3)
 
 

@@ -202,6 +202,10 @@ class TestRatFunc:
         for x in polys + funcs:
             y = pickle.loads(pickle.dumps(x))
             assert type(y) is type(x) and y == x
+        for f in funcs:
+            # rebuilt without re-reduction, still equal and hashing alike
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and hash(g) == hash(f)
 
 
 class TestFormatting:

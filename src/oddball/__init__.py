@@ -33,7 +33,6 @@ from .hankel import (
     unit_solution,
 )
 from .magnitude import (
-    MagnitudeReport,
     border_polys,
     boundary_value_at,
     derivative_conjecture_rhs,
@@ -42,7 +41,6 @@ from .magnitude import (
     magnitude_det,
     magnitude_explicit,
     magnitude_hankel,
-    magnitude_report,
     verify_derivative_conjecture,
     verify_formula_equality,
     verify_integral_lemma,
@@ -70,7 +68,6 @@ __all__ = [
     "HankelSpec",
     "IntPoly",
     "KernelTable",
-    "MagnitudeReport",
     "OddballError",
     "PolyMatrix",
     "Potential",
@@ -99,7 +96,6 @@ __all__ = [
     "magnitude_det",
     "magnitude_explicit",
     "magnitude_hankel",
-    "magnitude_report",
     "parse_poly",
     "poly_gcd",
     "reverse_bessel",

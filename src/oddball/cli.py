@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 
 from . import golden
@@ -40,7 +41,9 @@ from .errors import (
 from .explaurent import DEFAULT_PRECISION
 from .hankel import HankelSpec, hankel_det
 from .magnitude import (
-    magnitude_report,
+    magnitude_boundary,
+    magnitude_det,
+    magnitude_hankel,
     verify_derivative_conjecture,
     verify_formula_equality,
     verify_integral_lemma,
@@ -202,16 +205,21 @@ def _cmd_potential(args) -> int:
 def _cmd_magnitude(args) -> int:
     radius = None if args.radius is None else positive_radius(parse_rational(args.radius))
     routes = ("det", "hankel", "boundary") if args.route == "all" else (args.route,)
-    rep = magnitude_report(args.n, routes=routes)
-    values = {"det": rep.mag_det, "hankel": rep.mag_hankel, "boundary": rep.mag_boundary}
+    route_fns = {"det": magnitude_det, "hankel": magnitude_hankel, "boundary": magnitude_boundary}
+    values, millis = {}, {}
+    for route in routes:
+        t0 = time.perf_counter()
+        values[route] = route_fns[route](args.n)
+        millis[route] = (time.perf_counter() - t0) * 1000.0
+    agree = len(set(values.values())) == 1
     records = []
     for route in routes:
         extra = {} if radius is None else {"value": _fraction_str(values[route](radius))}
-        records.append(_record(args.n, route, values[route], rep.timing[route], rep.agree, **extra))
+        records.append(_record(args.n, route, values[route], millis[route], agree, **extra))
     _emit_records(records, args.fmt)
     if radius is not None and args.fmt == "pretty":
         print(f"value at R={args.radius}: {_fraction_str(values[routes[0]](radius))}")
-    return 0 if rep.agree else 1
+    return 0 if agree else 1
 
 
 def _cmd_verify_equality(args) -> int:

@@ -18,8 +18,8 @@ size, about half of a plain Bareiss.  A zero pivot (a vanishing leading
 minor) stops the growth; that size and every larger one at the offset go to
 `det_bareiss`, which swaps rows.
 
-Linear solves against the unit right-hand side (1, 0, ..., 0) run one
-fraction-free elimination of the augmented matrix, with row swaps, and a
+Linear solves against the unit right-hand side (1, 0, ..., 0) run the same
+fraction-free elimination, with row swaps, on the augmented matrix, and a
 fraction-free back-substitution: O(dim^3) products instead of the O(dim^4) of
 one Cramer determinant per component.  The numerators share the determinant
 as denominator, each component is reduced to canonical form, and the
@@ -110,36 +110,42 @@ def build_hankel(spec: HankelSpec, table: BesselTable) -> PolyMatrix:
 # determinants
 # ---------------------------------------------------------------------------
 
-def det_bareiss(m: PolyMatrix) -> IntPoly:
-    """Exact determinant by fraction-free elimination.
+def _eliminate(a: list, width: int) -> int:
+    """Fraction-free elimination, in place, of the square part of the n rows
+    a; the columns from n up to `width` are carried along.  A zero pivot
+    swaps in a lower row.  Returns the sign of the row permutation, so that
+    sign * a[n-1][n-1] is the determinant, or 0 when a column has no pivot.
 
     Every intermediate entry is itself a minor of the input, so coefficient
     growth stays polynomial and each division by the previous pivot is exact
     (checked; failure raises InexactDivision).
     """
-    n = m.dim
-    a = [[m.rows[i][j] for j in range(n)] for i in range(n)]
+    n = len(a)
     sign = 1
     prev = IntPoly.one()
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPoly.zero()
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
         pivot = a[k][k]
+        base = a[k]
         for i in range(k + 1, n):
-            fac = a[i][k]
             row = a[i]
-            base = a[k]
-            for j in range(k + 1, n):
+            fac = row[k]
+            for j in range(k + 1, width):
                 row[j] = (pivot * row[j] - fac * base[j]).divexact(prev)
         prev = pivot
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+    return sign
+
+
+def det_bareiss(m: PolyMatrix) -> IntPoly:
+    """Exact determinant by fraction-free elimination with row swaps."""
+    a = [list(row) for row in m.rows]
+    sign = _eliminate(a, m.dim)
+    return sign * a[-1][-1]  # zero when a column had no pivot
 
 
 def det_minor_expansion(m: PolyMatrix) -> IntPoly:
@@ -265,22 +271,9 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
     n = m.dim
     a = [list(row) + [IntPoly.one() if i == 0 else IntPoly.zero()]
          for i, row in enumerate(m.rows)]
-    prev = IntPoly.one()
-    for k in range(n):
-        if a[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
-            if swap is None:
-                raise SingularMatrix("unit-RHS solve on a singular matrix")
-            a[k], a[swap] = a[swap], a[k]
-        pivot = a[k][k]
-        base = a[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            fac = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - fac * base[j]).divexact(prev)
-        prev = pivot
-    d = prev
+    if not _eliminate(a, n + 1):
+        raise SingularMatrix("unit-RHS solve on a singular matrix")
+    d = a[n - 1][n - 1]
     nums = [IntPoly.zero()] * n
     for i in range(n - 1, -1, -1):
         acc = d * a[i][n]

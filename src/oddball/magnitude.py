@@ -14,11 +14,14 @@ Routes to |B^n_R| as a reduced rational function of the radius:
   reduced once.  boundary_value_at evaluates the same formula at a single
   radius from the potential built there, and serves as its oracle.
 
-The campaigns check det = hankel for a range of n, the numerator
-proportionality between |B^n| and the leading solve coefficient two
-dimensions up, and the conjectured Hankel form of d|B^n|/dR.  Each is exact;
-the only numerical check in the package is the quadrature cross-check of the
-closed-form integral identity, done at 128-bit precision.
+The det = hankel, boundary = det = hankel and derivative campaigns share one
+comparison loop: a job per odd n computes the values that must be equal, and
+the loop compares them in the calling process, also when the jobs ran in a
+worker pool.  The observation campaign checks the numerator proportionality
+between |B^n| and the leading solve coefficient two dimensions up.  Each is
+exact; the only numerical check in the package is the quadrature cross-check
+of the closed-form integral lemma, done at 128-bit precision, and it checks
+the very polynomial the det route's border row is built from.
 """
 
 from __future__ import annotations
@@ -53,40 +56,34 @@ from .poly import IntPoly, RatFunc
 # border row and determinant routes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BorderRow:
-    """Integer polynomials forming the border row of the extended system."""
+def _lemma_tail(i: int, b: int) -> IntPoly:
+    """sum_{j=0}^{b} 2^j b!/(b-j)! R^(2(b-j)) B_{i+j+1}, the polynomial of the
+    integral lemma: int_R^inf e^(-r) B_i(r) r^(2b) dr = e^(-R) tail(R) / R.
+    The border row, the explicit formula and the quadrature check share it."""
+    tb = reverse_bessel(i + b + 1)
+    tail = IntPoly.zero()
+    for j in range(b + 1):
+        w = (1 << j) * math.factorial(b) // math.factorial(b - j)
+        tail = tail + (w * tb.poly(i + j + 1)).shift(2 * (b - j))
+    return tail
 
-    p: int
-    polys: tuple
 
-
-def border_polys(p: int) -> BorderRow:
-    """Border-row polynomials xi_{p,0..p}.
-
-    xi_{p,i} = R^(2p+2) B_i
-             + n * sum_{j=0}^{p-i} 2^j (p-i)!/(p-i-j)! R^(2(p-j)) B_{i+j+1}
-    with n = 2p + 1; every coefficient is an integer by construction.
-    """
+def border_polys(p: int) -> tuple:
+    """Border-row polynomials xi_{p,0..p}, with n = 2p + 1:
+    xi_{p,i} = R^(2p+2) B_i + n R^(2i) _lemma_tail(i, p-i); every coefficient
+    is an integer by construction."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    n = 2 * p + 1
     tb = reverse_bessel(p + 1)
-    out = []
-    for i in range(p + 1):
-        xi = tb.poly(i).shift(2 * p + 2)
-        for j in range(p - i + 1):
-            w = n * (1 << j) * math.factorial(p - i) // math.factorial(p - i - j)
-            xi = xi + (w * tb.poly(i + j + 1)).shift(2 * (p - j))
-        out.append(xi)
-    return BorderRow(p, tuple(out))
+    return tuple(tb.poly(i).shift(2 * p + 2) + ((2 * p + 1) * _lemma_tail(i, p - i)).shift(2 * i)
+                 for i in range(p + 1))
 
 
 @lru_cache(maxsize=None)
 def _bordered_det(p: int) -> IntPoly:
     """Determinant of the offset-1 Hankel rows stacked on the border row."""
     table = reverse_bessel(2 * p + 1)
-    border = border_polys(p).polys
+    border = border_polys(p)
     rows = [[table.poly(i + j + 1) for j in range(p + 1)] for i in range(p)]
     rows.append(list(border))
     return det_bareiss(PolyMatrix(rows))
@@ -109,24 +106,16 @@ def magnitude_hankel(n: int) -> RatFunc:
 
 
 def magnitude_explicit(n: int, radius) -> Fraction:
-    """|B^n_R| at one rational radius, from the solved coefficients directly.
-
-    (1/n!) { R^n + n * sum_i a_i sum_j 2^j (p-i)!/(p-i-j)!
-                                       R^(2(p-j)-1) B_{i+j+1}(R) }
-    where a_i solve the unit-RHS Hankel system at this radius.  Note the
-    exponent 2(p-j)-1 hits -1 when j = p; exact rational powers handle it.
+    """|B^n_R| at one rational radius, from the solved coefficients directly:
+    (1/n!) { R^n + n sum_i a_i R^(2i-1) _lemma_tail(i, p-i)(R) }, where a_i
+    solve the unit-RHS Hankel system at this radius.  The power R^(2i-1) is
+    R^-1 at i = 0; exact rationals handle it.
     """
     p = odd_dimension(n)
     radius = positive_radius(radius)
-    tb = reverse_bessel(p + 1)
-    coeffs = [f(radius) for f in unit_solution(p)]
     total = radius ** n
-    for i, a in enumerate(coeffs):
-        inner = Fraction(0)
-        for j in range(p - i + 1):
-            w = (1 << j) * math.factorial(p - i) // math.factorial(p - i - j)
-            inner += w * radius ** (2 * (p - j) - 1) * tb.poly(i + j + 1)(radius)
-        total += n * a * inner
+    for i, a in enumerate(unit_solution(p)):
+        total += n * a(radius) * radius ** (2 * i - 1) * _lemma_tail(i, p - i)(radius)
     return total / math.factorial(n)
 
 
@@ -244,19 +233,26 @@ class CampaignReport:
 
 
 def _equality_job(n: int) -> tuple:
-    """(n, det route, hankel route, millis); the driver compares them."""
+    """(n, {det, hankel}, millis)."""
     t0 = time.perf_counter()
-    d = magnitude_det(n)
-    h = magnitude_hankel(n)
-    return n, d, h, (time.perf_counter() - t0) * 1000.0
+    values = {"det": magnitude_det(n), "hankel": magnitude_hankel(n)}
+    return n, values, (time.perf_counter() - t0) * 1000.0
 
 
 def _derivative_job(n: int) -> tuple:
-    """(n, conjectured right-hand side, d/dR of the hankel route, millis)."""
+    """(n, {conjectured right-hand side, d/dR of the hankel route}, millis)."""
     t0 = time.perf_counter()
     lhs = magnitude_hankel(n).derivative()
-    rhs = derivative_conjecture_rhs(n)
-    return n, rhs, lhs, (time.perf_counter() - t0) * 1000.0
+    values = {"rhs": derivative_conjecture_rhs(n), "d/dR": lhs}
+    return n, values, (time.perf_counter() - t0) * 1000.0
+
+
+def _triple_job(n: int) -> tuple:
+    """(n, {boundary, det, hankel}, millis)."""
+    t0 = time.perf_counter()
+    values = {"boundary": magnitude_boundary(n), "det": magnitude_det(n),
+              "hankel": magnitude_hankel(n)}
+    return n, values, (time.perf_counter() - t0) * 1000.0
 
 
 def _run_jobs(worker, ns, jobs: int) -> list:
@@ -271,45 +267,35 @@ def _run_jobs(worker, ns, jobs: int) -> list:
     return sorted(results, key=lambda rec: rec[0])
 
 
-def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
-    """Assert det route == hankel route for every odd n <= max_n."""
+def _sweep(kind: str, max_n: int, job, failure, jobs: int = 1) -> CampaignReport:
+    """Run job on every odd n <= max_n and raise failure(n, ...) in this
+    process unless all the values it returns are equal; each entry keeps
+    the first value."""
     odd_dimension(max_n)
-    ns = list(range(1, max_n + 1, 2))
     entries = []
-    for n, d, h, millis in _run_jobs(_equality_job, ns, jobs):
-        if d != h:
-            raise Disagreement(n, f"det={d.as_dict()} hankel={h.as_dict()}")
-        entries.append(CampaignEntry(n, d, millis))
-    return CampaignReport("equality", max_n, tuple(entries))
+    for n, values, millis in _run_jobs(job, list(range(1, max_n + 1, 2)), jobs):
+        first, *rest = values.values()
+        if any(v != first for v in rest):
+            raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
+        entries.append(CampaignEntry(n, first, millis))
+    return CampaignReport(kind, max_n, tuple(entries))
+
+
+def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
+    """Check det route == hankel route for every odd n <= max_n."""
+    return _sweep("equality", max_n, _equality_job, Disagreement, jobs)
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
-    """Assert d/dR of the hankel-route magnitude equals the conjectured form
+    """Check d/dR of the hankel-route magnitude equals the conjectured form
     for every odd n <= max_n."""
-    odd_dimension(max_n)
-    ns = list(range(1, max_n + 1, 2))
-    entries = []
-    for n, rhs, lhs, millis in _run_jobs(_derivative_job, ns, jobs):
-        if rhs != lhs:
-            raise ConjectureFails(n, f"rhs={rhs.as_dict()} d/dR={lhs.as_dict()}")
-        entries.append(CampaignEntry(n, rhs, millis))
-    return CampaignReport("derivative", max_n, tuple(entries))
+    return _sweep("derivative", max_n, _derivative_job, ConjectureFails, jobs)
 
 
 def verify_triple_route(max_n: int) -> CampaignReport:
-    """Assert boundary route == det route == hankel route, as rational
+    """Check boundary route == det route == hankel route, as rational
     functions, for every odd n <= max_n."""
-    odd_dimension(max_n)
-    entries = []
-    for n in range(1, max_n + 1, 2):
-        t0 = time.perf_counter()
-        mag = magnitude_boundary(n)
-        if mag != magnitude_det(n):
-            raise Disagreement(n, "boundary route differs from det route")
-        if mag != magnitude_hankel(n):
-            raise Disagreement(n, "hankel route differs")
-        entries.append(CampaignEntry(n, mag, (time.perf_counter() - t0) * 1000.0))
-    return CampaignReport("triple-route", max_n, tuple(entries))
+    return _sweep("triple-route", max_n, _triple_job, Disagreement)
 
 
 # ---------------------------------------------------------------------------
@@ -379,30 +365,20 @@ def determinantal_identity_check(p: int) -> bool:
 # closed-form integral identity, quadrature cross-check
 # ---------------------------------------------------------------------------
 
-def verify_integral_lemma(
-    i: int,
-    b: int,
-    radius,
-    prec_bits: int = DEFAULT_PRECISION,
-    rel_tol=None,
-) -> bool:
+def verify_integral_lemma(i: int, b: int, radius, prec_bits: int = DEFAULT_PRECISION) -> bool:
     """Check int_R^inf e^(-r) B_i(r) r^(2b) dr against its closed form.
 
     Left side: adaptive quadrature on [R, R + 180] at the working precision;
     the discarded tail is bounded analytically and must be negligible.
-    Right side: e^(-R) sum_j 2^j b!/(b-j)! R^(2(b-j)-1) B_{i+j+1}(R), the
-    rational part computed exactly and converted once.
+    Right side: e^(-R) _lemma_tail(i, b)(R) / R, the rational part
+    evaluated exactly and converted once.
     """
     if i < 0 or b < 0:
         raise ValueError("i and b must be >= 0")
     radius = positive_radius(radius)
-    tb = reverse_bessel(i + b + 1)
-    rhs_rational = Fraction(0)
-    for j in range(b + 1):
-        w = (1 << j) * math.factorial(b) // math.factorial(b - j)
-        rhs_rational += w * radius ** (2 * (b - j) - 1) * tb.poly(i + j + 1)(radius)
+    rhs_rational = _lemma_tail(i, b)(radius) / radius
 
-    integrand_coeffs = tb.poly(i).shift(2 * b).coeffs  # all nonnegative
+    integrand_coeffs = reverse_bessel(i).poly(i).shift(2 * b).coeffs  # all nonnegative
     guard = 64
     with mpmath.workprec(prec_bits + guard):
         rv = mpmath.mpf(radius.numerator) / radius.denominator
@@ -434,62 +410,5 @@ def verify_integral_lemma(
             if err > abs(val) * mpmath.mpf(10) ** (-34):
                 raise QuadratureNonconvergence(f"estimated error {err} too large")
 
-        tol = mpmath.mpf(10) ** (-30) if rel_tol is None else mpmath.mpf(rel_tol)
-        return abs(val - rhs) <= tol * abs(rhs)
+        return abs(val - rhs) <= mpmath.mpf(10) ** (-30) * abs(rhs)
 
-
-# ---------------------------------------------------------------------------
-# aggregate report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MagnitudeReport:
-    """One n: whichever routes were computed, their agreement, and timings."""
-
-    n: int
-    mag_det: RatFunc | None
-    mag_hankel: RatFunc | None
-    mag_boundary: RatFunc | None
-    agree: bool
-    derivative: RatFunc | None
-    derivative_conjecture_rhs: RatFunc | None
-    derivative_agree: bool | None
-    timing: dict
-
-
-def magnitude_report(n: int, routes=("det", "hankel"), with_derivative: bool = False) -> MagnitudeReport:
-    values = {}
-    timing = {}
-    for route in routes:
-        t0 = time.perf_counter()
-        if route == "det":
-            values[route] = magnitude_det(n)
-        elif route == "hankel":
-            values[route] = magnitude_hankel(n)
-        elif route == "boundary":
-            values[route] = magnitude_boundary(n)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        timing[route] = (time.perf_counter() - t0) * 1000.0
-    distinct = {v for v in values.values()}
-    agree = len(distinct) <= 1
-    derivative = rhs = None
-    deriv_agree = None
-    if with_derivative:
-        t0 = time.perf_counter()
-        base = values.get("hankel") or values.get("det") or magnitude_hankel(n)
-        derivative = base.derivative()
-        rhs = derivative_conjecture_rhs(n)
-        deriv_agree = derivative == rhs
-        timing["derivative"] = (time.perf_counter() - t0) * 1000.0
-    return MagnitudeReport(
-        n=n,
-        mag_det=values.get("det"),
-        mag_hankel=values.get("hankel"),
-        mag_boundary=values.get("boundary"),
-        agree=agree,
-        derivative=derivative,
-        derivative_conjecture_rhs=rhs,
-        derivative_agree=deriv_agree,
-        timing=timing,
-    )

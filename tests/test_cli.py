@@ -78,6 +78,15 @@ class TestSubcommands:
         assert [r["route"] for r in recs] == ["det", "hankel", "boundary"]
         assert all(r["agree"] for r in recs)
 
+    def test_magnitude_all_routes_disagree(self, capsys, monkeypatch):
+        real = cli.magnitude_boundary
+        monkeypatch.setattr(cli, "magnitude_boundary", lambda n: real(n) + RatFunc.const(1))
+        code, out, _ = _run(capsys, "magnitude", "--n", "5", "--route", "all", "--json")
+        recs = json.loads(out)
+        assert code == 1
+        assert [r["route"] for r in recs] == ["det", "hankel", "boundary"]
+        assert not any(r["agree"] for r in recs)
+
     def test_magnitude_csv(self, capsys):
         code, out, _ = _run(capsys, "magnitude", "--n", "3", "--csv")
         lines = out.strip().splitlines()

@@ -18,7 +18,6 @@ from oddball.magnitude import (
     magnitude_det,
     magnitude_explicit,
     magnitude_hankel,
-    magnitude_report,
     verify_derivative_conjecture,
     verify_formula_equality,
     verify_integral_lemma,
@@ -31,20 +30,20 @@ from oddball.poly import IntPoly, RatFunc
 class TestBorderRow:
     def test_printed_row_p1(self):
         br = border_polys(1)
-        assert br.polys[0] == IntPoly([0, 6, 6, 3, 1])       # R^4+3R^3+6R^2+6R
-        assert br.polys[1] == IntPoly([0, 0, 0, 3, 3, 1])    # R^5+3R^4+3R^3
+        assert br[0] == IntPoly([0, 6, 6, 3, 1])       # R^4+3R^3+6R^2+6R
+        assert br[1] == IntPoly([0, 0, 0, 3, 3, 1])    # R^5+3R^4+3R^3
 
     def test_printed_row_p2(self):
         br = border_polys(2)
         tb = [IntPoly([1]), IntPoly([0, 1]), IntPoly([0, 1, 1]), IntPoly([0, 3, 3, 1])]
         want0 = tb[0].shift(6) + (5 * tb[1]).shift(4) + (20 * tb[2]).shift(2) + 40 * tb[3]
         want1 = tb[1].shift(6) + (5 * tb[2]).shift(4) + (10 * tb[3]).shift(2)
-        assert br.polys[0] == want0
-        assert br.polys[1] == want1
+        assert br[0] == want0
+        assert br[1] == want1
 
     def test_integer_coefficients_large_p(self):
         br = border_polys(9)
-        assert all(isinstance(c, int) for xi in br.polys for c in xi.coeffs)
+        assert all(isinstance(c, int) for xi in br for c in xi.coeffs)
 
 
 class TestMagnitudeRoutes:
@@ -199,6 +198,26 @@ class TestDisagreementPath:
         with pytest.raises(Disagreement):
             mag.verify_triple_route(3)
 
+    def test_equality_mismatch_is_fatal(self, monkeypatch):
+        import oddball.magnitude as mag
+        from oddball.errors import Disagreement
+
+        real = mag.magnitude_det
+        monkeypatch.setattr(mag, "magnitude_det", lambda n: real(n) + RatFunc.const(1))
+        with pytest.raises(Disagreement) as exc:
+            mag.verify_formula_equality(3, jobs=1)
+        assert exc.value.n == 1
+
+    def test_derivative_mismatch_is_fatal(self, monkeypatch):
+        import oddball.magnitude as mag
+        from oddball.errors import ConjectureFails
+
+        real = mag.magnitude_hankel
+        monkeypatch.setattr(mag, "magnitude_hankel", lambda n: real(n) * RatFunc.const(2))
+        with pytest.raises(ConjectureFails) as exc:
+            mag.verify_derivative_conjecture(3, jobs=1)
+        assert exc.value.n == 1
+
     def test_fractional_boundary_chain_is_fatal(self, monkeypatch):
         import oddball.magnitude as mag
         from oddball.errors import RouteMismatch
@@ -240,17 +259,3 @@ class TestStructuralFacts:
             assert all(c >= 0 for c in f.num.coeffs)
             assert all(c >= 0 for c in f.den.coeffs)
 
-
-class TestReport:
-    def test_report_routes_and_agreement(self):
-        rep = magnitude_report(5, routes=("det", "hankel", "boundary"), with_derivative=True)
-        assert rep.agree
-        assert rep.mag_det == rep.mag_hankel == rep.mag_boundary == MAGNITUDE[5]
-        assert rep.derivative_agree
-        assert rep.derivative == MAGNITUDE_DERIVATIVE[5]
-        assert set(rep.timing) == {"det", "hankel", "boundary", "derivative"}
-
-    def test_report_single_route(self):
-        rep = magnitude_report(3, routes=("hankel",))
-        assert rep.mag_det is None and rep.mag_boundary is None
-        assert rep.agree and rep.derivative is None

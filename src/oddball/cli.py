@@ -222,9 +222,15 @@ def _cmd_magnitude(args) -> int:
     return 0 if agree else 1
 
 
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
+
+
 def _cmd_verify_equality(args) -> int:
     max_n = args.max_n if args.max_n is not None else (39 if args.extended else 25)
-    report = verify_formula_equality(max_n, jobs=args.jobs)
+    report = verify_formula_equality(max_n, jobs=_jobs(args))
     records = [_record(e.n, "equality", e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
     return 0
@@ -248,7 +254,7 @@ def _cmd_verify_observation(args) -> int:
 
 def _cmd_verify_derivative(args) -> int:
     max_n = args.max_n if args.max_n is not None else (57 if args.extended else 33)
-    report = verify_derivative_conjecture(max_n, jobs=args.jobs)
+    report = verify_derivative_conjecture(max_n, jobs=_jobs(args))
     records = [_record(e.n, "derivative", e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
     return 0

@@ -1,33 +1,32 @@
 """Hankel matrices of reverse Bessel polynomials and exact linear algebra.
 
-Determinants are computed over Z[R] with fraction-free (Bareiss) elimination:
-each step cross-multiplies rows (division-free) and then divides by the
-previous pivot, a division that is provably remainder-free.  Any remainder
-would mean broken arithmetic, so it raises InexactDivision instead of being
-silently discarded.  A memoized cofactor expansion serves as an independent
-oracle on small matrices.
+`hankel_det(k, s)` is H = det [B_{i+j+s}]_{i,j<k} over Z[R], computed by
+evaluation at integer points and interpolation, with no polynomial product
+or division:
 
-Without row swaps the pivots of that elimination are the leading principal
-minors, and a leading principal minor of a Hankel matrix is again a Hankel
-determinant at the same offset.  So `hankel_det` keeps one elimination per
-offset and grows it by bordering: the new column is pushed through the stored
-pivot columns with the same updates Bareiss would apply, and by symmetry the
-new row is that column again.  The pivot at position k is the size-(k+1)
-determinant, so a sweep over sizes pays for one elimination of the largest
-size, about half of a plain Bareiss.  A zero pivot (a vanishing leading
-minor) stops the growth; that size and every larger one at the offset go to
-`det_bareiss`, which swaps rows.
+* Degree.  deg B_m = m, so every permutation term has degree exactly
+  k(k-1) + ks, the bound used; the observed k(k-1)/2 + ks is unproven.
+* Valuation v.  B_m = R theta_{m-1} for m >= 1.  At s >= 1 every entry has
+  the factor R, so v = k.  At s = 0, eliminating the corner B_0 = 1 leaves
+  [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.  q = H / R^v has
+  degree below N = k(k-1) + ks - v + 1.
+* Points.  At x = 1..N, one fraction-free elimination of that matrix (at
+  s = 0, that complement) divided by x has the pivots q_1(x) .. q_K(x).
+  Newton interpolation, each Delta^j / j! checked exact, rebuilds q.
+* Positivity.  B_m(x) = e^x x^(2m) k_m(x), k_0 = e^(-r), k_{m+1} =
+  -(1/r) k_m', so k_m(r) = int_0^inf (2t)^m e^(-r^2 t) g(t) dt with
+  g(t) = e^(-1/(4t)) / sqrt(4 pi t^3) > 0.  Thus [B_{i+j+s}(x)] =
+  e^x x^(2s) D M D with D = diag(x^(2i)) and M the moment matrix of
+  dmu = (2t)^s e^(-x^2 t) g(t) dt, positive definite since u^T M u =
+  int (sum_i u_i (2t)^i)^2 dmu > 0 for u != 0.  So for x > 0 every pivot,
+  a leading minor, is positive; one <= 0 raises RouteMismatch, with no
+  fallback.
 
-Linear solves against the unit right-hand side (1, 0, ..., 0) run the same
-fraction-free elimination, with row swaps, on the augmented matrix, and a
-fraction-free back-substitution: O(dim^3) products instead of the O(dim^4) of
-one Cramer determinant per component.  The numerators share the determinant
-as denominator, each component is reduced to canonical form, and the
-residual of the whole system is re-checked symbolically before anything is
-returned.
-
-Hankel determinants are cached by (size, offset) since the downstream
-magnitude formulas keep asking for the same handful.
+A miss at (K, s) caches every size k <= K, so callers ask largest first.
+`det_bareiss` (checked fraction-free elimination with row swaps), a
+memoized cofactor expansion and `HankelElimination` (that elimination grown
+over Z[R]) are oracles.  Unit-RHS solves eliminate [m | e_0] and
+back-substitute in O(dim^3), with a symbolic residual check.
 """
 
 from __future__ import annotations
@@ -36,7 +35,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import BesselTable, reverse_bessel
-from .errors import DimensionTooLarge, RouteMismatch, SingularMatrix, TableTooSmall
+from .errors import (
+    DimensionTooLarge,
+    InexactDivision,
+    RouteMismatch,
+    SingularMatrix,
+    TableTooSmall,
+)
 from .poly import IntPoly, RatFunc
 
 _MINOR_EXPANSION_LIMIT = 13
@@ -184,8 +189,8 @@ def det_minor_expansion(m: PolyMatrix) -> IntPoly:
 
 
 class HankelElimination:
-    """Fraction-free elimination of the Hankel matrix [a_{i+j}], grown one
-    border at a time.
+    """Oracle for `hankel_det` in the tests: fraction-free elimination of the
+    Hankel matrix [a_{i+j}] over Z[R], grown one border at a time.
 
     `columns[k]` holds the stage-k pivot column: entry i - k is the value
     Bareiss holds at (i, k) after k steps, for k <= i < size.  Its head is
@@ -234,25 +239,115 @@ class HankelElimination:
         ))
 
 
-# offset -> its grown elimination; process-wide like hankel_det's own cache
-_ELIMINATIONS: dict = {}
+# ---------------------------------------------------------------------------
+# the evaluation-interpolation engine
+# ---------------------------------------------------------------------------
+
+def _theta_values(x: int, top: int) -> list:
+    """theta_m(x) = B_{m+1}(x) / x for m = 0..top, by the three-term
+    recurrence of B: theta_0 = 1, theta_1 = 1 + x and
+    theta_{m+1} = (2m+1) theta_m + x^2 theta_{m-1}."""
+    values = [1, 1 + x]
+    xx = x * x
+    for m in range(1, top):
+        values.append((2 * m + 1) * values[m] + xx * values[m - 1])
+    return values[:top + 1]
+
+
+def _pivots(x: int, size: int, offset: int) -> list:
+    """q_k(x) = H_k(x) / x^v for k = 1..size, as pivots; t_m = theta_m(x).
+    The matrix is symmetric, so row i keeps only its columns i.."""
+    t = _theta_values(x, 2 * (size - 1) + offset - 1)
+    if offset:
+        t = t[offset - 1:]
+        a = [t[2 * i:i + size] for i in range(size)]
+        pivots = []
+    else:
+        a = [[t[i + j + 1] - x * t[i] * t[j] for j in range(i, size - 1)]
+             for i in range(size - 1)]
+        pivots = [1]
+    prev = 1
+    for k, top in enumerate(a):
+        pivot = top[0]
+        if pivot <= 0:
+            raise RouteMismatch(f"Hankel pivot {len(pivots) + 1} at offset {offset} "
+                                f"is {pivot} at x={x}")
+        pivots.append(pivot)
+        for i in range(k + 1, len(a)):
+            row = a[i]
+            shift = i - k
+            fac = top[shift]
+            for j, y in enumerate(row):
+                q, r = divmod(pivot * y - fac * top[j + shift], prev)
+                if r:
+                    raise InexactDivision(f"Hankel elimination at x={x}, step {k}")
+                row[j] = q
+        prev = pivot
+    return pivots
+
+
+def _valuation_and_points(size: int, offset: int) -> tuple:
+    """(v, N): H_size is R^v times a polynomial of degree below N."""
+    v = size - 1 if offset == 0 else size
+    return v, size * (size - 1) + size * offset - v + 1
+
+
+def _interpolate(values: list, valuation: int) -> IntPoly:
+    """R^valuation q, q the integer polynomial of degree < len(values) with
+    q(x) = values[x - 1]: q = sum_j (Delta^j q(1) / j!) (x-1)...(x-j), by
+    Horner in that basis."""
+    diffs = list(values)
+    newton = []
+    fact = 1
+    for j in range(len(values)):
+        c, r = divmod(diffs[0], fact)
+        if r:
+            raise InexactDivision(f"difference {j} at x=1 is not divisible by {j}!")
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        fact *= j + 1
+    coeffs = [newton[-1]]
+    for j in range(len(newton) - 2, -1, -1):
+        # coeffs <- coeffs * (x - (j + 1)) + newton[j]
+        m = j + 1
+        coeffs = [newton[j] - m * coeffs[0]] + [
+            c - m * d for c, d in zip(coeffs, coeffs[1:] + [0])]
+    return IntPoly(coeffs).shift(valuation)
+
+
+def _hankel_dets(size: int, offset: int) -> tuple:
+    """(H_1, ..., H_size) at the offset; size k keeps only its N_k points."""
+    needs = [_valuation_and_points(k, offset) for k in range(1, size + 1)]
+    values = [[] for _ in needs]
+    for x in range(1, needs[-1][1] + 1):
+        for (_, count), vals, pivot in zip(needs, values, _pivots(x, size, offset)):
+            if x <= count:
+                vals.append(pivot)
+    return tuple(_interpolate(vals, v) for (v, _), vals in zip(needs, values))
+
+
+# offset -> (H_1, ..., H_K) for the largest K computed at that offset
+_FILLED: dict = {}
 
 
 @lru_cache(maxsize=None)
 def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
-    determinant, which is 1 by convention."""
+    determinant, which is 1 by convention.  A miss computes every size up
+    to this one at the offset, so callers ask for their largest size first."""
     if size == 0:
         return IntPoly.one()
-    spec = HankelSpec(size, offset)
-    entries = reverse_bessel(spec.top_index).polys[offset:]
-    return _ELIMINATIONS.setdefault(offset, HankelElimination()).det(size, entries)
+    HankelSpec(size, offset)  # checks both
+    dets = _FILLED.get(offset, ())
+    if len(dets) < size:
+        dets = _FILLED[offset] = _hankel_dets(size, offset)
+    return dets[size - 1]
 
 
 def clear_hankel_cache() -> None:
-    """Forget every cached Hankel determinant and grown elimination."""
+    """Forget every cached Hankel determinant."""
     hankel_det.cache_clear()
-    _ELIMINATIONS.clear()
+    _FILLED.clear()
 
 
 # ---------------------------------------------------------------------------

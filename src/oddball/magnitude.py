@@ -256,6 +256,7 @@ def _triple_job(n: int) -> tuple:
 
 
 def _run_jobs(worker, ns, jobs: int) -> list:
+    """worker(n) for every n, in the order given; the records sorted by n."""
     if jobs > 1 and len(ns) > 1:
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
@@ -270,10 +271,12 @@ def _run_jobs(worker, ns, jobs: int) -> list:
 def _sweep(kind: str, max_n: int, job, failure, jobs: int = 1) -> CampaignReport:
     """Run job on every odd n <= max_n and raise failure(n, ...) in this
     process unless all the values it returns are equal; each entry keeps
-    the first value."""
+    the first value.  The largest n goes first: its Hankel determinants
+    fill the cache for every smaller n, and in a pool the slowest job
+    starts first."""
     odd_dimension(max_n)
     entries = []
-    for n, values, millis in _run_jobs(job, list(range(1, max_n + 1, 2)), jobs):
+    for n, values, millis in _run_jobs(job, list(range(max_n, 0, -2)), jobs):
         first, *rest = values.values()
         if any(v != first for v in rest):
             raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
@@ -327,7 +330,9 @@ def verify_observation(max_n: int) -> CampaignReport:
     """Check that the magnitude numerator at n matches the numerator of the
     zeroth solve coefficient at n + 2, up to integer content and a power of
     R; the extracted factors are reported, not assumed."""
-    odd_dimension(max_n)
+    p_top = odd_dimension(max_n) + 1  # p at n = max_n + 2
+    hankel_det(p_top + 1, 0)  # the largest sizes first: a miss fills every smaller one
+    hankel_det(p_top, 2)
     entries = []
     for n in range(1, max_n + 1, 2):
         t0 = time.perf_counter()

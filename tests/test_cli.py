@@ -183,6 +183,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "ODDBALL_PRECISION" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("check", ["derivative", "equality"])
+    def test_jobs_below_one(self, capsys, check, jobs):
+        code, out, err = _run(capsys, "verify", check, "--max", "3", "--jobs", jobs, "--json")
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["magnitude"])  # missing --n

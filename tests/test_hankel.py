@@ -4,10 +4,18 @@ and the closed-form first/last coefficient ratios."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddball import hankel
 from oddball.bessel import reverse_bessel
-from oddball.errors import DimensionTooLarge, SingularMatrix, TableTooSmall
+from oddball.errors import (
+    DimensionTooLarge,
+    OddballError,
+    RouteMismatch,
+    SingularMatrix,
+    TableTooSmall,
+)
 from oddball.golden import FIRST_COEFF, LAST_COEFF
 from oddball.hankel import (
     HankelElimination,
@@ -203,6 +211,91 @@ class TestGrownElimination:
         assert calls == [5, 4, 3]
         assert got == [det_bareiss(_synthetic_hankel(entries, k)) for k in (5, 4, 3, 2, 1)]
         assert got[2].is_zero and not got[1].is_zero
+
+
+class TestEvaluationInterpolation:
+    """hankel_det against the grown polynomial elimination, its oracle."""
+
+    MAX_SIZE = 14
+    OFFSETS = range(4)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        out = {}
+        for s in self.OFFSETS:
+            entries = reverse_bessel(2 * self.MAX_SIZE + s).polys[s:]
+            elim = HankelElimination()
+            for k in range(1, self.MAX_SIZE + 1):
+                out[k, s] = elim.det(k, entries)
+        return out
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        clear_hankel_cache()
+        yield
+        clear_hankel_cache()
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_grown_oracle_in_any_order(self, oracle, order):
+        keys = sorted(oracle)
+        if order == "descending":
+            keys.reverse()
+        elif order == "shuffled":
+            random.Random(11).shuffle(keys)
+        for key in keys:
+            assert hankel_det(*key) == oracle[key], (order, key)
+
+    def test_points_cover_the_degree_bound(self, oracle):
+        # every permutation term of det [B_{i+j+s}] has degree k(k-1) + ks
+        for (k, s), det in oracle.items():
+            v, count = hankel._valuation_and_points(k, s)
+            assert v + count - 1 == k * (k - 1) + k * s
+            assert v == (k - 1 if s == 0 else k)
+            assert det.valuation() >= v and det.degree <= v + count - 1
+
+    def test_nonpositive_pivot_is_fatal(self, monkeypatch):
+        real = hankel._theta_values
+
+        def corrupted(x, top):
+            values = real(x, top)
+            if x == 3:
+                values[1] = 0  # H_2(3) / 3 = theta_1 - 3 theta_0^2 becomes -3
+            return values
+
+        monkeypatch.setattr(hankel, "_theta_values", corrupted)
+        with pytest.raises(RouteMismatch):
+            hankel_det(4, 0)
+
+
+@st.composite
+def _valued_polys(draw):
+    """(f, v, N): f = R^v q with deg f <= 60, and N >= deg q + 1 points."""
+    v = draw(st.integers(0, 8))
+    q = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=61 - v))
+    spare = draw(st.integers(0, 3))  # points beyond the degree, as under a loose bound
+    return IntPoly(q).shift(v), v, len(q) + spare
+
+
+class TestInterpolation:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_valued_polys())
+    def test_round_trip(self, case):
+        f, v, count = case
+        values = [f(x) // x ** v for x in range(1, count + 1)]
+        assert hankel._interpolate(values, v) == f
+
+    # Below four points a single changed value can still come from an integer
+    # polynomial; from four on, only the checked divisions can notice it.
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_valued_polys(), st.integers(0, 60), st.sampled_from((-1, 1)))
+    @example((IntPoly([5, -2, 7]), 0, 4), 2, 1)
+    def test_value_off_by_one_is_fatal(self, case, index, delta):
+        f, v, count = case
+        count = max(count, 4)
+        values = [f(x) // x ** v for x in range(1, count + 1)]
+        values[index % count] += delta
+        with pytest.raises(OddballError):
+            hankel._interpolate(values, v)
 
 
 class TestSolve:

@@ -128,6 +128,31 @@ class TestEqualityCampaign:
         assert [e.value for e in seq.entries] == [e.value for e in par.entries]
 
 
+class TestCampaignOrder:
+    def test_largest_n_first_entries_sorted(self, monkeypatch):
+        import oddball.magnitude as mag
+        seen = []
+        real = mag._derivative_job
+        monkeypatch.setattr(mag, "_derivative_job", lambda n: seen.append(n) or real(n))
+        report = mag.verify_derivative_conjecture(9, jobs=1)
+        assert seen == [9, 7, 5, 3, 1]
+        assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
+
+    def test_pool_gets_largest_n_first_entries_sorted(self, monkeypatch):
+        import oddball.magnitude as mag
+        submitted = []
+        real = mag._run_jobs
+
+        def recording(worker, ns, jobs):
+            submitted.append(list(ns))
+            return real(worker, ns, jobs)
+
+        monkeypatch.setattr(mag, "_run_jobs", recording)
+        report = mag.verify_formula_equality(9, jobs=2)
+        assert submitted == [[9, 7, 5, 3, 1]]
+        assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
+
+
 class TestObservation:
     def test_holds_up_to_nine(self):
         report = verify_observation(9)

@@ -26,9 +26,7 @@ from .hankel import (
     build_hankel,
     det_bareiss,
     det_minor_expansion,
-    first_coeff_formula,
     hankel_det,
-    last_coeff_formula,
     solve_unit_rhs,
     unit_solution,
 )
@@ -85,13 +83,11 @@ __all__ = [
     "det_bareiss",
     "det_minor_expansion",
     "determinantal_identity_check",
-    "first_coeff_formula",
     "format_poly",
     "format_ratfunc",
     "h_sequence",
     "hankel_det",
     "kernel_table",
-    "last_coeff_formula",
     "magnitude_boundary",
     "magnitude_det",
     "magnitude_explicit",

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IndexOutOfTriangle, NonpolynomialResidue, TableTooSmall
+from .errors import IndexOutOfTriangle, InexactDivision, NonpolynomialResidue, TableTooSmall
 from .explaurent import ExpLaurent
 from .poly import IntPoly
 
@@ -145,5 +145,5 @@ def deriv_coeff(j: int, k: int) -> int:
     den = (1 << (j - k)) * math.factorial(j - k) * math.factorial(k - 1)
     q, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"closed form not integral at (j, k) = ({j}, {k})")
+        raise InexactDivision(f"closed form not integral at (j, k) = ({j}, {k})")
     return q

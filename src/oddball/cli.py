@@ -228,10 +228,16 @@ def _jobs(args) -> int:
     return args.jobs
 
 
-def _cmd_verify_equality(args) -> int:
-    max_n = args.max_n if args.max_n is not None else (39 if args.extended else 25)
-    report = verify_formula_equality(max_n, jobs=_jobs(args))
-    records = [_record(e.n, "equality", e.value, e.millis) for e in report.entries]
+def _cmd_verify_sweep(args) -> int:
+    """A route-comparison campaign; the parser sets its function, its route
+    label and its default and --extended bounds."""
+    if args.max_n is not None:
+        max_n = args.max_n
+    else:
+        max_n = args.extended_max if args.extended else args.default_max
+    kwargs = {"jobs": _jobs(args)} if "jobs" in args else {}
+    report = args.campaign(max_n, **kwargs)
+    records = [_record(e.n, args.route, e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
     return 0
 
@@ -249,14 +255,6 @@ def _cmd_verify_observation(args) -> int:
         for e in report.entries:
             print(f"n={e.n:>3} numerators match: constant={_fraction_str(e.constant)} "
                   f"power-shift={e.power_shift} ({e.millis:.1f} ms)")
-    return 0
-
-
-def _cmd_verify_derivative(args) -> int:
-    max_n = args.max_n if args.max_n is not None else (57 if args.extended else 33)
-    report = verify_derivative_conjecture(max_n, jobs=_jobs(args))
-    records = [_record(e.n, "derivative", e.value, e.millis) for e in report.entries]
-    _emit_records(records, args.fmt)
     return 0
 
 
@@ -286,14 +284,6 @@ def _cmd_verify_integral(args) -> int:
     elif ok:
         print(f"{count} quadrature checks passed")
     return 0 if ok else 1
-
-
-def _cmd_verify_triple(args) -> int:
-    max_n = args.max_n if args.max_n is not None else (33 if args.extended else 15)
-    report = verify_triple_route(max_n)
-    records = [_record(e.n, "boundary", e.value, e.millis) for e in report.entries]
-    _emit_records(records, args.fmt)
-    return 0
 
 
 def _cmd_reproduce(args) -> int:
@@ -360,25 +350,30 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verification campaigns")
     versub = ver.add_subparsers(dest="check", required=True)
 
-    def _campaign(name, helptext, handler, with_jobs=True, with_extended=False):
+    def _campaign(name, helptext, handler, with_jobs=True, **defaults):
+        """defaults: for a route comparison, campaign, route, default_max
+        and extended_max, which also adds --extended."""
         c = versub.add_parser(name, help=helptext)
         c.add_argument("--max", dest="max_n", type=int, default=None)
         if with_jobs:
             c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        if with_extended:
+        if "extended_max" in defaults:
             c.add_argument("--extended", action="store_true")
         _add_format_flags(c)
-        c.set_defaults(func=handler)
+        c.set_defaults(func=handler, **defaults)
         return c
 
-    _campaign("equality", "determinant route == Hankel route", _cmd_verify_equality,
-              with_extended=True)
+    _campaign("equality", "determinant route == Hankel route", _cmd_verify_sweep,
+              campaign=verify_formula_equality, route="equality",
+              default_max=25, extended_max=39)
     _campaign("observation", "magnitude numerator matches the coefficient two dimensions up",
               _cmd_verify_observation, with_jobs=False)
     _campaign("derivative", "derivative of the magnitude matches the Hankel form",
-              _cmd_verify_derivative, with_extended=True)
+              _cmd_verify_sweep, campaign=verify_derivative_conjecture, route="derivative",
+              default_max=33, extended_max=57)
     _campaign("boundary", "boundary-integral route agrees with both determinant routes",
-              _cmd_verify_triple, with_jobs=False, with_extended=True)
+              _cmd_verify_sweep, with_jobs=False, campaign=verify_triple_route,
+              route="boundary", default_max=15, extended_max=33)
 
     integ = versub.add_parser("integral", help="quadrature check of the closed-form integral")
     integ.add_argument("--samples", type=int, default=60)

@@ -23,10 +23,12 @@ or division:
   fallback.
 
 A miss at (K, s) caches every size k <= K, so callers ask largest first.
-`det_bareiss` (checked fraction-free elimination with row swaps), a
-memoized cofactor expansion and `HankelElimination` (that elimination grown
-over Z[R]) are oracles.  Unit-RHS solves eliminate [m | e_0] and
-back-substitute in O(dim^3), with a symbolic residual check.
+`_eliminate`, checked fraction-free elimination with row swaps over Z[R],
+is the one polynomial elimination.  `det_bareiss` runs it for the det
+route's bordered matrix and as the tests' oracle for `hankel_det`; a
+memoized cofactor expansion is the oracle for `det_bareiss`.  Unit-RHS
+solves run it on [m | e_0] and back-substitute in O(dim^3), with a
+symbolic residual check.
 """
 
 from __future__ import annotations
@@ -83,18 +85,9 @@ class PolyMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(zip(*self.rows))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
 
 def build_hankel(spec: HankelSpec, table: BesselTable) -> PolyMatrix:
-    """Assemble the matrix and double-check the constant anti-diagonals."""
+    """Assemble the matrix from the table's polynomials."""
     if table.max_index < spec.top_index:
         raise TableTooSmall(
             f"need polynomials up to index {spec.top_index}, table stops at {table.max_index}"
@@ -103,12 +96,7 @@ def build_hankel(spec: HankelSpec, table: BesselTable) -> PolyMatrix:
         [table.polys[i + j + spec.offset] for j in range(spec.size)]
         for i in range(spec.size)
     ]
-    m = PolyMatrix(rows)
-    for i in range(spec.size - 1):
-        for j in range(1, spec.size):
-            if m.rows[i][j] != m.rows[i + 1][j - 1]:
-                raise RouteMismatch(f"anti-diagonal broken at ({i}, {j})")
-    return m
+    return PolyMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -186,57 +174,6 @@ def det_minor_expansion(m: PolyMatrix) -> IntPoly:
         return acc
 
     return minor_det((1 << n) - 1)
-
-
-class HankelElimination:
-    """Oracle for `hankel_det` in the tests: fraction-free elimination of the
-    Hankel matrix [a_{i+j}] over Z[R], grown one border at a time.
-
-    `columns[k]` holds the stage-k pivot column: entry i - k is the value
-    Bareiss holds at (i, k) after k steps, for k <= i < size.  Its head is
-    the pivot, the leading principal minor of size k + 1.  The matrix is
-    symmetric, so the stage-k pivot row is the same list.
-    """
-
-    def __init__(self):
-        self.columns: list = []
-        self.stalled = False  # a zero pivot was reached; growth has stopped
-
-    @property
-    def size(self) -> int:
-        return len(self.columns)
-
-    def grow(self, entries) -> None:
-        """Border by one row and column; entries[k] = a_k, k <= 2 * size.
-
-        The new column runs through every stored step; its value at stage k
-        and row k is also the new row's entry in pivot column k.
-        """
-        t = self.size
-        col = [entries[i + t] for i in range(t + 1)]
-        prev = IntPoly.one()
-        for k, ck in enumerate(self.columns):
-            top = col[k]
-            ck.append(top)
-            pivot = ck[0]
-            for i in range(k + 1, t + 1):
-                col[i] = (pivot * col[i] - ck[i - k] * top).divexact(prev)
-            prev = pivot
-        if col[t].is_zero:
-            self.stalled = True
-        else:
-            self.columns.append([col[t]])
-
-    def det(self, size: int, entries) -> IntPoly:
-        """det [a_{i+j}] over i, j < size; from the grown pivots, or by
-        Bareiss with row swaps once a zero pivot has stopped the growth."""
-        while self.size < size and not self.stalled:
-            self.grow(entries)
-        if size <= self.size:
-            return self.columns[size - 1][0]
-        return det_bareiss(PolyMatrix(
-            [entries[i + j] for j in range(size)] for i in range(size)
-        ))
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +326,3 @@ def unit_solution(p: int) -> tuple:
     """Cached coefficients for the size p+1, offset 0 Hankel system."""
     spec = HankelSpec(p + 1, 0)
     return solve_unit_rhs(build_hankel(spec, reverse_bessel(spec.top_index)))
-
-
-def first_coeff_formula(p: int, table: BesselTable) -> RatFunc:
-    """Closed form for component 0 of the unit-RHS solve:
-    det of the offset-2 Hankel block over the full offset-0 determinant."""
-    if p == 0:
-        return RatFunc(IntPoly.one(), table.poly(0))
-    num = det_bareiss(build_hankel(HankelSpec(p, 2), table))
-    den = det_bareiss(build_hankel(HankelSpec(p + 1, 0), table))
-    return RatFunc(num, den)
-
-
-def last_coeff_formula(p: int, table: BesselTable) -> RatFunc:
-    """Closed form for component p of the unit-RHS solve:
-    (-1)^p times the offset-1 block determinant over the full one."""
-    if p == 0:
-        return RatFunc(IntPoly.one(), table.poly(0))
-    num = det_bareiss(build_hankel(HankelSpec(p, 1), table))
-    den = det_bareiss(build_hankel(HankelSpec(p + 1, 0), table))
-    return RatFunc(num if p % 2 == 0 else -num, den)

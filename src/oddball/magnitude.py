@@ -227,8 +227,6 @@ class CampaignEntry:
 class CampaignReport:
     """A campaign's per-n entries; a failed campaign raises instead."""
 
-    kind: str
-    max_n: int
     entries: tuple
 
 
@@ -268,7 +266,7 @@ def _run_jobs(worker, ns, jobs: int) -> list:
     return sorted(results, key=lambda rec: rec[0])
 
 
-def _sweep(kind: str, max_n: int, job, failure, jobs: int = 1) -> CampaignReport:
+def _sweep(max_n: int, job, failure, jobs: int = 1) -> CampaignReport:
     """Run job on every odd n <= max_n and raise failure(n, ...) in this
     process unless all the values it returns are equal; each entry keeps
     the first value.  The largest n goes first: its Hankel determinants
@@ -281,24 +279,24 @@ def _sweep(kind: str, max_n: int, job, failure, jobs: int = 1) -> CampaignReport
         if any(v != first for v in rest):
             raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
         entries.append(CampaignEntry(n, first, millis))
-    return CampaignReport(kind, max_n, tuple(entries))
+    return CampaignReport(tuple(entries))
 
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check det route == hankel route for every odd n <= max_n."""
-    return _sweep("equality", max_n, _equality_job, Disagreement, jobs)
+    return _sweep(max_n, _equality_job, Disagreement, jobs)
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check d/dR of the hankel-route magnitude equals the conjectured form
     for every odd n <= max_n."""
-    return _sweep("derivative", max_n, _derivative_job, ConjectureFails, jobs)
+    return _sweep(max_n, _derivative_job, ConjectureFails, jobs)
 
 
 def verify_triple_route(max_n: int) -> CampaignReport:
     """Check boundary route == det route == hankel route, as rational
     functions, for every odd n <= max_n."""
-    return _sweep("triple-route", max_n, _triple_job, Disagreement)
+    return _sweep(max_n, _triple_job, Disagreement)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,7 @@ def verify_observation(max_n: int) -> CampaignReport:
         entries.append(
             ObservationEntry(n, v_m - v_a, Fraction(c_m, c_a), (time.perf_counter() - t0) * 1000.0)
         )
-    return CampaignReport("observation", max_n, tuple(entries))
+    return CampaignReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ class Potential:
     coeffs: tuple
     exterior: ExpLaurent
 
-    def interior_value(self) -> Fraction:
-        return Fraction(1)
-
     def value_at(self, r, prec_bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
         """Numeric h(r) for r >= radius."""
         r = positive_radius(r)

@@ -2,9 +2,11 @@
 and the derivative-conversion triangle against its closed form."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from oddball import bessel
 from oddball.bessel import (
     KernelTable,
     bessel_by_recurrence,
@@ -14,7 +16,12 @@ from oddball.bessel import (
     kernel_table,
     reverse_bessel,
 )
-from oddball.errors import IndexOutOfTriangle, NonpolynomialResidue, TableTooSmall
+from oddball.errors import (
+    IndexOutOfTriangle,
+    InexactDivision,
+    NonpolynomialResidue,
+    TableTooSmall,
+)
 from oddball.explaurent import ExpLaurent
 from oddball.poly import IntPoly
 
@@ -118,6 +125,12 @@ class TestDerivTriangle:
                 tri.value(j, k)
         with pytest.raises(IndexOutOfTriangle):
             deriv_coeff(2, 3)
+
+    def test_nonintegral_closed_form_is_typed(self, monkeypatch):
+        # with m! replaced by 3^m, (j, k) = (2, 1) gives 3^2 / (2 * 3^1 * 3^0) = 3/2
+        monkeypatch.setattr(bessel, "math", SimpleNamespace(factorial=lambda m: 3 ** m))
+        with pytest.raises(InexactDivision):
+            deriv_coeff(2, 1)
 
     def test_expansion_identity(self):
         # the triangle actually converts iterated -(1/r) d/dr into plain

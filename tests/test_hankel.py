@@ -1,5 +1,6 @@
-"""Hankel matrix construction, the two determinant routes, unit-RHS solves,
-and the closed-form first/last coefficient ratios."""
+"""Hankel matrix construction; det_bareiss against the cofactor expansion;
+hankel_det, by evaluation and interpolation, against det_bareiss; unit-RHS
+solves and their first and last components as Hankel-determinant ratios."""
 
 import random
 
@@ -18,16 +19,13 @@ from oddball.errors import (
 )
 from oddball.golden import FIRST_COEFF, LAST_COEFF
 from oddball.hankel import (
-    HankelElimination,
     HankelSpec,
     PolyMatrix,
     build_hankel,
     clear_hankel_cache,
     det_bareiss,
     det_minor_expansion,
-    first_coeff_formula,
     hankel_det,
-    last_coeff_formula,
     solve_unit_rhs,
     unit_solution,
 )
@@ -103,15 +101,12 @@ class TestDeterminants:
             det_minor_expansion(big)
 
     def test_transpose_invariance(self):
-        h = build_hankel(HankelSpec(4, 1), TB)
-        assert h.transpose() == h  # Hankel matrices are symmetric
-        assert det_bareiss(h.transpose()) == det_bareiss(h)
         rng = random.Random(3)
         m = PolyMatrix([
             [IntPoly([rng.randint(-5, 5) for _ in range(3)]) for _ in range(4)]
             for _ in range(4)
         ])
-        assert det_bareiss(m.transpose()) == det_bareiss(m)
+        assert det_bareiss(PolyMatrix(zip(*m.rows))) == det_bareiss(m)
 
     def test_hankel_det_cache_and_empty(self):
         assert hankel_det(0, 0) == IntPoly.one()
@@ -131,24 +126,10 @@ class TestDeterminants:
             assert not det_bareiss(m).is_zero, p
 
 
-def _synthetic_hankel(entries, size) -> PolyMatrix:
-    return PolyMatrix([entries[i + j] for j in range(size)] for i in range(size))
+class TestEvaluationInterpolation:
+    """hankel_det against det_bareiss of the built matrix, its oracle."""
 
-
-def _counting_bareiss(monkeypatch) -> list:
-    """Route hankel's det_bareiss through a counter; returns the call log."""
-    calls = []
-
-    def counted(m):
-        calls.append(m.dim)
-        return det_bareiss(m)
-
-    monkeypatch.setattr(hankel, "det_bareiss", counted)
-    return calls
-
-
-class TestGrownElimination:
-    MAX_SIZE = 12
+    MAX_SIZE = 14
     OFFSETS = range(4)
 
     @pytest.fixture(scope="class")
@@ -165,22 +146,45 @@ class TestGrownElimination:
         yield
         clear_hankel_cache()
 
-    def _requests(self, order):
-        sizes = range(1, self.MAX_SIZE + 1)
-        if order == "ascending":
-            return [(k, s) for s in self.OFFSETS for k in sizes]
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_bareiss_in_any_order(self, reference, order):
+        keys = sorted(reference)
         if order == "descending":
-            return [(k, s) for s in self.OFFSETS for k in reversed(sizes)]
-        rest = [(k, s) for s in self.OFFSETS for k in sizes if k < self.MAX_SIZE]
-        random.Random(7).shuffle(rest)
-        return [(self.MAX_SIZE, s) for s in self.OFFSETS] + rest
+            keys.reverse()
+        elif order == "shuffled":
+            random.Random(11).shuffle(keys)
+        for key in keys:
+            assert hankel_det(*key) == reference[key], (order, key)
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "largest-first"])
-    def test_matches_bareiss_in_any_order(self, reference, order, monkeypatch):
-        calls = _counting_bareiss(monkeypatch)
-        for key in self._requests(order):
+    def test_matches_bareiss_by_offset(self, reference, order):
+        # sizes taken one offset at a time, so each offset's fill is reused or redone
+        sizes = range(1, self.MAX_SIZE + 1)
+        if order == "ascending":
+            keys = [(k, s) for s in self.OFFSETS for k in sizes]
+        elif order == "descending":
+            keys = [(k, s) for s in self.OFFSETS for k in reversed(sizes)]
+        else:
+            rest = [(k, s) for s in self.OFFSETS for k in sizes if k < self.MAX_SIZE]
+            random.Random(7).shuffle(rest)
+            keys = [(self.MAX_SIZE, s) for s in self.OFFSETS] + rest
+        for key in keys:
             assert hankel_det(*key) == reference[key], (order, key)
-        assert calls == []  # every size came from the grown pivots
+
+    def test_no_polynomial_product_or_division(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "divexact"):
+            monkeypatch.setattr(IntPoly, name, counting(name, getattr(IntPoly, name)))
+        for s in range(3):
+            hankel_det(10, s)
+        assert calls == []
 
     def test_desnanot_jacobi(self):
         for s in self.OFFSETS:
@@ -190,64 +194,9 @@ class TestGrownElimination:
                 rhs = hankel_det(k - 1, s) * hankel_det(k - 1, s + 2) - mid * mid
                 assert lhs == rhs, (k, s)
 
-    def test_zero_leading_pivot_falls_back(self, monkeypatch):
-        # [(i + j) mod 2] has H_1 = 0 but H_2 = -1, and rank 2 beyond that
-        entries = [IntPoly.const(k % 2) for k in range(12)]
-        calls = _counting_bareiss(monkeypatch)
-        elim = HankelElimination()
-        got = [elim.det(size, entries) for size in range(1, 7)]
-        assert elim.stalled and elim.size == 0
-        assert calls == [1, 2, 3, 4, 5, 6]
-        assert got == [det_bareiss(_synthetic_hankel(entries, k)) for k in range(1, 7)]
-        assert got[:2] == [IntPoly.zero(), IntPoly.const(-1)]
-
-    def test_zero_inner_pivot_falls_back(self, monkeypatch):
-        # a_k R^k with a = 1, 0, 1, 0, 1, 1, 0: H_1, H_2 nonzero, H_3 = 0, H_4 != 0
-        entries = [IntPoly.monomial(k, a) for k, a in enumerate((1, 0, 1, 0, 1, 1, 0, 1, 1))]
-        calls = _counting_bareiss(monkeypatch)
-        elim = HankelElimination()
-        got = [elim.det(size, entries) for size in (5, 4, 3, 2, 1)]
-        assert elim.stalled and elim.size == 2
-        assert calls == [5, 4, 3]
-        assert got == [det_bareiss(_synthetic_hankel(entries, k)) for k in (5, 4, 3, 2, 1)]
-        assert got[2].is_zero and not got[1].is_zero
-
-
-class TestEvaluationInterpolation:
-    """hankel_det against the grown polynomial elimination, its oracle."""
-
-    MAX_SIZE = 14
-    OFFSETS = range(4)
-
-    @pytest.fixture(scope="class")
-    def oracle(self):
-        out = {}
-        for s in self.OFFSETS:
-            entries = reverse_bessel(2 * self.MAX_SIZE + s).polys[s:]
-            elim = HankelElimination()
-            for k in range(1, self.MAX_SIZE + 1):
-                out[k, s] = elim.det(k, entries)
-        return out
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        clear_hankel_cache()
-        yield
-        clear_hankel_cache()
-
-    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    def test_matches_grown_oracle_in_any_order(self, oracle, order):
-        keys = sorted(oracle)
-        if order == "descending":
-            keys.reverse()
-        elif order == "shuffled":
-            random.Random(11).shuffle(keys)
-        for key in keys:
-            assert hankel_det(*key) == oracle[key], (order, key)
-
-    def test_points_cover_the_degree_bound(self, oracle):
+    def test_points_cover_the_degree_bound(self, reference):
         # every permutation term of det [B_{i+j+s}] has degree k(k-1) + ks
-        for (k, s), det in oracle.items():
+        for (k, s), det in reference.items():
             v, count = hankel._valuation_and_points(k, s)
             assert v + count - 1 == k * (k - 1) + k * s
             assert v == (k - 1 if s == 0 else k)
@@ -344,10 +293,12 @@ class TestSolve:
             assert solve_unit_rhs(m) == tuple(cramer), dim
 
     def test_closed_forms_match_solve(self):
+        # component 0 is H^(2)_p / H^(0)_{p+1}; component p is (-1)^p H^(1)_p / H^(0)_{p+1}
         for p in range(8):
             sol = unit_solution(p)
-            assert first_coeff_formula(p, TB) == sol[0]
-            assert last_coeff_formula(p, TB) == sol[p]
+            den = hankel_det(p + 1, 0)
+            assert sol[0] == RatFunc(hankel_det(p, 2), den)
+            assert sol[p] == RatFunc((-1) ** p * hankel_det(p, 1), den)
 
     def test_golden_first_coefficients(self):
         for n, want in FIRST_COEFF.items():

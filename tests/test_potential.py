@@ -41,9 +41,6 @@ class TestBuild:
         with pytest.raises(NonpositiveRadius):
             build_potential(3, Fraction(-1, 2))
 
-    def test_interior_is_one(self):
-        assert build_potential(5, 2).interior_value() == 1
-
     def test_decay_representation(self):
         # finite support under the e^-r factor forces decay at infinity
         pot = build_potential(7, Fraction(1, 2))

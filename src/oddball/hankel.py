@@ -23,12 +23,24 @@ or division:
   fallback.
 
 A miss at (K, s) caches every size k <= K, so callers ask largest first.
+
+* Pivot rows.  Row k of the elimination at x, reduced by the pivots before
+  it, holds a_kj for j >= k: the minor on rows 0..k and columns 0..k-1, j,
+  so a_kk is the leading minor of size k+1.  `_bordered_value` reduces one
+  more row, a border, through rows 0..m-1 by the same Bareiss update
+  r_j <- (a_kk r_j - r_k a_kj) / a_{k-1,k-1}, with a_{-1,-1} = 1.  After
+  the step with row k, each r_j is the minor on rows 0..k and the border,
+  columns 0..k and j (Sylvester's identity), an integer, so every division
+  is exact (checked).  The entry left in the last column is the
+  determinant of the m rows over the border; the det route builds its
+  bordered determinants this way from the offset-1 pivot rows.
+
 `_eliminate`, checked fraction-free elimination with row swaps over Z[R],
-is the one polynomial elimination.  `det_bareiss` runs it for the det
-route's bordered matrix and as the tests' oracle for `hankel_det`; a
-memoized cofactor expansion is the oracle for `det_bareiss`.  Unit-RHS
-solves run it on [m | e_0] and back-substitute in O(dim^3), with a
-symbolic residual check.
+is the one polynomial elimination.  `det_bareiss` runs it only as the
+tests' oracle, for `hankel_det` and the bordered determinants; a memoized
+cofactor expansion is the oracle for `det_bareiss`.  Unit-RHS solves run
+it on [m | e_0] and back-substitute in O(dim^3), with a symbolic residual
+check.
 """
 
 from __future__ import annotations
@@ -191,36 +203,54 @@ def _theta_values(x: int, top: int) -> list:
     return values[:top + 1]
 
 
-def _pivots(x: int, size: int, offset: int) -> list:
-    """q_k(x) = H_k(x) / x^v for k = 1..size, as pivots; t_m = theta_m(x).
-    The matrix is symmetric, so row i keeps only its columns i.."""
+def _bareiss_row(row: list, top: list, shift: int, fac: int, pivot: int,
+                 prev: int, x: int) -> None:
+    """One fraction-free step on a row, in place: row[j] <- (pivot row[j] -
+    fac top[j + shift]) / prev, each division checked exact."""
+    for j, y in enumerate(row):
+        q, r = divmod(pivot * y - fac * top[j + shift], prev)
+        if r:
+            raise InexactDivision(f"fraction-free step at x={x} is inexact")
+        row[j] = q
+
+
+def _pivot_rows(x: int, size: int, offset: int) -> list:
+    """The pivot rows of one fraction-free elimination at x; t_m = theta_m(x).
+    Row k keeps its columns k..size-1 (the matrix is symmetric), reduced by
+    the pivots before it, so its first entry is q_{k+1}(x) = H_{k+1}(x) / x^v.
+    At offset 0 row 0 is [1], the corner B_0, and the rest eliminate the
+    complement; at offset s >= 1 row i is [B_{i+j+s}(x) / x]."""
     t = _theta_values(x, 2 * (size - 1) + offset - 1)
     if offset:
         t = t[offset - 1:]
         a = [t[2 * i:i + size] for i in range(size)]
-        pivots = []
     else:
         a = [[t[i + j + 1] - x * t[i] * t[j] for j in range(i, size - 1)]
              for i in range(size - 1)]
-        pivots = [1]
     prev = 1
     for k, top in enumerate(a):
         pivot = top[0]
         if pivot <= 0:
-            raise RouteMismatch(f"Hankel pivot {len(pivots) + 1} at offset {offset} "
+            raise RouteMismatch(f"Hankel pivot {k + 1 + (not offset)} at offset {offset} "
                                 f"is {pivot} at x={x}")
-        pivots.append(pivot)
         for i in range(k + 1, len(a)):
-            row = a[i]
-            shift = i - k
-            fac = top[shift]
-            for j, y in enumerate(row):
-                q, r = divmod(pivot * y - fac * top[j + shift], prev)
-                if r:
-                    raise InexactDivision(f"Hankel elimination at x={x}, step {k}")
-                row[j] = q
+            _bareiss_row(a[i], top, i - k, top[i - k], pivot, prev, x)
         prev = pivot
-    return pivots
+    return a if offset else [[1]] + a
+
+
+def _bordered_value(rows: list, border: list, x: int) -> int:
+    """Reduce the border row through the pivot rows before its last column
+    (Bareiss's update with the pivots of `_pivot_rows`).  By Sylvester's
+    identity the entry left is the determinant of those rows over the
+    border, each step's division being exact."""
+    row = list(border)
+    prev = 1
+    for top in rows[:len(row) - 1]:
+        fac = row.pop(0)
+        _bareiss_row(row, top, 1, fac, top[0], prev, x)
+        prev = top[0]
+    return row[0]
 
 
 def _valuation_and_points(size: int, offset: int) -> tuple:
@@ -257,9 +287,9 @@ def _hankel_dets(size: int, offset: int) -> tuple:
     needs = [_valuation_and_points(k, offset) for k in range(1, size + 1)]
     values = [[] for _ in needs]
     for x in range(1, needs[-1][1] + 1):
-        for (_, count), vals, pivot in zip(needs, values, _pivots(x, size, offset)):
+        for (_, count), vals, row in zip(needs, values, _pivot_rows(x, size, offset)):
             if x <= count:
-                vals.append(pivot)
+                vals.append(row[0])
     return tuple(_interpolate(vals, v) for (v, _), vals in zip(needs, values))
 
 

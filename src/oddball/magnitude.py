@@ -4,7 +4,23 @@ verification campaigns that hold them against each other.
 Routes to |B^n_R| as a reduced rational function of the radius:
 
 * det route: a bordered determinant (Hankel rows over an integer border
-  row) divided by the plain Hankel determinant, scaled by (-1)^p / (n! R);
+  row) divided by the plain Hankel determinant, scaled by (-1)^p / (n! R).
+  D_p, the determinant of rows B_{i+j+1} (i < p, j <= p) over the border
+  xi_{p,j}, comes from its values at the integers and interpolation; no
+  polynomial product or division enters, and a Bareiss of the built matrix
+  is only the tests' oracle.
+  - Degree.  Entry (i, j) has degree <= r_i + c_j, with r_i = i + 1 on the
+    Hankel rows, r_p = 2p + 2 on the border (the R^(2p+2) B_j term leads)
+    and c_j = j, so deg D_p <= p^2 + 3p + 2.
+  - Valuation.  B_m = R theta_{m-1} for m >= 1, so every Hankel row has the
+    factor R; so does every border entry, whose terms are R^(2p+2) B_j and
+    multiples of B_m with m >= 1.  So R^(p+1) divides D_p, and the quotient
+    q_p needs N_p = p^2 + 2p + 2 points.
+  - Values.  At x = 1..N_P one elimination of [B_{i+j+1}(x) / x] of size
+    P + 1 gives pivot rows that reduce every border xi_p(x) / x, p <= P, to
+    q_p(x) (Sylvester's identity; see `hankel`).  A miss at p computes
+    every p' <= p.  The offset-2 engine of the hankel route shares only the
+    values theta_m(x) and the interpolation with it.
 * hankel route: the offset-2 Hankel determinant over n! R times the
   offset-0 one;
 * boundary route: volume plus boundary integrals of Laplacian powers of the
@@ -17,7 +33,12 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 The det = hankel, boundary = det = hankel and derivative campaigns share one
 comparison loop: a job per odd n computes the values that must be equal, and
 the loop compares them in the calling process, also when the jobs ran in a
-worker pool.  The observation campaign checks the numerator proportionality
+worker pool.  With a pool, the determinant tables the jobs read are first
+computed once each, one pool task per table, and held by the calling
+process.  The derivative campaign's job pool starts holding them; the
+equality campaign's jobs, a few reductions each once the tables are held,
+run in the calling process.  No table is computed twice.
+The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
 of the closed-form integral lemma, done at 128-bit precision, and it checks
@@ -31,7 +52,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 import mpmath
 
@@ -48,7 +69,16 @@ from .errors import (
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
-from .hankel import PolyMatrix, det_bareiss, hankel_det, unit_solution
+from .hankel import (
+    _FILLED,
+    _bordered_value,
+    _hankel_dets,
+    _interpolate,
+    _pivot_rows,
+    _theta_values,
+    hankel_det,
+    unit_solution,
+)
 from .poly import IntPoly, RatFunc
 
 
@@ -56,14 +86,21 @@ from .poly import IntPoly, RatFunc
 # border row and determinant routes
 # ---------------------------------------------------------------------------
 
+def _tail_weights(b: int) -> list:
+    """2^j b!/(b-j)! for j = 0..b, the weights of the integral lemma."""
+    weights = [1]
+    for j in range(b):
+        weights.append(weights[-1] * 2 * (b - j))
+    return weights
+
+
 def _lemma_tail(i: int, b: int) -> IntPoly:
     """sum_{j=0}^{b} 2^j b!/(b-j)! R^(2(b-j)) B_{i+j+1}, the polynomial of the
     integral lemma: int_R^inf e^(-r) B_i(r) r^(2b) dr = e^(-R) tail(R) / R.
     The border row, the explicit formula and the quadrature check share it."""
     tb = reverse_bessel(i + b + 1)
     tail = IntPoly.zero()
-    for j in range(b + 1):
-        w = (1 << j) * math.factorial(b) // math.factorial(b - j)
+    for j, w in enumerate(_tail_weights(b)):
         tail = tail + (w * tb.poly(i + j + 1)).shift(2 * (b - j))
     return tail
 
@@ -79,14 +116,54 @@ def border_polys(p: int) -> tuple:
                  for i in range(p + 1))
 
 
-@lru_cache(maxsize=None)
+def _border_values(x: int, p: int, theta: list, squares: list, weights: list) -> list:
+    """xi_{p,i}(x) / x for i = 0..p, from theta[m] = theta_m(x) = B_{m+1}(x) / x,
+    squares[k] = x^(2k) and weights[b] = _tail_weights(b):
+    x^(2p+1) B_i(x) + n sum_j w_{p-i,j} x^(2(p-j)) theta_{i+j}(x)."""
+    n = 2 * p + 1
+    lead = x * squares[p]
+    return [lead * (x * theta[i - 1] if i else 1)
+            + n * sum(w * squares[p - j] * theta[i + j] for j, w in enumerate(weights[p - i]))
+            for i in range(p + 1)]
+
+
+def _bordered_points(p: int) -> int:
+    """N_p: D_p / R^(p+1) has degree below p^2 + 2p + 2."""
+    return p * p + 2 * p + 2
+
+
+def _bordered_dets(top: int) -> tuple:
+    """(D_0, ..., D_top), D_p the determinant of the offset-1 rows B_{i+j+1},
+    i < p, over the border row xi_p, by evaluation and interpolation.
+    D_p = R^(p+1) q_p with deg q_p < N_p, so x = 1..N_p give q_p(x): one
+    elimination of H^(1)_{top+1}(x) per point, whose pivot rows then reduce
+    each border row xi_p(x) / x."""
+    counts = [_bordered_points(p) for p in range(top + 1)]
+    weights = [_tail_weights(b) for b in range(top + 1)]
+    values = [[] for _ in counts]
+    for x in range(1, counts[-1] + 1):
+        rows = _pivot_rows(x, top + 1, 1)
+        theta = _theta_values(x, top)
+        squares = [x ** (2 * k) for k in range(top + 1)]
+        for p, (count, vals) in enumerate(zip(counts, values)):
+            if x <= count:
+                border = _border_values(x, p, theta, squares, weights)
+                vals.append(_bordered_value(rows, border, x))
+    return tuple(_interpolate(vals, p + 1) for p, vals in enumerate(values))
+
+
+# the bordered determinants (D_0, ..., D_P) for the largest P computed
+_BORDERED: list = []
+
+
 def _bordered_det(p: int) -> IntPoly:
-    """Determinant of the offset-1 Hankel rows stacked on the border row."""
-    table = reverse_bessel(2 * p + 1)
-    border = border_polys(p)
-    rows = [[table.poly(i + j + 1) for j in range(p + 1)] for i in range(p)]
-    rows.append(list(border))
-    return det_bareiss(PolyMatrix(rows))
+    """Determinant of the offset-1 Hankel rows stacked on the border row.  A
+    miss computes every p' <= p, so callers ask for their largest p first."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    if len(_BORDERED) <= p:
+        _BORDERED[:] = _bordered_dets(p)
+    return _BORDERED[p]
 
 
 def magnitude_det(n: int) -> RatFunc:
@@ -194,19 +271,34 @@ def magnitude_boundary(n: int) -> RatFunc:
 # derivative conjecture
 # ---------------------------------------------------------------------------
 
+def _square_times(f: RatFunc, power: int, divisor: int) -> RatFunc:
+    """f^2 R^power / divisor, reduced, for a reduced f and divisor > 0,
+    without a polynomial gcd.  Coprime a, b in Z[R] have coprime squares
+    (Gauss's lemma), so only a power of R and an integer can cancel: the
+    first from the valuation of b^2, the second from the content of a^2."""
+    if f.is_zero:
+        return f
+    num = f.num * f.num
+    den = f.den * f.den
+    cut = min(power, den.valuation())
+    num = num.shift(power - cut)
+    den = den.shift_down(cut)
+    g = math.gcd(num.content(), divisor)
+    return RatFunc._raw(IntPoly._raw(tuple(c // g for c in num.coeffs)), (divisor // g) * den)
+
+
 def derivative_conjecture_rhs(n: int) -> RatFunc:
     """Conjectured d|B^n_R|/dR: squared offset-1 Hankel determinant over
     (2p)! R^2 times the squared offset-0 one.
 
     The equivalent form R^(n-1)/(n-1)! times the squared boundary limit
     derivative is computed too and must reduce to the identical function.
+    Each form squares an already reduced fraction (`_square_times`).
     """
     p = odd_dimension(n)
-    h1 = hankel_det(p + 1, 1)
-    h0 = hankel_det(p + 1, 0)
-    rhs = RatFunc(h1 * h1, (math.factorial(2 * p) * (h0 * h0)).shift(2))
-    bld = potential.boundary_limit_derivative(n)
-    other = bld * bld * RatFunc(IntPoly.monomial(n - 1), IntPoly.const(math.factorial(n - 1)))
+    rhs = _square_times(RatFunc(hankel_det(p + 1, 1), hankel_det(p + 1, 0).shift(1)),
+                        0, math.factorial(2 * p))
+    other = _square_times(potential.boundary_limit_derivative(n), n - 1, math.factorial(n - 1))
     if rhs != other:
         raise RouteMismatch(f"the two conjecture right-hand sides differ at n={n}")
     return rhs
@@ -253,28 +345,68 @@ def _triple_job(n: int) -> tuple:
     return n, values, (time.perf_counter() - t0) * 1000.0
 
 
+def _fill(kind, count: int) -> tuple:
+    """One determinant table, computed: D_0 .. D_{count-1} for the kind
+    "bordered", else H_1 .. H_count at the offset `kind`."""
+    if kind == "bordered":
+        return _bordered_dets(count - 1)
+    return _hankel_dets(count, kind)
+
+
+def _tables() -> dict:
+    """Every determinant table this process holds, by kind."""
+    return {"bordered": tuple(_BORDERED), **_FILLED}
+
+
+def _install(tables: dict) -> None:
+    """Hold the given determinant tables in this process."""
+    for kind, dets in tables.items():
+        if kind == "bordered":
+            _BORDERED[:] = dets
+        else:
+            _FILLED[kind] = dets
+
+
+def _pool_map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], by a pool of up to `jobs` workers when
+    there are two items or more, else (or when no pool starts) here.  The
+    workers start holding this process's determinant tables."""
+    if jobs > 1 and len(items) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_install,
+                                     initargs=(_tables(),)) as pool:
+                return list(pool.map(fn, items))
+        except OSError:
+            pass
+    return [fn(item) for item in items]
+
+
 def _run_jobs(worker, ns, jobs: int) -> list:
     """worker(n) for every n, in the order given; the records sorted by n."""
-    if jobs > 1 and len(ns) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
-                results = list(pool.map(worker, ns))
-        except OSError:
-            results = [worker(n) for n in ns]
-    else:
-        results = [worker(n) for n in ns]
-    return sorted(results, key=lambda rec: rec[0])
+    return sorted(_pool_map(worker, ns, jobs), key=lambda rec: rec[0])
 
 
-def _sweep(max_n: int, job, failure, jobs: int = 1) -> CampaignReport:
+def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
+           pool_jobs: bool = True) -> CampaignReport:
     """Run job on every odd n <= max_n and raise failure(n, ...) in this
     process unless all the values it returns are equal; each entry keeps
-    the first value.  The largest n goes first: its Hankel determinants
-    fill the cache for every smaller n, and in a pool the slowest job
-    starts first."""
-    odd_dimension(max_n)
+    the first value.  The largest n goes first: its determinants fill the
+    tables for every smaller n, and in a pool the slowest job starts first.
+    A pool first computes the determinant tables that the jobs read, named
+    by kind (see `_fill`) and costliest first, one task each.  The jobs
+    then read the held tables, so none computes a determinant; they run in
+    a second pool whose workers start holding them, or here when
+    `pool_jobs` is false."""
+    p = odd_dimension(max_n)
+    ns = list(range(max_n, 0, -2))
+    if jobs > 1 and len(ns) > 1:
+        held = _tables()
+        missing = [kind for kind in tables if len(held.get(kind, ())) <= p]
+        _install(dict(zip(missing, _pool_map(partial(_fill, count=p + 1), missing, jobs))))
+        if not pool_jobs:
+            jobs = 1
     entries = []
-    for n, values, millis in _run_jobs(job, list(range(max_n, 0, -2)), jobs):
+    for n, values, millis in _run_jobs(job, ns, jobs):
         first, *rest = values.values()
         if any(v != first for v in rest):
             raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
@@ -283,14 +415,17 @@ def _sweep(max_n: int, job, failure, jobs: int = 1) -> CampaignReport:
 
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
-    """Check det route == hankel route for every odd n <= max_n."""
-    return _sweep(max_n, _equality_job, Disagreement, jobs)
+    """Check det route == hankel route for every odd n <= max_n.  A pool
+    computes only the tables: with them held, the jobs are a few
+    reductions each (0.04 s in all at max_n = 27), cheaper here than in a
+    second pool, whose start and stop would cost more than they take."""
+    return _sweep(max_n, _equality_job, Disagreement, jobs, ("bordered", 2, 0), pool_jobs=False)
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check d/dR of the hankel-route magnitude equals the conjectured form
     for every odd n <= max_n."""
-    return _sweep(max_n, _derivative_job, ConjectureFails, jobs)
+    return _sweep(max_n, _derivative_job, ConjectureFails, jobs, (2, 1, 0))
 
 
 def verify_triple_route(max_n: int) -> CampaignReport:

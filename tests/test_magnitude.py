@@ -1,14 +1,27 @@
-"""Magnitude routes, their cross-checks, the observation and derivative
-campaigns, the determinantal identity, and the quadrature-backed integral
-check."""
+"""Magnitude routes, their cross-checks, the bordered-determinant engine
+against a Bareiss of the built matrix, the campaign pool, the observation
+and derivative campaigns, the determinantal identity, and the
+quadrature-backed integral check."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oddball.errors import EvenDimension, NonpositiveRadius, ObservationFails
+import oddball.magnitude as mag
+from oddball import hankel
+from oddball.bessel import reverse_bessel
+from oddball.errors import (
+    EvenDimension,
+    InexactDivision,
+    NonpositiveRadius,
+    ObservationFails,
+)
 from oddball.golden import MAGNITUDE, MAGNITUDE_DERIVATIVE, NUM10_LOW_ASC, NUM10_TOP_DESC
+from oddball.hankel import PolyMatrix, clear_hankel_cache, det_bareiss
 from oddball.magnitude import (
     border_polys,
     boundary_value_at,
@@ -25,6 +38,19 @@ from oddball.magnitude import (
     verify_triple_route,
 )
 from oddball.poly import IntPoly, RatFunc
+
+
+def _clear_tables():
+    clear_hankel_cache()
+    mag._BORDERED.clear()
+
+
+def _bordered_oracle(p):
+    """The bordered determinant as a Bareiss of the built matrix."""
+    table = reverse_bessel(2 * p + 1)
+    rows = [[table.poly(i + j + 1) for j in range(p + 1)] for i in range(p)]
+    rows.append(list(border_polys(p)))
+    return det_bareiss(PolyMatrix(rows))
 
 
 class TestBorderRow:
@@ -44,6 +70,82 @@ class TestBorderRow:
     def test_integer_coefficients_large_p(self):
         br = border_polys(9)
         assert all(isinstance(c, int) for xi in br for c in xi.coeffs)
+
+
+class TestBorderedEngine:
+    """_bordered_det, by evaluation and interpolation, against a Bareiss of
+    the built bordered matrix, its oracle."""
+
+    MAX_P = 12
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return [_bordered_oracle(p) for p in range(self.MAX_P + 1)]
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        _clear_tables()
+        yield
+        _clear_tables()
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "largest-first"])
+    def test_matches_oracle_in_any_order(self, reference, order):
+        ps = list(range(self.MAX_P + 1))
+        if order == "descending":
+            ps.reverse()
+        elif order == "largest-first":
+            rest = ps[:-1]
+            random.Random(5).shuffle(rest)
+            ps = [self.MAX_P] + rest
+        for p in ps:
+            assert mag._bordered_det(p) == reference[p], (order, p)
+
+    def test_points_cover_degree_and_valuation(self, reference):
+        # entry (i, j) has degree <= r_i + j: r_i = i + 1, and 2p + 2 on the border
+        for p, det in enumerate(reference):
+            count = mag._bordered_points(p)
+            assert det.degree <= (p + 1) + count - 1 == p * p + 3 * p + 2
+            assert det.valuation() >= p + 1
+
+    def test_border_values_match_polys(self):
+        for p in range(8):
+            polys = border_polys(p)
+            weights = [mag._tail_weights(b) for b in range(p + 1)]
+            for x in (1, 2, 7):
+                theta = hankel._theta_values(x, p)
+                squares = [x ** (2 * k) for k in range(p + 1)]
+                want = [xi(x) // x for xi in polys]
+                assert mag._border_values(x, p, theta, squares, weights) == want, (p, x)
+
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_corrupted_border_value_is_fatal(self, monkeypatch, column):
+        real = mag._border_values
+
+        def corrupted(x, p, *rest):
+            values = real(x, p, *rest)
+            if p == 5 and x == 9:
+                values[column] += 1
+            return values
+
+        monkeypatch.setattr(mag, "_border_values", corrupted)
+        # a border with one changed integer still has integral minors, so the
+        # Bareiss steps stay exact and Newton's checked divisions catch it
+        with pytest.raises(InexactDivision):
+            mag._bordered_det(6)
+
+    def test_no_polynomial_product_or_division(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "divexact"):
+            monkeypatch.setattr(IntPoly, name, counting(name, getattr(IntPoly, name)))
+        mag._bordered_det(10)
+        assert calls == []
 
 
 class TestMagnitudeRoutes:
@@ -153,6 +255,67 @@ class TestCampaignOrder:
         assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
 
 
+def _held_lengths(n):
+    """A pool job that reports the determinant tables its worker holds."""
+    return n, {kind: len(dets) for kind, dets in mag._tables().items()}, 0.0
+
+
+class TestCampaignPool:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        _clear_tables()
+        yield
+        _clear_tables()
+
+    @pytest.mark.parametrize("campaign, kinds", [
+        (verify_formula_equality, ("bordered", 2, 0)),
+        (verify_derivative_conjecture, (2, 1, 0)),
+    ])
+    def test_parent_holds_every_table(self, campaign, kinds):
+        campaign(9, jobs=2)
+        held = mag._tables()
+        for kind in kinds:
+            assert len(held[kind]) >= 5, kind
+            assert held[kind][:5] == mag._fill(kind, 5), kind
+
+    @pytest.mark.parametrize("campaign, job_pool", [
+        (verify_formula_equality, False),
+        (verify_derivative_conjecture, True),
+    ])
+    def test_jobs_pool_only_for_derivatives(self, monkeypatch, campaign, job_pool):
+        # the equality jobs only reduce held table entries, so they run here
+        pools = []
+        real = mag._run_jobs
+
+        def recording(worker, ns, jobs):
+            pools.append(jobs)
+            return real(worker, ns, jobs)
+
+        monkeypatch.setattr(mag, "_run_jobs", recording)
+        campaign(9, jobs=2)
+        assert pools == [2 if job_pool else 1]
+
+    def test_job_workers_start_holding_the_tables(self):
+        # forked workers inherit them; spawned ones get them from the initializer
+        mag._install({kind: mag._fill(kind, 3) for kind in ("bordered", 0)})
+        for n, held, _ in mag._run_jobs(_held_lengths, [3, 1], 2):
+            assert held["bordered"] == 3 and held[0] == 3, n
+
+    def test_installed_tables_compute_no_determinant(self, monkeypatch):
+        tables = {kind: mag._fill(kind, 5) for kind in ("bordered", 0, 1, 2)}
+        want = {job: job(9)[1] for job in (mag._equality_job, mag._derivative_job)}
+        _clear_tables()
+        mag._install(tables)
+
+        def refuse(*args):
+            raise AssertionError(f"a determinant table was computed: {args}")
+
+        monkeypatch.setattr(mag, "_bordered_dets", refuse)
+        monkeypatch.setattr(hankel, "_hankel_dets", refuse)
+        for job, values in want.items():
+            assert job(9)[1] == values
+
+
 class TestObservation:
     def test_holds_up_to_nine(self):
         report = verify_observation(9)
@@ -200,6 +363,26 @@ class TestDerivativeConjecture:
         # form; derivative_conjecture_rhs asserts their equality internally
         for n in range(1, 16, 2):
             derivative_conjecture_rhs(n)
+
+
+_small_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(IntPoly)
+
+
+class TestSquareTimes:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_small_polys, _small_polys.filter(lambda b: not b.is_zero),
+           st.integers(0, 12), st.integers(0, 4), st.integers(1, 10 ** 6))
+    def test_matches_full_reduction(self, a, b, v, power, divisor):
+        f = RatFunc(a, b.shift(v))
+        want = RatFunc(f.num * f.num * IntPoly.monomial(power), divisor * (f.den * f.den))
+        assert mag._square_times(f, power, divisor) == want
+
+    def test_derivative_rhs_forms_match_reference(self):
+        for n in range(1, 14, 2):
+            p = n // 2
+            h1, h0 = mag.hankel_det(p + 1, 1), mag.hankel_det(p + 1, 0)
+            want = RatFunc(h1 * h1, (math.factorial(2 * p) * (h0 * h0)).shift(2))
+            assert derivative_conjecture_rhs(n) == want
 
 
 class TestDeterminantalIdentity:

@@ -1,18 +1,27 @@
-"""Hankel matrices of reverse Bessel polynomials and exact linear algebra.
+"""Hankel matrices of reverse Bessel polynomials, the bordered determinants
+of the det route, and exact linear algebra.
 
-`hankel_det(k, s)` is H = det [B_{i+j+s}]_{i,j<k} over Z[R], computed by
-evaluation at integer points and interpolation, with no polynomial product
-or division:
+Every determinant table is held in one store, `_TABLES`, by kind:
 
-* Degree.  deg B_m = m, so every permutation term has degree exactly
+* an integer offset s: H_1 .. H_K, with H_k = det [B_{i+j+s}]_{i,j<k} over
+  Z[R], read through `hankel_det(k, s)`;
+* "bordered": D_0 .. D_{K-1}, with D_p the determinant of the rows
+  B_{i+j+1} (i < p, j <= p) over the border row xi_{p,j} of the det route
+  (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`.
+
+One loop, `_fill`, computes a table by evaluation at integer points and
+interpolation, with no polynomial product or division.  Entry k is R^v q
+with deg q < N (`_valuation_and_points`), so x = 1..N give q, and Newton
+interpolation, each Delta^j / j! checked exact, rebuilds it.  A miss fills
+every entry below the one asked for, so callers ask largest first.
+
+* Hankel degree.  deg B_m = m, so every permutation term has degree exactly
   k(k-1) + ks, the bound used; the observed k(k-1)/2 + ks is unproven.
-* Valuation v.  B_m = R theta_{m-1} for m >= 1.  At s >= 1 every entry has
-  the factor R, so v = k.  At s = 0, eliminating the corner B_0 = 1 leaves
-  [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.  q = H / R^v has
-  degree below N = k(k-1) + ks - v + 1.
-* Points.  At x = 1..N, one fraction-free elimination of that matrix (at
-  s = 0, that complement) divided by x has the pivots q_1(x) .. q_K(x).
-  Newton interpolation, each Delta^j / j! checked exact, rebuilds q.
+* Hankel valuation v.  B_m = R theta_{m-1} for m >= 1.  At s >= 1 every
+  entry has the factor R, so v = k.  At s = 0, eliminating the corner
+  B_0 = 1 leaves [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.
+* Hankel values.  At each x, one fraction-free elimination of that matrix
+  (at s = 0, that complement) divided by x has the pivots q_1(x) .. q_K(x).
 * Positivity.  B_m(x) = e^x x^(2m) k_m(x), k_0 = e^(-r), k_{m+1} =
   -(1/r) k_m', so k_m(r) = int_0^inf (2t)^m e^(-r^2 t) g(t) dt with
   g(t) = e^(-1/(4t)) / sqrt(4 pi t^3) > 0.  Thus [B_{i+j+s}(x)] =
@@ -21,9 +30,6 @@ or division:
   int (sum_i u_i (2t)^i)^2 dmu > 0 for u != 0.  So for x > 0 every pivot,
   a leading minor, is positive; one <= 0 raises RouteMismatch, with no
   fallback.
-
-A miss at (K, s) caches every size k <= K, so callers ask largest first.
-
 * Pivot rows.  Row k of the elimination at x, reduced by the pivots before
   it, holds a_kj for j >= k: the minor on rows 0..k and columns 0..k-1, j,
   so a_kk is the leading minor of size k+1.  `_bordered_value` reduces one
@@ -32,8 +38,17 @@ A miss at (K, s) caches every size k <= K, so callers ask largest first.
   the step with row k, each r_j is the minor on rows 0..k and the border,
   columns 0..k and j (Sylvester's identity), an integer, so every division
   is exact (checked).  The entry left in the last column is the
-  determinant of the m rows over the border; the det route builds its
-  bordered determinants this way from the offset-1 pivot rows.
+  determinant of the m rows over the border.
+* Bordered degree.  Entry (i, j) of D_p has degree <= r_i + c_j, with
+  r_i = i + 1 on the Hankel rows, r_p = 2p + 2 on the border (the
+  R^(2p+2) B_j term leads) and c_j = j, so deg D_p <= p^2 + 3p + 2.
+* Bordered valuation.  Every Hankel row has the factor R; so does every
+  border entry, whose terms are R^(2p+2) B_j and multiples of B_m with
+  m >= 1.  So v = p + 1, and q_p needs N_p = p^2 + 2p + 2 points.
+* Bordered values.  At each x, one elimination of [B_{i+j+1}(x) / x] of
+  size P + 1 gives pivot rows that reduce every border xi_p(x) / x, p <= P,
+  to q_p(x).  The offset-2 table, which the equality campaign compares
+  with D_p, shares only theta_m(x) and the interpolation with it.
 
 `_eliminate`, checked fraction-free elimination with row swaps over Z[R],
 is the one polynomial elimination.  `det_bareiss` runs it only as the
@@ -253,10 +268,14 @@ def _bordered_value(rows: list, border: list, x: int) -> int:
     return row[0]
 
 
-def _valuation_and_points(size: int, offset: int) -> tuple:
-    """(v, N): H_size is R^v times a polynomial of degree below N."""
-    v = size - 1 if offset == 0 else size
-    return v, size * (size - 1) + size * offset - v + 1
+def _valuation_and_points(kind, k: int) -> tuple:
+    """(v, N): entry k of the table `kind`, H_{k+1} at an offset or D_k when
+    "bordered", is R^v times a polynomial of degree below N."""
+    if kind == "bordered":
+        v, degree = k + 1, k * k + 3 * k + 2
+    else:
+        v, degree = (k if kind == 0 else k + 1), (k + 1) * (k + kind)
+    return v, degree - v + 1
 
 
 def _interpolate(values: list, valuation: int) -> IntPoly:
@@ -282,19 +301,68 @@ def _interpolate(values: list, valuation: int) -> IntPoly:
     return IntPoly(coeffs).shift(valuation)
 
 
-def _hankel_dets(size: int, offset: int) -> tuple:
-    """(H_1, ..., H_size) at the offset; size k keeps only its N_k points."""
-    needs = [_valuation_and_points(k, offset) for k in range(1, size + 1)]
+def _tail_weights(b: int) -> list:
+    """2^j b!/(b-j)! for j = 0..b, the weights of the integral lemma."""
+    weights = [1]
+    for j in range(b):
+        weights.append(weights[-1] * 2 * (b - j))
+    return weights
+
+
+def _border_values(x: int, p: int, theta: list, squares: list, weights: list) -> list:
+    """xi_{p,i}(x) / x for i = 0..p, from theta[m] = theta_m(x) = B_{m+1}(x) / x,
+    squares[k] = x^(2k) and weights[b] = _tail_weights(b):
+    x^(2p+1) B_i(x) + n sum_j w_{p-i,j} x^(2(p-j)) theta_{i+j}(x)."""
+    n = 2 * p + 1
+    lead = x * squares[p]
+    return [lead * (x * theta[i - 1] if i else 1)
+            + n * sum(w * squares[p - j] * theta[i + j] for j, w in enumerate(weights[p - i]))
+            for i in range(p + 1)]
+
+
+def _point_values(kind, count: int):
+    """The values at one point of the table `kind` with `count` entries:
+    at(x, low) gives entries low..count-1 at x divided by their R^v, the
+    pivots of one elimination or, for "bordered", the borders reduced
+    through the offset-1 pivot rows."""
+    if kind != "bordered":
+        return lambda x, low: [row[0] for row in _pivot_rows(x, count, kind)[low:]]
+    weights = [_tail_weights(b) for b in range(count)]
+
+    def at(x, low):
+        rows = _pivot_rows(x, count, 1)
+        theta = _theta_values(x, count - 1)
+        squares = [x ** (2 * k) for k in range(count)]
+        return [_bordered_value(rows, _border_values(x, p, theta, squares, weights), x)
+                for p in range(low, count)]
+    return at
+
+
+def _fill(kind, count: int) -> tuple:
+    """Entries 0..count-1 of the table `kind`; entry k is evaluated only at
+    its own N_k points, which grow with k."""
+    needs = [_valuation_and_points(kind, k) for k in range(count)]
     values = [[] for _ in needs]
+    at = _point_values(kind, count)
+    low = 0
     for x in range(1, needs[-1][1] + 1):
-        for (_, count), vals, row in zip(needs, values, _pivot_rows(x, size, offset)):
-            if x <= count:
-                vals.append(row[0])
+        while needs[low][1] < x:
+            low += 1
+        for vals, value in zip(values[low:], at(x, low)):
+            vals.append(value)
     return tuple(_interpolate(vals, v) for (v, _), vals in zip(needs, values))
 
 
-# offset -> (H_1, ..., H_K) for the largest K computed at that offset
-_FILLED: dict = {}
+# kind -> entries 0..K-1 of that table, for the largest K computed
+_TABLES: dict = {}
+
+
+def _table(kind, count: int) -> tuple:
+    """The table `kind` with at least `count` entries; a miss fills it."""
+    dets = _TABLES.get(kind, ())
+    if len(dets) < count:
+        dets = _TABLES[kind] = _fill(kind, count)
+    return dets
 
 
 @lru_cache(maxsize=None)
@@ -305,16 +373,13 @@ def hankel_det(size: int, offset: int) -> IntPoly:
     if size == 0:
         return IntPoly.one()
     HankelSpec(size, offset)  # checks both
-    dets = _FILLED.get(offset, ())
-    if len(dets) < size:
-        dets = _FILLED[offset] = _hankel_dets(size, offset)
-    return dets[size - 1]
+    return _table(offset, size)[size - 1]
 
 
 def clear_hankel_cache() -> None:
-    """Forget every cached Hankel determinant."""
+    """Forget every cached determinant, of every kind."""
     hankel_det.cache_clear()
-    _FILLED.clear()
+    _TABLES.clear()
 
 
 # ---------------------------------------------------------------------------

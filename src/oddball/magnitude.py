@@ -5,22 +5,9 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 
 * det route: a bordered determinant (Hankel rows over an integer border
   row) divided by the plain Hankel determinant, scaled by (-1)^p / (n! R).
-  D_p, the determinant of rows B_{i+j+1} (i < p, j <= p) over the border
-  xi_{p,j}, comes from its values at the integers and interpolation; no
-  polynomial product or division enters, and a Bareiss of the built matrix
-  is only the tests' oracle.
-  - Degree.  Entry (i, j) has degree <= r_i + c_j, with r_i = i + 1 on the
-    Hankel rows, r_p = 2p + 2 on the border (the R^(2p+2) B_j term leads)
-    and c_j = j, so deg D_p <= p^2 + 3p + 2.
-  - Valuation.  B_m = R theta_{m-1} for m >= 1, so every Hankel row has the
-    factor R; so does every border entry, whose terms are R^(2p+2) B_j and
-    multiples of B_m with m >= 1.  So R^(p+1) divides D_p, and the quotient
-    q_p needs N_p = p^2 + 2p + 2 points.
-  - Values.  At x = 1..N_P one elimination of [B_{i+j+1}(x) / x] of size
-    P + 1 gives pivot rows that reduce every border xi_p(x) / x, p <= P, to
-    q_p(x) (Sylvester's identity; see `hankel`).  A miss at p computes
-    every p' <= p.  The offset-2 engine of the hankel route shares only the
-    values theta_m(x) and the interpolation with it.
+  `hankel` computes the bordered determinants by evaluation at integers
+  and interpolation (their degree, valuation and Sylvester proof are in its
+  docstring); a Bareiss of the built matrix is only the tests' oracle.
 * hankel route: the offset-2 Hankel determinant over n! R times the
   offset-0 one;
 * boundary route: volume plus boundary integrals of Laplacian powers of the
@@ -69,30 +56,13 @@ from .errors import (
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
-from .hankel import (
-    _FILLED,
-    _bordered_value,
-    _hankel_dets,
-    _interpolate,
-    _pivot_rows,
-    _theta_values,
-    hankel_det,
-    unit_solution,
-)
+from .hankel import _TABLES, _fill, _table, _tail_weights, hankel_det, unit_solution
 from .poly import IntPoly, RatFunc
 
 
 # ---------------------------------------------------------------------------
 # border row and determinant routes
 # ---------------------------------------------------------------------------
-
-def _tail_weights(b: int) -> list:
-    """2^j b!/(b-j)! for j = 0..b, the weights of the integral lemma."""
-    weights = [1]
-    for j in range(b):
-        weights.append(weights[-1] * 2 * (b - j))
-    return weights
-
 
 def _lemma_tail(i: int, b: int) -> IntPoly:
     """sum_{j=0}^{b} 2^j b!/(b-j)! R^(2(b-j)) B_{i+j+1}, the polynomial of the
@@ -116,54 +86,12 @@ def border_polys(p: int) -> tuple:
                  for i in range(p + 1))
 
 
-def _border_values(x: int, p: int, theta: list, squares: list, weights: list) -> list:
-    """xi_{p,i}(x) / x for i = 0..p, from theta[m] = theta_m(x) = B_{m+1}(x) / x,
-    squares[k] = x^(2k) and weights[b] = _tail_weights(b):
-    x^(2p+1) B_i(x) + n sum_j w_{p-i,j} x^(2(p-j)) theta_{i+j}(x)."""
-    n = 2 * p + 1
-    lead = x * squares[p]
-    return [lead * (x * theta[i - 1] if i else 1)
-            + n * sum(w * squares[p - j] * theta[i + j] for j, w in enumerate(weights[p - i]))
-            for i in range(p + 1)]
-
-
-def _bordered_points(p: int) -> int:
-    """N_p: D_p / R^(p+1) has degree below p^2 + 2p + 2."""
-    return p * p + 2 * p + 2
-
-
-def _bordered_dets(top: int) -> tuple:
-    """(D_0, ..., D_top), D_p the determinant of the offset-1 rows B_{i+j+1},
-    i < p, over the border row xi_p, by evaluation and interpolation.
-    D_p = R^(p+1) q_p with deg q_p < N_p, so x = 1..N_p give q_p(x): one
-    elimination of H^(1)_{top+1}(x) per point, whose pivot rows then reduce
-    each border row xi_p(x) / x."""
-    counts = [_bordered_points(p) for p in range(top + 1)]
-    weights = [_tail_weights(b) for b in range(top + 1)]
-    values = [[] for _ in counts]
-    for x in range(1, counts[-1] + 1):
-        rows = _pivot_rows(x, top + 1, 1)
-        theta = _theta_values(x, top)
-        squares = [x ** (2 * k) for k in range(top + 1)]
-        for p, (count, vals) in enumerate(zip(counts, values)):
-            if x <= count:
-                border = _border_values(x, p, theta, squares, weights)
-                vals.append(_bordered_value(rows, border, x))
-    return tuple(_interpolate(vals, p + 1) for p, vals in enumerate(values))
-
-
-# the bordered determinants (D_0, ..., D_P) for the largest P computed
-_BORDERED: list = []
-
-
 def _bordered_det(p: int) -> IntPoly:
     """Determinant of the offset-1 Hankel rows stacked on the border row.  A
     miss computes every p' <= p, so callers ask for their largest p first."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    if len(_BORDERED) <= p:
-        _BORDERED[:] = _bordered_dets(p)
-    return _BORDERED[p]
+    return _table("bordered", p + 1)[p]
 
 
 def magnitude_det(n: int) -> RatFunc:
@@ -345,26 +273,10 @@ def _triple_job(n: int) -> tuple:
     return n, values, (time.perf_counter() - t0) * 1000.0
 
 
-def _fill(kind, count: int) -> tuple:
-    """One determinant table, computed: D_0 .. D_{count-1} for the kind
-    "bordered", else H_1 .. H_count at the offset `kind`."""
-    if kind == "bordered":
-        return _bordered_dets(count - 1)
-    return _hankel_dets(count, kind)
-
-
-def _tables() -> dict:
-    """Every determinant table this process holds, by kind."""
-    return {"bordered": tuple(_BORDERED), **_FILLED}
-
-
 def _install(tables: dict) -> None:
-    """Hold the given determinant tables in this process."""
-    for kind, dets in tables.items():
-        if kind == "bordered":
-            _BORDERED[:] = dets
-        else:
-            _FILLED[kind] = dets
+    """Hold the given determinant tables in this process; a module-level
+    function, so that spawned pool workers can run it as their initializer."""
+    _TABLES.update(tables)
 
 
 def _pool_map(fn, items: list, jobs: int) -> list:
@@ -374,7 +286,7 @@ def _pool_map(fn, items: list, jobs: int) -> list:
     if jobs > 1 and len(items) > 1:
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_install,
-                                     initargs=(_tables(),)) as pool:
+                                     initargs=(_TABLES,)) as pool:
                 return list(pool.map(fn, items))
         except OSError:
             pass
@@ -393,15 +305,14 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
     the first value.  The largest n goes first: its determinants fill the
     tables for every smaller n, and in a pool the slowest job starts first.
     A pool first computes the determinant tables that the jobs read, named
-    by kind (see `_fill`) and costliest first, one task each.  The jobs
+    by kind (see `hankel`) and costliest first, one task each.  The jobs
     then read the held tables, so none computes a determinant; they run in
     a second pool whose workers start holding them, or here when
     `pool_jobs` is false."""
     p = odd_dimension(max_n)
     ns = list(range(max_n, 0, -2))
     if jobs > 1 and len(ns) > 1:
-        held = _tables()
-        missing = [kind for kind in tables if len(held.get(kind, ())) <= p]
+        missing = [kind for kind in tables if len(_TABLES.get(kind, ())) <= p]
         _install(dict(zip(missing, _pool_map(partial(_fill, count=p + 1), missing, jobs))))
         if not pool_jobs:
             jobs = 1

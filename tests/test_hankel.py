@@ -197,10 +197,23 @@ class TestEvaluationInterpolation:
     def test_points_cover_the_degree_bound(self, reference):
         # every permutation term of det [B_{i+j+s}] has degree k(k-1) + ks
         for (k, s), det in reference.items():
-            v, count = hankel._valuation_and_points(k, s)
+            v, count = hankel._valuation_and_points(s, k - 1)
             assert v + count - 1 == k * (k - 1) + k * s
             assert v == (k - 1 if s == 0 else k)
             assert det.valuation() >= v and det.degree <= v + count - 1
+
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_each_size_at_its_own_points(self, monkeypatch, s):
+        interpolated = []
+        real = hankel._interpolate
+
+        def interpolate(values, v):
+            interpolated.append((len(values), v))
+            return real(values, v)
+
+        monkeypatch.setattr(hankel, "_interpolate", interpolate)
+        hankel._fill(s, 8)
+        assert interpolated == [hankel._valuation_and_points(s, k)[::-1] for k in range(8)]
 
     def test_nonpositive_pivot_is_fatal(self, monkeypatch):
         real = hankel._theta_values

@@ -40,11 +40,6 @@ from oddball.magnitude import (
 from oddball.poly import IntPoly, RatFunc
 
 
-def _clear_tables():
-    clear_hankel_cache()
-    mag._BORDERED.clear()
-
-
 def _bordered_oracle(p):
     """The bordered determinant as a Bareiss of the built matrix."""
     table = reverse_bessel(2 * p + 1)
@@ -84,9 +79,9 @@ class TestBorderedEngine:
 
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
-        _clear_tables()
+        clear_hankel_cache()
         yield
-        _clear_tables()
+        clear_hankel_cache()
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "largest-first"])
     def test_matches_oracle_in_any_order(self, reference, order):
@@ -103,23 +98,24 @@ class TestBorderedEngine:
     def test_points_cover_degree_and_valuation(self, reference):
         # entry (i, j) has degree <= r_i + j: r_i = i + 1, and 2p + 2 on the border
         for p, det in enumerate(reference):
-            count = mag._bordered_points(p)
+            v, count = hankel._valuation_and_points("bordered", p)
+            assert v == p + 1
             assert det.degree <= (p + 1) + count - 1 == p * p + 3 * p + 2
             assert det.valuation() >= p + 1
 
     def test_border_values_match_polys(self):
         for p in range(8):
             polys = border_polys(p)
-            weights = [mag._tail_weights(b) for b in range(p + 1)]
+            weights = [hankel._tail_weights(b) for b in range(p + 1)]
             for x in (1, 2, 7):
                 theta = hankel._theta_values(x, p)
                 squares = [x ** (2 * k) for k in range(p + 1)]
                 want = [xi(x) // x for xi in polys]
-                assert mag._border_values(x, p, theta, squares, weights) == want, (p, x)
+                assert hankel._border_values(x, p, theta, squares, weights) == want, (p, x)
 
     @pytest.mark.parametrize("column", [0, -1])
     def test_corrupted_border_value_is_fatal(self, monkeypatch, column):
-        real = mag._border_values
+        real = hankel._border_values
 
         def corrupted(x, p, *rest):
             values = real(x, p, *rest)
@@ -127,7 +123,7 @@ class TestBorderedEngine:
                 values[column] += 1
             return values
 
-        monkeypatch.setattr(mag, "_border_values", corrupted)
+        monkeypatch.setattr(hankel, "_border_values", corrupted)
         # a border with one changed integer still has integral minors, so the
         # Bareiss steps stay exact and Newton's checked divisions catch it
         with pytest.raises(InexactDivision):
@@ -146,6 +142,40 @@ class TestBorderedEngine:
             monkeypatch.setattr(IntPoly, name, counting(name, getattr(IntPoly, name)))
         mag._bordered_det(10)
         assert calls == []
+
+    def test_each_border_at_its_own_points(self, monkeypatch):
+        # border p is reduced at x = 1..N_p only, and q_p interpolated from them
+        reduced, interpolated = [], []
+        real_border, real_interpolate = hankel._border_values, hankel._interpolate
+
+        def border(x, p, *rest):
+            reduced.append((p, x))
+            return real_border(x, p, *rest)
+
+        def interpolate(values, v):
+            interpolated.append(len(values))
+            return real_interpolate(values, v)
+
+        monkeypatch.setattr(hankel, "_border_values", border)
+        monkeypatch.setattr(hankel, "_interpolate", interpolate)
+        hankel._fill("bordered", 8)
+        points = [hankel._valuation_and_points("bordered", p)[1] for p in range(8)]
+        assert sorted(reduced) == [(p, x) for p in range(8) for x in range(1, points[p] + 1)]
+        assert interpolated == points
+
+    def test_cleared_store_recomputes(self, reference, monkeypatch):
+        mag._bordered_det(4)
+        clear_hankel_cache()
+        fills = []
+        real = hankel._fill
+
+        def recording(kind, count):
+            fills.append((kind, count))
+            return real(kind, count)
+
+        monkeypatch.setattr(hankel, "_fill", recording)
+        assert mag._bordered_det(4) == reference[4]
+        assert fills == [("bordered", 5)]
 
 
 class TestMagnitudeRoutes:
@@ -257,15 +287,15 @@ class TestCampaignOrder:
 
 def _held_lengths(n):
     """A pool job that reports the determinant tables its worker holds."""
-    return n, {kind: len(dets) for kind, dets in mag._tables().items()}, 0.0
+    return n, {kind: len(dets) for kind, dets in hankel._TABLES.items()}, 0.0
 
 
 class TestCampaignPool:
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
-        _clear_tables()
+        clear_hankel_cache()
         yield
-        _clear_tables()
+        clear_hankel_cache()
 
     @pytest.mark.parametrize("campaign, kinds", [
         (verify_formula_equality, ("bordered", 2, 0)),
@@ -273,10 +303,10 @@ class TestCampaignPool:
     ])
     def test_parent_holds_every_table(self, campaign, kinds):
         campaign(9, jobs=2)
-        held = mag._tables()
+        held = hankel._TABLES
         for kind in kinds:
             assert len(held[kind]) >= 5, kind
-            assert held[kind][:5] == mag._fill(kind, 5), kind
+            assert held[kind][:5] == hankel._fill(kind, 5), kind
 
     @pytest.mark.parametrize("campaign, job_pool", [
         (verify_formula_equality, False),
@@ -297,21 +327,20 @@ class TestCampaignPool:
 
     def test_job_workers_start_holding_the_tables(self):
         # forked workers inherit them; spawned ones get them from the initializer
-        mag._install({kind: mag._fill(kind, 3) for kind in ("bordered", 0)})
+        mag._install({kind: hankel._fill(kind, 3) for kind in ("bordered", 0)})
         for n, held, _ in mag._run_jobs(_held_lengths, [3, 1], 2):
             assert held["bordered"] == 3 and held[0] == 3, n
 
     def test_installed_tables_compute_no_determinant(self, monkeypatch):
-        tables = {kind: mag._fill(kind, 5) for kind in ("bordered", 0, 1, 2)}
+        tables = {kind: hankel._fill(kind, 5) for kind in ("bordered", 0, 1, 2)}
         want = {job: job(9)[1] for job in (mag._equality_job, mag._derivative_job)}
-        _clear_tables()
+        clear_hankel_cache()
         mag._install(tables)
 
         def refuse(*args):
             raise AssertionError(f"a determinant table was computed: {args}")
 
-        monkeypatch.setattr(mag, "_bordered_dets", refuse)
-        monkeypatch.setattr(hankel, "_hankel_dets", refuse)
+        monkeypatch.setattr(hankel, "_fill", refuse)
         for job, values in want.items():
             assert job(9)[1] == values
 

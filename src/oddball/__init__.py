@@ -21,7 +21,6 @@ from .bessel import (
 from .errors import OddballError
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
 from .hankel import (
-    HankelSpec,
     PolyMatrix,
     build_hankel,
     det_bareiss,
@@ -63,7 +62,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "DerivTriangle",
     "ExpLaurent",
-    "HankelSpec",
     "IntPoly",
     "KernelTable",
     "OddballError",

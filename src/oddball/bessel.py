@@ -24,7 +24,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IndexOutOfTriangle, InexactDivision, NonpolynomialResidue, TableTooSmall
+from .errors import (
+    IndexOutOfTriangle,
+    InexactDivision,
+    NonpolynomialResidue,
+    TableTooSmall,
+    at_least,
+)
 from .explaurent import ExpLaurent
 from .poly import IntPoly
 
@@ -53,8 +59,7 @@ class BesselTable:
 @lru_cache(maxsize=None)
 def kernel_table(max_index: int) -> KernelTable:
     """Generate k_0 = e^(-r), k_{i+1} = -(1/r) k_i'."""
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
+    at_least("max_index", max_index, 0)
     funcs = [ExpLaurent.exponential()]
     for _ in range(max_index):
         funcs.append(funcs[-1].diff().mul_rpow(-1).scale(-1))
@@ -80,8 +85,7 @@ def bessel_from_kernels(kernels: KernelTable) -> BesselTable:
 @lru_cache(maxsize=None)
 def bessel_by_recurrence(max_index: int) -> BesselTable:
     """B_0 = 1, B_1 = R, B_{i+2} = (2i+1) B_{i+1} + R^2 B_i."""
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
+    at_least("max_index", max_index, 0)
     polys = [IntPoly.one()]
     if max_index >= 1:
         polys.append(IntPoly.variable())
@@ -123,8 +127,7 @@ class DerivTriangle:
 
 def deriv_triangle(max_j: int) -> DerivTriangle:
     """Fill the triangle by d[j+1][k] = d[j][k-1] + (2j-k) d[j][k], d[1][1] = 1."""
-    if max_j < 1:
-        raise ValueError("max_j must be >= 1")
+    at_least("max_j", max_j, 1)
     rows = [(1,)]
     for j in range(1, max_j):
         prev = rows[-1]

@@ -3,9 +3,10 @@
 Subcommands: chi, det, potential, magnitude, verify {equality, observation,
 derivative, boundary, integral}, reproduce.  Output formats are canonical JSON
 (deterministic: sorted keys, compact separators, polynomials as decimal
-coefficient strings in ascending powers), CSV (one row per n), or a pretty
+coefficient strings in ascending powers), CSV (one row per n; magnitude
+and the equality, derivative and boundary campaigns only), or a pretty
 rendering in descending powers.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error (argparse's, or any InputError).
 
 Radii are always exact rationals written as P or P/Q; there is no floating
 point radius path.  The ODDBALL_PRECISION environment variable overrides the
@@ -27,19 +28,17 @@ from fractions import Fraction
 from . import golden
 from .bessel import reverse_bessel
 from .errors import (
-    EvenDimension,
     GoldenMismatch,
-    IndexOutOfTriangle,
-    NonpositiveRadius,
+    InputError,
     OddballError,
     ParseError,
     QuadratureNonconvergence,
-    TableTooSmall,
     ZeroDenominator,
+    at_least,
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION
-from .hankel import HankelSpec, hankel_det
+from .hankel import hankel_det
 from .magnitude import (
     magnitude_boundary,
     magnitude_det,
@@ -63,16 +62,6 @@ from .potential import (
 _MIN_PRECISION, _MAX_PRECISION = 64, 1024
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-_USAGE_ERRORS = (
-    ParseError,
-    ZeroDenominator,
-    ValueError,
-    EvenDimension,
-    NonpositiveRadius,
-    TableTooSmall,
-    IndexOutOfTriangle,
-)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -108,10 +97,12 @@ def _precision_bits() -> int:
     return bits
 
 
-def _add_format_flags(parser, default="pretty"):
+def _add_format_flags(parser, default="pretty", csv=False):
+    """--json and --pretty, and --csv for the commands with a CSV rendering."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", dest="fmt", action="store_const", const="json")
-    group.add_argument("--csv", dest="fmt", action="store_const", const="csv")
+    if csv:
+        group.add_argument("--csv", dest="fmt", action="store_const", const="csv")
     group.add_argument("--pretty", dest="fmt", action="store_const", const="pretty")
     parser.set_defaults(fmt=default)
 
@@ -164,8 +155,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    spec = HankelSpec(args.p + 1, args.offset)
-    d = hankel_det(spec.size, spec.offset)
+    d = hankel_det(at_least("--p", args.p, 0) + 1, args.offset)
     if args.fmt == "json":
         print(_dump({"p": args.p, "offset": args.offset, "det": d.coeff_strings()}))
     else:
@@ -222,12 +212,6 @@ def _cmd_magnitude(args) -> int:
     return 0 if agree else 1
 
 
-def _jobs(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs
-
-
 def _cmd_verify_sweep(args) -> int:
     """A route-comparison campaign; the parser sets its function, its route
     label and its default and --extended bounds."""
@@ -235,7 +219,7 @@ def _cmd_verify_sweep(args) -> int:
         max_n = args.max_n
     else:
         max_n = args.extended_max if args.extended else args.default_max
-    kwargs = {"jobs": _jobs(args)} if "jobs" in args else {}
+    kwargs = {"jobs": at_least("--jobs", args.jobs, 1)} if "jobs" in args else {}
     report = args.campaign(max_n, **kwargs)
     records = [_record(e.n, args.route, e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
@@ -267,8 +251,7 @@ def _integral_grid():
 
 
 def _cmd_verify_integral(args) -> int:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    at_least("--samples", args.samples, 0)
     prec = _precision_bits()
     count = 0
     ok = True
@@ -344,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mag.add_argument("--n", type=int, required=True)
     mag.add_argument("--radius", type=str, default=None, metavar="P/Q")
     mag.add_argument("--route", choices=("det", "hankel", "boundary", "all"), default="hankel")
-    _add_format_flags(mag)
+    _add_format_flags(mag, csv=True)
     mag.set_defaults(func=_cmd_magnitude)
 
     ver = sub.add_parser("verify", help="verification campaigns")
@@ -352,14 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _campaign(name, helptext, handler, with_jobs=True, **defaults):
         """defaults: for a route comparison, campaign, route, default_max
-        and extended_max, which also adds --extended."""
+        and extended_max, which also add --extended and --csv."""
         c = versub.add_parser(name, help=helptext)
         c.add_argument("--max", dest="max_n", type=int, default=None)
         if with_jobs:
             c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         if "extended_max" in defaults:
             c.add_argument("--extended", action="store_true")
-        _add_format_flags(c)
+        _add_format_flags(c, csv="extended_max" in defaults)
         c.set_defaults(func=handler, **defaults)
         return c
 
@@ -391,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureNonconvergence as exc:

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the two input checks
-that raise them: every n must be odd and >= 1, every radius a positive
-rational.  They live here, beside their errors, so that every module can
-import them without an import cycle."""
+"""Exception types shared across the package, and the input checks that
+raise them: every n must be odd and >= 1, every radius a positive rational,
+every other integer argument at least its least value (`at_least`).  Every
+bad argument raises an `InputError`, which the CLI reports with exit 2;
+every other `OddballError` is a failed check.  The checks live here, beside
+their errors, so that every module can import them without an import
+cycle."""
 
 from fractions import Fraction
 
@@ -10,7 +13,11 @@ class OddballError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ZeroDenominator(OddballError):
+class InputError(OddballError, ValueError):
+    """A bad argument: base of every error that rejects input."""
+
+
+class ZeroDenominator(InputError):
     """A rational (number or function) was built with a zero denominator."""
 
 
@@ -23,11 +30,11 @@ class InexactDivision(OddballError):
     """
 
 
-class EvenDimension(OddballError):
+class EvenDimension(InputError):
     """An operation restricted to odd ambient dimension got an even one."""
 
 
-class NonpositiveRadius(OddballError):
+class NonpositiveRadius(InputError):
     """A radius (or evaluation point) that must be positive was not."""
 
 
@@ -35,7 +42,7 @@ class NonpolynomialResidue(OddballError):
     """Clearing the exponential/Laurent factors left negative powers behind."""
 
 
-class TableTooSmall(OddballError):
+class TableTooSmall(InputError):
     """A polynomial table does not cover the indices an operation needs."""
 
 
@@ -47,7 +54,7 @@ class SingularMatrix(OddballError):
     """A linear solve hit a zero determinant."""
 
 
-class IndexOutOfTriangle(OddballError):
+class IndexOutOfTriangle(InputError):
     """Coefficient request outside the valid (j, k) triangle."""
 
 
@@ -95,8 +102,15 @@ class GoldenMismatch(OddballError):
     """A reproduced table differs from its embedded fixture."""
 
 
-class ParseError(OddballError):
+class ParseError(InputError):
     """Malformed textual input (rational number or polynomial)."""
+
+
+def at_least(name: str, value: int, least: int) -> int:
+    """value, unless it is below least: InputError naming the argument."""
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def odd_dimension(n: int) -> int:

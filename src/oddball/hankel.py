@@ -16,7 +16,8 @@ interpolation, each Delta^j / j! checked exact, rebuilds it.  A miss fills
 every entry below the one asked for, so callers ask largest first.
 
 * Hankel degree.  deg B_m = m, so every permutation term has degree exactly
-  k(k-1) + ks, the bound used; the observed k(k-1)/2 + ks is unproven.
+  k(k-1) + ks, the bound used; the exact degree k(k-1)/2 + ks (proof in
+  ROADMAP item 1) is not used yet.
 * Hankel valuation v.  B_m = R theta_{m-1} for m >= 1.  At s >= 1 every
   entry has the factor R, so v = k.  At s = 0, eliminating the corner
   B_0 = 1 leaves [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.
@@ -60,38 +61,21 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bessel import BesselTable, reverse_bessel
 from .errors import (
     DimensionTooLarge,
     InexactDivision,
+    InputError,
     RouteMismatch,
     SingularMatrix,
     TableTooSmall,
+    at_least,
 )
 from .poly import IntPoly, RatFunc
 
 _MINOR_EXPANSION_LIMIT = 13
-
-
-@dataclass(frozen=True)
-class HankelSpec:
-    """size x size matrix with entry (i, j) = B_{i+j+offset}."""
-
-    size: int
-    offset: int = 0
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if self.offset < 0:
-            raise ValueError("offset must be >= 0")
-
-    @property
-    def top_index(self) -> int:
-        return 2 * (self.size - 1) + self.offset
 
 
 class PolyMatrix:
@@ -102,7 +86,7 @@ class PolyMatrix:
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         if not rows or any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square and nonempty")
+            raise InputError("matrix must be square and nonempty")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -113,17 +97,13 @@ class PolyMatrix:
         return len(self.rows)
 
 
-def build_hankel(spec: HankelSpec, table: BesselTable) -> PolyMatrix:
-    """Assemble the matrix from the table's polynomials."""
-    if table.max_index < spec.top_index:
-        raise TableTooSmall(
-            f"need polynomials up to index {spec.top_index}, table stops at {table.max_index}"
-        )
-    rows = [
-        [table.polys[i + j + spec.offset] for j in range(spec.size)]
-        for i in range(spec.size)
-    ]
-    return PolyMatrix(rows)
+def build_hankel(size: int, offset: int, table: BesselTable) -> PolyMatrix:
+    """The size x size matrix [B_{i+j+offset}], from the table's polynomials."""
+    at_least("size", size, 1)
+    top = 2 * (size - 1) + at_least("offset", offset, 0)
+    if table.max_index < top:
+        raise TableTooSmall(f"need polynomials up to index {top}, table stops at {table.max_index}")
+    return PolyMatrix([table.polys[i + offset:i + offset + size] for i in range(size)])
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +350,9 @@ def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
     determinant, which is 1 by convention.  A miss computes every size up
     to this one at the offset, so callers ask for their largest size first."""
-    if size == 0:
+    at_least("offset", offset, 0)
+    if at_least("size", size, 0) == 0:
         return IntPoly.one()
-    HankelSpec(size, offset)  # checks both
     return _table(offset, size)[size - 1]
 
 
@@ -419,5 +399,4 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
 @lru_cache(maxsize=None)
 def unit_solution(p: int) -> tuple:
     """Cached coefficients for the size p+1, offset 0 Hankel system."""
-    spec = HankelSpec(p + 1, 0)
-    return solve_unit_rhs(build_hankel(spec, reverse_bessel(spec.top_index)))
+    return solve_unit_rhs(build_hankel(at_least("p", p, 0) + 1, 0, reverse_bessel(2 * p)))

@@ -52,6 +52,7 @@ from .errors import (
     ObservationFails,
     QuadratureNonconvergence,
     RouteMismatch,
+    at_least,
     odd_dimension,
     positive_radius,
 )
@@ -79,9 +80,7 @@ def border_polys(p: int) -> tuple:
     """Border-row polynomials xi_{p,0..p}, with n = 2p + 1:
     xi_{p,i} = R^(2p+2) B_i + n R^(2i) _lemma_tail(i, p-i); every coefficient
     is an integer by construction."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    tb = reverse_bessel(p + 1)
+    tb = reverse_bessel(at_least("p", p, 0) + 1)
     return tuple(tb.poly(i).shift(2 * p + 2) + ((2 * p + 1) * _lemma_tail(i, p - i)).shift(2 * i)
                  for i in range(p + 1))
 
@@ -89,9 +88,7 @@ def border_polys(p: int) -> tuple:
 def _bordered_det(p: int) -> IntPoly:
     """Determinant of the offset-1 Hankel rows stacked on the border row.  A
     miss computes every p' <= p, so callers ask for their largest p first."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    return _table("bordered", p + 1)[p]
+    return _table("bordered", at_least("p", p, 0) + 1)[p]
 
 
 def magnitude_det(n: int) -> RatFunc:
@@ -288,7 +285,7 @@ def _pool_map(fn, items: list, jobs: int) -> list:
             with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_install,
                                      initargs=(_TABLES,)) as pool:
                 return list(pool.map(fn, items))
-        except OSError:
+        except (OSError, NotImplementedError):  # no pool on this platform
             pass
     return [fn(item) for item in items]
 
@@ -399,8 +396,6 @@ def verify_observation(max_n: int) -> CampaignReport:
 
 def determinantal_identity_check(p: int) -> bool:
     """(-1)^p det(bordered) == det(offset-2 Hankel), checked exactly."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
     lhs = _bordered_det(p)
     if p % 2 == 1:
         lhs = -lhs
@@ -422,8 +417,8 @@ def verify_integral_lemma(i: int, b: int, radius, prec_bits: int = DEFAULT_PRECI
     Right side: e^(-R) _lemma_tail(i, b)(R) / R, the rational part
     evaluated exactly and converted once.
     """
-    if i < 0 or b < 0:
-        raise ValueError("i and b must be >= 0")
+    at_least("i", i, 0)
+    at_least("b", b, 0)
     radius = positive_radius(radius)
     rhs_rational = _lemma_tail(i, b)(radius) / radius
 

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InexactDivision, ParseError, ZeroDenominator
+from .errors import InexactDivision, ParseError, ZeroDenominator, at_least
 
 _KRONECKER_CUTOFF = 1024  # schoolbook below this many coefficient products
 
@@ -287,10 +287,9 @@ class IntPoly:
         return cls._raw((c,) if c else ())
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
-        if coeff == 0:
-            return cls.zero()
-        return cls._raw((0,) * power + (coeff,))
+    def monomial(cls, power: int) -> "IntPoly":
+        """R^power."""
+        return cls._raw((0,) * power + (1,))
 
     @classmethod
     def variable(cls) -> "IntPoly":
@@ -347,8 +346,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        at_least("power", n, 0)
         result = IntPoly.one()
         base = self
         while n:
@@ -425,7 +423,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 # display / parsing
 # ---------------------------------------------------------------------------
 
-def format_poly(p: IntPoly, var: str = "R") -> str:
+def format_poly(p: IntPoly) -> str:
     """Render in descending powers, e.g. 'R^3 + 6R^2 + 12R + 6'."""
     if p.is_zero:
         return "0"
@@ -440,7 +438,7 @@ def format_poly(p: IntPoly, var: str = "R") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            body = f"{head}R" if k == 1 else f"{head}R^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -448,7 +446,7 @@ def format_poly(p: IntPoly, var: str = "R") -> str:
     return " ".join(parts)
 
 
-def parse_poly(text: str, var: str = "R") -> IntPoly:
+def parse_poly(text: str) -> IntPoly:
     """Inverse of format_poly; accepts any signed sum of c*R^k terms."""
     s = text.replace("*", "").replace(" ", "")
     if not s:
@@ -474,8 +472,8 @@ def parse_poly(text: str, var: str = "R") -> IntPoly:
             t = t[1:]
         if not t:
             raise ParseError(f"dangling sign in {text!r}")
-        if var in t:
-            head, _, tail = t.partition(var)
+        if "R" in t:
+            head, _, tail = t.partition("R")
             coeff = int(head) if head else 1
             if tail.startswith("^"):
                 power = int(tail[1:])
@@ -598,8 +596,8 @@ class RatFunc:
         return cls(IntPoly.from_strings(d["num"]), IntPoly.from_strings(d["den"]))
 
 
-def format_ratfunc(f: RatFunc, var: str = "R") -> str:
-    num = format_poly(f.num, var)
+def format_ratfunc(f: RatFunc) -> str:
+    num = format_poly(f.num)
     if f.den == IntPoly.one():
         return num
-    return f"({num}) / ({format_poly(f.den, var)})"
+    return f"({num}) / ({format_poly(f.den)})"

@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath
 
 from .bessel import kernel_table, reverse_bessel
-from .errors import RouteMismatch, SingularMatrix, odd_dimension, positive_radius
+from .errors import RouteMismatch, SingularMatrix, at_least, odd_dimension, positive_radius
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
 from .hankel import hankel_det, unit_solution
 from .poly import RatFunc
@@ -46,14 +46,14 @@ class Potential:
     coeffs: tuple
     exterior: ExpLaurent
 
-    def value_at(self, r, prec_bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
+    def value_at(self, r) -> mpmath.mpf:
         """Numeric h(r) for r >= radius."""
         r = positive_radius(r)
         if r < self.radius:
             return mpmath.mpf(1)
-        with mpmath.workprec(prec_bits):
+        with mpmath.workprec(DEFAULT_PRECISION):
             scale = mpmath.exp(mpmath.mpf(self.radius.numerator) / self.radius.denominator)
-            return scale * self.exterior.eval(r, prec_bits)
+            return scale * self.exterior.eval(r)
 
 
 def build_potential(n: int, radius) -> Potential:
@@ -101,8 +101,7 @@ def h_sequence(pot: Potential, j: int) -> ExpLaurent:
     kernel expansion index by j.  Both are computed and compared; any
     difference is an arithmetic bug, reported as RouteMismatch.
     """
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    at_least("j", j, 0)
     via_operator = pot.exterior
     for _ in range(j):
         via_operator = via_operator.diff().mul_rpow(-1).scale(-1)

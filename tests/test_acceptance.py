@@ -23,7 +23,6 @@ from oddball.bessel import (
     reverse_bessel,
 )
 from oddball.hankel import (
-    HankelSpec,
     build_hankel,
     det_bareiss,
     det_minor_expansion,
@@ -114,13 +113,13 @@ def test_criterion_6_oracle_pairs():
         tb = reverse_bessel(40)
         for p in range(13):
             for offset in (0, 1, 2):
-                m = build_hankel(HankelSpec(p + 1, offset), tb)
+                m = build_hankel(p + 1, offset, tb)
                 oracle = det_minor_expansion(m)
                 assert oracle == det_bareiss(m), (p, offset)
                 assert hankel_det(p + 1, offset) == oracle, (p, offset)
         for p in range(16):
             # solve_unit_rhs checks the symbolic residual internally
-            sol = solve_unit_rhs(build_hankel(HankelSpec(p + 1, 0), tb))
+            sol = solve_unit_rhs(build_hankel(p + 1, 0, tb))
             assert len(sol) == p + 1
 
 

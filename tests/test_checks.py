@@ -1,13 +1,14 @@
 """Load-bearing checks are typed raises, so they survive `python -O`, and
-the CLI turns a failed one into exit 1."""
+the CLI turns a failed one into exit 1; bad arguments raise an InputError,
+which it turns into exit 2."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from oddball import cli, golden, potential
-from oddball.errors import GoldenMismatch
+from oddball import cli, errors, golden, potential
+from oddball.errors import GoldenMismatch, InputError
 from oddball.poly import RatFunc
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddball"
@@ -36,6 +37,37 @@ def test_no_function_local_imports_in_package():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def _raised_name(node: ast.Raise):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_no_bare_value_error_raised_in_package():
+    # a bad argument raises an InputError; a bare ValueError would leave the
+    # CLI unable to tell bad input (exit 2) from an internal fault
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and _raised_name(node) == "ValueError"
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", ["ParseError", "ZeroDenominator", "EvenDimension",
+                                  "NonpositiveRadius", "TableTooSmall", "IndexOutOfTriangle"])
+def test_bad_argument_errors_are_input_errors(name):
+    assert issubclass(getattr(errors, name), InputError)
+    assert issubclass(InputError, ValueError)
+
+
+def test_at_least_names_the_argument():
+    assert errors.at_least("--jobs", 3, 1) == 3
+    assert errors.at_least("--jobs", 1, 1) == 1
+    with pytest.raises(InputError, match=r"^--jobs must be >= 1, got 0$"):
+        errors.at_least("--jobs", 0, 1)
 
 
 def test_fixture_not_in_lowest_terms_is_refused():

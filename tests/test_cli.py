@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from oddball import cli, golden
-from oddball.errors import ParseError, ZeroDenominator
+from oddball.errors import (
+    InputError,
+    ParseError,
+    QuadratureNonconvergence,
+    RouteMismatch,
+    ZeroDenominator,
+)
 from oddball.poly import IntPoly, RatFunc, format_poly, parse_poly
 
 
@@ -194,6 +200,56 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["magnitude"])  # missing --n
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["det", "--p", "-1"], "--p"),
+        (["det", "--p", "2", "--offset", "-1"], "offset"),
+        (["chi", "--max", "-1"], "max_index"),
+        (["verify", "integral", "--samples", "-3"], "--samples"),
+        (["verify", "equality", "--max", "3", "--jobs", "0"], "--jobs"),
+        (["magnitude", "--n", "4"], "dimension"),
+        (["potential", "--n", "3", "--radius", "1/0"], "denominator"),
+    ])
+    def test_bad_argument_exits_two(self, capsys, argv, name):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--max", "3"],
+        ["det", "--p", "1"],
+        ["potential", "--n", "3", "--radius", "1"],
+        ["verify", "observation", "--max", "3"],
+        ["verify", "integral", "--samples", "1"],
+    ])
+    def test_csv_only_where_rendered(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--csv"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--csv" in err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (InputError("size must be >= 1, got 0"), 2, "error: "),
+        (QuadratureNonconvergence("no convergence"), 1, "error: "),
+        (RouteMismatch("routes differ"), 1, "verification failed: "),
+    ])
+    def test_error_classes_map_to_exit_codes(self, capsys, monkeypatch, error, code, prefix):
+        def failing(size, offset):
+            raise error
+
+        monkeypatch.setattr(cli, "hankel_det", failing)
+        got, out, err = _run(capsys, "det", "--p", "1")
+        assert got == code and out == ""
+        assert err == f"{prefix}{error}\n"
+
+    def test_internal_value_error_is_not_bad_input(self, monkeypatch):
+        def failing(size, offset):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr(cli, "hankel_det", failing)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["det", "--p", "1"])
 
 
 class TestDeterminism:

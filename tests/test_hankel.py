@@ -12,6 +12,7 @@ from oddball import hankel
 from oddball.bessel import reverse_bessel
 from oddball.errors import (
     DimensionTooLarge,
+    InputError,
     OddballError,
     RouteMismatch,
     SingularMatrix,
@@ -19,7 +20,6 @@ from oddball.errors import (
 )
 from oddball.golden import FIRST_COEFF, LAST_COEFF
 from oddball.hankel import (
-    HankelSpec,
     PolyMatrix,
     build_hankel,
     clear_hankel_cache,
@@ -36,17 +36,17 @@ TB = reverse_bessel(40)
 
 class TestBuild:
     def test_two_by_two(self):
-        m = build_hankel(HankelSpec(2, 0), TB)
+        m = build_hankel(2, 0, TB)
         assert m.rows == (
             (IntPoly([1]), IntPoly([0, 1])),
             (IntPoly([0, 1]), IntPoly([0, 1, 1])),
         )
 
     def test_one_by_one(self):
-        assert build_hankel(HankelSpec(1, 0), TB).rows == ((IntPoly([1]),),)
+        assert build_hankel(1, 0, TB).rows == ((IntPoly([1]),),)
 
     def test_offset_two(self):
-        m = build_hankel(HankelSpec(2, 2), TB)
+        m = build_hankel(2, 2, TB)
         assert m.rows == (
             (IntPoly([0, 1, 1]), IntPoly([0, 3, 3, 1])),
             (IntPoly([0, 3, 3, 1]), IntPoly([0, 15, 15, 6, 1])),
@@ -54,15 +54,26 @@ class TestBuild:
 
     def test_table_too_small(self):
         with pytest.raises(TableTooSmall):
-            build_hankel(HankelSpec(4, 0), reverse_bessel(3))
+            build_hankel(4, 0, reverse_bessel(3))
+
+    @pytest.mark.parametrize("size, offset, name", [(0, 0, "size"), (2, -1, "offset")])
+    def test_bad_size_or_offset(self, size, offset, name):
+        with pytest.raises(InputError, match=name):
+            build_hankel(size, offset, TB)
+
+    def test_hankel_det_checks_offset_even_at_size_zero(self):
+        assert hankel_det(0, 0) == IntPoly.one()
+        for size, offset, name in ((-1, 0, "size"), (0, -1, "offset"), (2, -1, "offset")):
+            with pytest.raises(InputError, match=name):
+                hankel_det(size, offset)
 
 
 class TestDeterminants:
     def test_printed_values(self):
-        assert det_bareiss(build_hankel(HankelSpec(2, 0), TB)) == IntPoly([0, 1])
-        assert det_bareiss(build_hankel(HankelSpec(1, 0), TB)) == IntPoly.one()
+        assert det_bareiss(build_hankel(2, 0, TB)) == IntPoly([0, 1])
+        assert det_bareiss(build_hankel(1, 0, TB)) == IntPoly.one()
         # 2 R^2 (R + 3)
-        assert det_bareiss(build_hankel(HankelSpec(3, 0), TB)) == IntPoly([0, 0, 6, 2])
+        assert det_bareiss(build_hankel(3, 0, TB)) == IntPoly([0, 0, 6, 2])
 
     def test_diagonal(self):
         m = PolyMatrix([[IntPoly([0, 1]), IntPoly.zero()], [IntPoly.zero(), IntPoly([0, 1])]])
@@ -81,7 +92,7 @@ class TestDeterminants:
     def test_minor_matches_bareiss_on_hankel(self):
         for size in range(1, 7):
             for offset in (0, 1, 2):
-                m = build_hankel(HankelSpec(size, offset), TB)
+                m = build_hankel(size, offset, TB)
                 assert det_minor_expansion(m) == det_bareiss(m)
 
     def test_minor_matches_bareiss_random(self):
@@ -135,7 +146,7 @@ class TestEvaluationInterpolation:
     @pytest.fixture(scope="class")
     def reference(self):
         return {
-            (k, s): det_bareiss(build_hankel(HankelSpec(k, s), TB))
+            (k, s): det_bareiss(build_hankel(k, s, TB))
             for k in range(1, self.MAX_SIZE + 1)
             for s in self.OFFSETS
         }
@@ -145,6 +156,14 @@ class TestEvaluationInterpolation:
         clear_hankel_cache()
         yield
         clear_hankel_cache()
+
+    def test_degree(self, reference):
+        # deg H^(s)_k = k(k-1)/2 + ks (proof in ROADMAP item 1); the engine
+        # still takes its points from the looser k(k-1) + ks
+        for k, s in sorted(reference, reverse=True):
+            det = hankel_det(k, s)
+            assert det == reference[k, s]
+            assert det.degree == k * (k - 1) // 2 + k * s, (k, s)
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_matches_bareiss_in_any_order(self, reference, order):
@@ -276,7 +295,7 @@ class TestSolve:
 
     def test_residual_is_symbolically_checked(self):
         # fresh solve (not the cached path) exercises the residual assertion
-        m = build_hankel(HankelSpec(4, 0), TB)
+        m = build_hankel(4, 0, TB)
         sol = solve_unit_rhs(m)
         assert len(sol) == 4
 

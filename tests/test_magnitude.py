@@ -325,6 +325,19 @@ class TestCampaignPool:
         campaign(9, jobs=2)
         assert pools == [2 if job_pool else 1]
 
+    @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
+    def test_no_process_pool_runs_here(self, monkeypatch, campaign):
+        # ProcessPoolExecutor raises NotImplementedError on a platform
+        # without named semaphores
+        want = [(e.n, e.value) for e in campaign(9, jobs=1).entries]
+        clear_hankel_cache()
+
+        def no_pool(*args, **kwargs):
+            raise NotImplementedError("no named semaphores")
+
+        monkeypatch.setattr(mag, "ProcessPoolExecutor", no_pool)
+        assert [(e.n, e.value) for e in campaign(9, jobs=2).entries] == want
+
     def test_job_workers_start_holding_the_tables(self):
         # forked workers inherit them; spawned ones get them from the initializer
         mag._install({kind: hankel._fill(kind, 3) for kind in ("bordered", 0)})

@@ -1,13 +1,21 @@
 """Polynomial and rational-function arithmetic: spec examples, ring axioms,
-reduction canonicity, and the numeric derivative cross-check."""
+reduction canonicity, and the numeric derivative cross-check; property tests
+of the kernels' edge cases against independent oracles: evaluation for
+products on both sides of the Kronecker cutoff, sympy for the gcd's
+pseudo-remainder fallback."""
 
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oddball import poly
 from oddball.errors import InexactDivision, ZeroDenominator
 from oddball.poly import (
     IntPoly,
@@ -105,6 +113,65 @@ class TestIntPoly:
         assert CHI3.coeff_strings() == ["0", "3", "3", "1"]
         assert IntPoly.from_strings(["0", "3", "3", "1"]) == CHI3
         assert IntPoly.zero().coeff_strings() == []
+
+
+def _polys(min_len, max_len, bits=80):
+    """IntPolys with min_len..max_len coefficients, the leading one nonzero."""
+    coeff = st.integers(-2 ** bits, 2 ** bits)
+    return st.tuples(st.lists(coeff, min_size=min_len - 1, max_size=max_len - 1),
+                     coeff.filter(bool)).map(lambda c: IntPoly(c[0] + [c[1]]))
+
+
+_SCHOOLBOOK = _polys(1, 30)  # at most 900 coefficient products
+_KRONECKER = _polys(33, 60)  # at least 1089
+
+
+class TestProperties:
+    @pytest.mark.parametrize("kronecker", [False, True], ids=["schoolbook", "kronecker"])
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_ring_axioms(self, kronecker, data):
+        a, b, c = (data.draw(_KRONECKER if kronecker else _SCHOOLBOOK) for _ in range(3))
+        assert (len(a.coeffs) * len(b.coeffs) > poly._KRONECKER_CUTOFF) == kronecker
+        ab = a * b
+        for x in (-3, 2, 2 ** 90 + 1):
+            assert ab(x) == a(x) * b(x)
+        assert ab == b * a
+        assert ab * c == a * (b * c)
+        assert a * (b + c) == ab + a * c
+        assert (a + b) - b == a
+        assert a * IntPoly.one() == a and (a * IntPoly.zero()).is_zero
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_polys(1, 40), _polys(2, 40), st.data())
+    def test_divexact_round_trip(self, a, b, data):
+        ab = a * b
+        assert ab.divexact(b) == a
+        # a nonzero change below deg b cannot be a multiple of b
+        k = data.draw(st.integers(0, b.degree - 1))
+        delta = data.draw(st.integers(-2 ** 40, 2 ** 40).filter(bool))
+        with pytest.raises(InexactDivision):
+            (ab + IntPoly.monomial(k) * delta).divexact(b)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_polys(2, 6, bits=20).filter(lambda g: g.constant_term != 0),
+           _polys(1, 8, bits=20), _polys(1, 8, bits=20))
+    def test_gcd_matches_sympy_through_the_prs(self, g, u, w):
+        # g has degree >= 1 and no factor R, so it survives the stripped
+        # powers of R and no prime can certify the gcd constant
+        a, b = g * u, g * w
+        x = sympy.Symbol("x")
+        want = sympy.Poly(list(reversed(a.coeffs)), x, domain="ZZ").gcd(
+            sympy.Poly(list(reversed(b.coeffs)), x, domain="ZZ"))
+        with mock.patch.object(poly, "_pseudo_rem_c", wraps=poly._pseudo_rem_c) as prs:
+            got = poly_gcd(a, b)
+        assert got.coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
+        assert prs.called  # the common factor g defeats the modular fast path
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_polys(1, 12, bits=70) | st.just(IntPoly.zero()))
+    def test_format_parse_round_trip(self, p):
+        assert parse_poly(format_poly(p)) == p
 
 
 class TestRatFunc:

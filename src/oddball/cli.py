@@ -76,10 +76,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _fraction_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -168,9 +164,9 @@ def _cmd_potential(args) -> int:
     pot = build_potential(args.n, radius)
     payload = {
         "n": args.n,
-        "radius": _fraction_str(radius),
+        "radius": str(radius),
         "coeffs": [f.as_dict() for f in pot.coeff_funcs],
-        "coeff_values": [_fraction_str(c) for c in pot.coeffs],
+        "coeff_values": [str(c) for c in pot.coeffs],
     }
     status = 0
     if args.verify:
@@ -186,7 +182,7 @@ def _cmd_potential(args) -> int:
         print(_dump(payload))
     else:
         for i, f in enumerate(pot.coeff_funcs):
-            print(f"coeff_{i} = {format_ratfunc(f)} = {_fraction_str(pot.coeffs[i])} at R={payload['radius']}")
+            print(f"coeff_{i} = {format_ratfunc(f)} = {pot.coeffs[i]} at R={payload['radius']}")
         for name, ok in payload.get("checks", {}).items():
             print(f"check {name}: {'pass' if ok else 'FAIL'}")
     return status
@@ -204,11 +200,11 @@ def _cmd_magnitude(args) -> int:
     agree = len(set(values.values())) == 1
     records = []
     for route in routes:
-        extra = {} if radius is None else {"value": _fraction_str(values[route](radius))}
+        extra = {} if radius is None else {"value": str(values[route](radius))}
         records.append(_record(args.n, route, values[route], millis[route], agree, **extra))
     _emit_records(records, args.fmt)
     if radius is not None and args.fmt == "pretty":
-        print(f"value at R={args.radius}: {_fraction_str(values[routes[0]](radius))}")
+        print(f"value at R={args.radius}: {values[routes[0]](radius)}")
     return 0 if agree else 1
 
 
@@ -232,12 +228,12 @@ def _cmd_verify_observation(args) -> int:
     if args.fmt == "json":
         print(_dump([
             {"n": e.n, "route": "observation", "power": e.power_shift,
-             "constant": _fraction_str(e.constant), "agree": True, "millis": None}
+             "constant": str(e.constant), "agree": True, "millis": None}
             for e in report.entries
         ]))
     else:
         for e in report.entries:
-            print(f"n={e.n:>3} numerators match: constant={_fraction_str(e.constant)} "
+            print(f"n={e.n:>3} numerators match: constant={e.constant} "
                   f"power-shift={e.power_shift} ({e.millis:.1f} ms)")
     return 0
 
@@ -259,7 +255,7 @@ def _cmd_verify_integral(args) -> int:
         ok = verify_integral_lemma(i, b, radius, prec_bits=prec)
         count += 1
         if args.fmt != "json":
-            print(f"i={i} b={b} R={_fraction_str(radius)}: {'pass' if ok else 'FAIL'}")
+            print(f"i={i} b={b} R={radius}: {'pass' if ok else 'FAIL'}")
         if not ok:
             break
     if args.fmt == "json":

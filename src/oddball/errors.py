@@ -107,22 +107,27 @@ class ParseError(InputError):
 
 
 def at_least(name: str, value: int, least: int) -> int:
-    """value, unless it is below least: InputError naming the argument."""
+    """value, if it is an int >= least; else InputError naming the argument."""
+    if not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
     return value
 
 
 def odd_dimension(n: int) -> int:
-    """p = (n - 1) / 2 for an odd dimension n >= 1; EvenDimension otherwise."""
-    if n < 1 or n % 2 == 0:
-        raise EvenDimension(f"dimension must be odd and >= 1, got {n}")
+    """p = (n - 1) / 2 for an odd int n >= 1; EvenDimension otherwise."""
+    if not isinstance(n, int) or n < 1 or n % 2 == 0:
+        raise EvenDimension(f"dimension must be odd and >= 1, got {n!r}")
     return (n - 1) // 2
 
 
 def positive_radius(r) -> Fraction:
-    """r as an exact Fraction; NonpositiveRadius unless r > 0."""
-    r = Fraction(r)
+    """r as an exact Fraction: InputError unless r is rational, NonpositiveRadius unless r > 0."""
+    try:
+        r = Fraction(r)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"radius must be a rational number, got {r!r}") from exc
     if r <= 0:
         raise NonpositiveRadius(f"radius must be positive, got {r}")
     return r

@@ -345,7 +345,7 @@ def _table(kind, count: int) -> tuple:
     return dets
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: hankel_det(2.0, 0) must miss, and be refused
 def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
     determinant, which is 1 by convention.  A miss computes every size up

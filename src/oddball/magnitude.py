@@ -11,11 +11,12 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 * hankel route: the offset-2 Hankel determinant over n! R times the
   offset-0 one;
 * boundary route: volume plus boundary integrals of Laplacian powers of the
-  potential function.  One Laplacian chain per decaying kernel gives an
-  integer Laurent polynomial in R; weighted by the unit-RHS solution over
-  its common Hankel denominator, they sum to one exact rational function,
-  reduced once.  boundary_value_at evaluates the same formula at a single
-  radius from the potential built there, and serves as its oracle.
+  potential function.  The Laplacian acts on the decaying kernels by a
+  two-term recurrence, so each kernel's boundary sum is a fixed integer
+  combination of reverse Bessel polynomials; weighted by the unit-RHS
+  solution over its common Hankel denominator, they sum to one exact
+  rational function, reduced once.  boundary_value_at runs the Laplacian
+  chains symbolically on the potential built at one radius: the oracle.
 
 The det = hankel, boundary = det = hankel and derivative campaigns share one
 comparison loop: a job per odd n computes the values that must be equal, and
@@ -126,8 +127,9 @@ def magnitude_explicit(n: int, radius) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _boundary_sum(f: ExpLaurent, n: int) -> ExpLaurent:
-    """sum over (p+1)/2 < j <= p+1 of (-1)^j C(p+1, j) (L^(j-1) f)', with L
-    the radial Laplacian in dimension n = 2p + 1: one chain of p Laplacians."""
+    """The pointwise oracle's chain: sum over (p+1)/2 < j <= p+1 of (-1)^j
+    C(p+1, j) (L^(j-1) f)', with L the radial Laplacian in dimension
+    n = 2p + 1, run as p symbolic Laplacians."""
     p = n // 2
     acc = ExpLaurent.zero()
     for j in range(1, p + 2):
@@ -146,50 +148,45 @@ def boundary_value_at(n: int, radius) -> Fraction:
     built at this radius, everything exact.  The surface-to-volume constant
     enters only as the ratio n, which is how the dimensional constants cancel.
     """
-    radius = Fraction(radius)
+    radius = positive_radius(radius)
     pot = potential.build_potential(n, radius)
     acc = _boundary_sum(pot.exterior, n).laurent_at(radius)
     return Fraction(radius ** n, math.factorial(n)) + radius ** (n - 1) / math.factorial(n - 1) * acc
 
 
-def _integer_poly(f: ExpLaurent) -> IntPoly:
-    """The Laurent part of f, which must have integer coefficients and no
-    negative powers, as an IntPoly."""
-    coeffs = [0] * (max(f.terms, default=-1) + 1)
-    for k, c in f.terms.items():
-        if c.denominator != 1:
-            raise RouteMismatch(f"boundary chain coefficient {c} is not an integer")
-        coeffs[k] = c.numerator
-    return IntPoly(coeffs)
-
-
 def magnitude_boundary(n: int) -> RatFunc:
     """|B^n_R| via the boundary route, as one exact rational function.
 
-    The exterior potential is sum_i a_i R^(2i) k_i with k_i = e^(-r)
+    The exterior potential is sum_i a_i R^(2i) k_i, with k_i = e^(-r)
     r^(-2i) B_i(r) and a_i the unit-RHS solution.  The boundary sum is
-    linear, so one Laplacian chain per kernel gives the integer Laurent
-    polynomial Lambda_i(R), free of the radius-dependent a_i.  Over the
-    common denominator H_0 = hankel_det(p+1, 0):
+    linear and has a closed form on each kernel.  k_m' = -r k_{m+1}, and
+    B_{m+2} = (2m+1) B_{m+1} + R^2 B_m times e^(-r) r^(-2m-4) gives
+    r^2 k_{m+2} = (2m+1) k_{m+1} + k_m.  So k_m'' = 2m k_{m+1} + k_m and,
+    in dimension n = 2p + 1, L k_m = k_m - 2(p-m) k_{m+1}: L = I - 2N with
+    N k_m = (p-m) k_{m+1}.  I and N commute, so L^j k_i = sum_t C(j,t)
+    (-2)^t (p-i)!/(p-i-t)! k_{i+t}, ending at t = p-i.  With sigma_t =
+    sum_{(p+1)/2 < j <= p+1} (-1)^j C(p+1,j) C(j-1,t) and the integer
+    polynomials theta_m = B_{m+1}/R, the Laurent part of the boundary sum
+    of k_i times R^(2i+n-1) is the integer polynomial
 
-        |B| = (R^n H_0 + n R^(n-1) sum_i (a_i H_0) R^(2i) Lambda_i) / (n! H_0)
+        Lambda_i = -sum_{t <= p-i} (-2)^t (p-i)!/(p-i-t)! sigma_t R^(2(p-t)) theta_{i+t}
 
-    with every a_i H_0 an exact quotient; negative powers of R are cleared
-    into the denominator, and the sum is reduced once, at the end.
+    and no Laplacian runs.  Over H_0 = hankel_det(p+1, 0), every a_i H_0 is
+    an exact quotient, and |B| = (R^n H_0 + n sum_i (a_i H_0) Lambda_i) /
+    (n! H_0), reduced once at the end.
     """
     p = odd_dimension(n)
-    bessels = reverse_bessel(p)
-    laurents = []
-    for i in range(p + 1):
-        k_i = ExpLaurent({k - 2 * i: c for k, c in enumerate(bessels.poly(i).coeffs)})
-        laurents.append(_boundary_sum(k_i, n).mul_rpow(2 * i + n - 1))
-    low = min([0] + [f.min_exp() for f in laurents if not f.is_zero])
+    sigma = [sum((-1) ** j * math.comb(p + 1, j) * math.comb(j - 1, t)
+                 for j in range((p + 1) // 2 + 1, p + 2)) for t in range(p + 1)]
+    theta = [b.shift_down(1) for b in reverse_bessel(p + 1).polys[1:]]
     h0 = hankel_det(p + 1, 0)
     total = IntPoly.zero()
-    for a, f in zip(unit_solution(p), laurents):
-        total = total + h0.divexact(a.den) * a.num * _integer_poly(f.mul_rpow(-low))
-    num = h0.shift(n - low) + n * total
-    return RatFunc(num, (math.factorial(n) * h0).shift(-low))
+    for i, a in enumerate(unit_solution(p)):
+        lam = IntPoly.zero()
+        for t in range(p - i + 1):
+            lam = lam - ((-2) ** t * math.perm(p - i, t) * sigma[t] * theta[i + t]).shift(2 * (p - t))
+        total = total + h0.divexact(a.den) * a.num * lam
+    return RatFunc(h0.shift(n) + n * total, math.factorial(n) * h0)
 
 
 # ---------------------------------------------------------------------------

@@ -358,13 +358,13 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by R^k (k >= 0)."""
-        if self.is_zero or k == 0:
+        if at_least("k", k, 0) == 0 or self.is_zero:
             return self
         return IntPoly._raw((0,) * k + self.coeffs)
 
     def shift_down(self, k: int) -> "IntPoly":
-        """Exact division by R^k."""
-        if self.is_zero:
+        """Exact division by R^k (k >= 0)."""
+        if at_least("k", k, 0) == 0 or self.is_zero:
             return self
         if any(self.coeffs[:k]):
             raise InexactDivision(f"not divisible by R^{k}")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oddball import cli, errors, golden, potential
+from oddball import bessel, cli, errors, golden, hankel, magnitude, potential
 from oddball.errors import GoldenMismatch, InputError
 from oddball.poly import RatFunc
 
@@ -68,6 +68,33 @@ def test_at_least_names_the_argument():
     assert errors.at_least("--jobs", 1, 1) == 1
     with pytest.raises(InputError, match=r"^--jobs must be >= 1, got 0$"):
         errors.at_least("--jobs", 0, 1)
+
+
+_BAD_LIBRARY_CALLS = {
+    "radius-nan": lambda: errors.positive_radius(float("nan")),
+    "radius-text": lambda: errors.positive_radius("abc"),
+    "radius-inf": lambda: errors.positive_radius(float("inf")),
+    "radius-minus-inf": lambda: errors.positive_radius(float("-inf")),
+    "radius-none": lambda: errors.positive_radius(None),
+    "radius-zero-denominator": lambda: errors.positive_radius("1/0"),
+    "oracle-radius-text": lambda: magnitude.boundary_value_at(3, "abc"),
+    "oracle-radius-inf": lambda: magnitude.boundary_value_at(3, float("inf")),
+    "float-dimension": lambda: errors.odd_dimension(3.0),
+    "float-dimension-route": lambda: magnitude.magnitude_hankel(3.0),
+    # each int call first fills the cache that the float call must not hit
+    "float-size": lambda: (hankel.hankel_det(2, 0), hankel.hankel_det(2.0, 0)),
+    "float-unit-solution": lambda: (hankel.unit_solution(1), hankel.unit_solution(1.0)),
+    "float-table-bound": lambda: (bessel.reverse_bessel(3), bessel.reverse_bessel(3.0)),
+    "float-bound": lambda: errors.at_least("p", 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_LIBRARY_CALLS.values(), ids=_BAD_LIBRARY_CALLS.keys())
+def test_bad_library_argument_raises_input_error(call):
+    # a library caller gets the typed error too, not the ValueError,
+    # OverflowError, TypeError or ZeroDivisionError of the conversion
+    with pytest.raises(InputError):
+        call()
 
 
 def test_fixture_not_in_lowest_terms_is_refused():

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import oddball.magnitude as mag
 from oddball import hankel
-from oddball.bessel import reverse_bessel
+from oddball.bessel import kernel_table, reverse_bessel
 from oddball.errors import (
     EvenDimension,
     InexactDivision,
     NonpositiveRadius,
     ObservationFails,
 )
+from oddball.explaurent import ExpLaurent
 from oddball.golden import MAGNITUDE, MAGNITUDE_DERIVATIVE, NUM10_LOW_ASC, NUM10_TOP_DESC
 from oddball.hankel import PolyMatrix, clear_hankel_cache, det_bareiss
 from oddball.magnitude import (
@@ -468,14 +469,42 @@ class TestDisagreementPath:
             mag.verify_derivative_conjecture(3, jobs=1)
         assert exc.value.n == 1
 
-    def test_fractional_boundary_chain_is_fatal(self, monkeypatch):
-        import oddball.magnitude as mag
-        from oddball.errors import RouteMismatch
 
-        real = mag._boundary_sum
-        monkeypatch.setattr(mag, "_boundary_sum", lambda f, n: real(f, n).scale(Fraction(1, 2)))
-        with pytest.raises(RouteMismatch):
-            mag.magnitude_boundary(3)
+class TestBoundaryClosedForm:
+    """The closed form of the boundary route against the ExpLaurent calculus
+    of the pointwise oracle, at every n the extended boundary campaign
+    reaches (n <= 33)."""
+
+    def test_laplacian_steps_down_the_kernels(self):
+        kernels = kernel_table(18).funcs
+        for p in range(17):
+            for m in range(p + 2):
+                want = kernels[m] - kernels[m + 1].scale(2 * (p - m))
+                assert kernels[m].laplacian(2 * p + 1) == want, (p, m)
+
+    def test_boundary_sums_match_the_laplacian_chains(self):
+        kernels = kernel_table(16).funcs
+        for n in range(1, 34, 2):
+            p = n // 2
+            tb = reverse_bessel(p + 1)
+            sigma = [sum((-1) ** j * math.comb(p + 1, j) * math.comb(j - 1, t)
+                         for j in range(p + 2) if 2 * j > p + 1) for t in range(p + 1)]
+            for i in range(p + 1):
+                lam = IntPoly.zero()
+                for t in range(p - i + 1):
+                    theta = tb.poly(i + t + 1).shift_down(1)
+                    lam = lam - ((-2) ** t * math.perm(p - i, t) * sigma[t] * theta).shift(2 * (p - t))
+                chain = mag._boundary_sum(kernels[i], n).mul_rpow(2 * i + n - 1)
+                assert chain == ExpLaurent(dict(enumerate(lam.coeffs))), (n, i)
+
+    def test_route_runs_no_laplacian(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the boundary route ran the ExpLaurent calculus")
+
+        monkeypatch.setattr(ExpLaurent, "laplacian", refuse)
+        monkeypatch.setattr(ExpLaurent, "diff", refuse)
+        for n in range(1, 16, 2):
+            assert magnitude_boundary(n) == magnitude_hankel(n), n
 
 
 class TestIntegralLemma:

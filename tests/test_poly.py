@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddball import poly
-from oddball.errors import InexactDivision, ZeroDenominator
+from oddball.errors import InexactDivision, InputError, ZeroDenominator
 from oddball.poly import (
     IntPoly,
     RatFunc,
@@ -69,6 +69,10 @@ class TestIntPoly:
         assert IntPoly([0, 0, 6]).shift_down(2) == IntPoly.const(6)
         with pytest.raises(InexactDivision):
             IntPoly([1, 2]).shift_down(1)
+        with pytest.raises(InputError):
+            IntPoly([1, 2]).shift(-1)
+        with pytest.raises(InputError):
+            IntPoly([0, 0, 5]).shift_down(-1)
 
     def test_divexact(self):
         assert (CHI2 * CHI3).divexact(CHI3) == CHI2

@@ -120,7 +120,7 @@ class DerivTriangle:
     rows: tuple
 
     def value(self, j: int, k: int) -> int:
-        if not (1 <= k <= j <= self.max_j):
+        if not (1 <= at_least("k", k, 0) <= at_least("j", j, 0) <= self.max_j):
             raise IndexOutOfTriangle(f"(j, k) = ({j}, {k}) outside triangle")
         return self.rows[j - 1][k - 1]
 
@@ -142,7 +142,7 @@ def deriv_triangle(max_j: int) -> DerivTriangle:
 
 def deriv_coeff(j: int, k: int) -> int:
     """Closed form (2j-k-1)! / (2^(j-k) (j-k)! (k-1)!), an exact integer."""
-    if not (1 <= k <= j):
+    if not (1 <= at_least("k", k, 0) <= at_least("j", j, 0)):
         raise IndexOutOfTriangle(f"(j, k) = ({j}, {k}) outside triangle")
     num = math.factorial(2 * j - k - 1)
     den = (1 << (j - k)) * math.factorial(j - k) * math.factorial(k - 1)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import mpmath
 
-from .errors import EvenDimension, positive_radius
+from .errors import odd_dimension, positive_radius
 
 DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
@@ -101,12 +101,11 @@ class ExpLaurent:
 
     def laplacian(self, n: int) -> "ExpLaurent":
         """Radial Laplacian f'' + ((n-1)/r) f' in odd dimension n."""
-        if n % 2 == 0:
-            raise EvenDimension(f"dimension must be odd, got {n}")
+        p = odd_dimension(n)
         d1 = self.diff()
         out = d1.diff()
-        if n != 1:
-            out = out + d1.mul_rpow(-1).scale(n - 1)
+        if p:
+            out = out + d1.mul_rpow(-1).scale(2 * p)
         return out
 
     # -- evaluation -------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Hankel matrices of reverse Bessel polynomials, the bordered determinants
 of the det route, and exact linear algebra.
 
-Every determinant table is held in one store, `_TABLES`, by kind:
+Every determinant table is filled by kind, and held in one store,
+`_TABLES`, or, for the unit kind, in `unit_solution`'s cache:
 
 * an integer offset s: H_1 .. H_K, with H_k = det [B_{i+j+s}]_{i,j<k} over
   Z[R], read through `hankel_det(k, s)`;
 * "bordered": D_0 .. D_{K-1}, with D_p the determinant of the rows
   B_{i+j+1} (i < p, j <= p) over the border row xi_{p,j} of the det route
-  (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`.
+  (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`;
+* ("unit", p): y_p .. y_0, the numerators of [B_{i+j}]_{i,j<=p} y = e_0 by
+  Cramer's rule, read through `unit_solution(p)` over hankel_det(p+1, 0).
 
 One loop, `_fill`, computes a table by evaluation at integer points and
 interpolation, with no polynomial product or division.  Entry k is R^v q
@@ -50,13 +53,25 @@ every entry below the one asked for, so callers ask largest first.
   size P + 1 gives pivot rows that reduce every border xi_p(x) / x, p <= P,
   to q_p(x).  The offset-2 table, which the equality campaign compares
   with D_p, shares only theta_m(x) and the interpolation with it.
+* Unit numerators.  y_i is the cofactor (0, i) of H = [B_{i+j}]_{i,j<=p},
+  the determinant of H with row 0 replaced by e_i.  Rows 1..p of H are the
+  offset-1 rows, and moving e_i from row 0 to below them takes p
+  transpositions, so y_i = det [the p offset-1 rows; (-1)^p e_i], which
+  `_bordered_value` gives from the offset-1 pivot rows, every division
+  exact by Sylvester's identity as for D_p.  Each offset-1 row has the
+  factor R, so v = p; the row and column degrees r_i = i + 1, r_p = -i,
+  c_j = j give deg y_i <= p(p+1) - i, so R^(-p) y_i needs p^2 - i + 1
+  points.  `unit_solution` checks H y = H_{p+1} e_0 symbolically, with H
+  from the reverse Bessel recurrence and H_{p+1} from the offset-0 table,
+  so a fault in the offset-1 rows it shares with the det route raises
+  RouteMismatch rather than making two routes agree.
 
 `_eliminate`, checked fraction-free elimination with row swaps over Z[R],
-is the one polynomial elimination.  `det_bareiss` runs it only as the
-tests' oracle, for `hankel_det` and the bordered determinants; a memoized
-cofactor expansion is the oracle for `det_bareiss`.  Unit-RHS solves run
-it on [m | e_0] and back-substitute in O(dim^3), with a symbolic residual
-check.
+is the one polynomial elimination, and only the tests' oracles run it:
+`det_bareiss`, for `hankel_det` and the bordered determinants, and
+`solve_unit_rhs`, for `unit_solution`, which eliminates [m | e_0] and
+back-substitutes in O(dim^3).  A memoized cofactor expansion is the oracle
+for `det_bareiss`.  `PolyMatrix` and `build_hankel` build their input.
 """
 
 from __future__ import annotations
@@ -249,10 +264,13 @@ def _bordered_value(rows: list, border: list, x: int) -> int:
 
 
 def _valuation_and_points(kind, k: int) -> tuple:
-    """(v, N): entry k of the table `kind`, H_{k+1} at an offset or D_k when
-    "bordered", is R^v times a polynomial of degree below N."""
+    """(v, N): entry k of the table `kind`, H_{k+1} at an offset, D_k when
+    "bordered" or y_{p-k} when ("unit", p), is R^v times a polynomial of
+    degree below N."""
     if kind == "bordered":
         v, degree = k + 1, k * k + 3 * k + 2
+    elif isinstance(kind, tuple):
+        v, degree = kind[1], kind[1] ** 2 + k
     else:
         v, degree = (k if kind == 0 else k + 1), (k + 1) * (k + kind)
     return v, degree - v + 1
@@ -304,17 +322,27 @@ def _point_values(kind, count: int):
     """The values at one point of the table `kind` with `count` entries:
     at(x, low) gives entries low..count-1 at x divided by their R^v, the
     pivots of one elimination or, for "bordered", the borders reduced
-    through the offset-1 pivot rows."""
-    if kind != "bordered":
+    through the offset-1 pivot rows, or for ("unit", p) the borders
+    (-1)^p e_i, i = p..0."""
+    if isinstance(kind, int):
         return lambda x, low: [row[0] for row in _pivot_rows(x, count, kind)[low:]]
-    weights = [_tail_weights(b) for b in range(count)]
+    if kind == "bordered":
+        weights = [_tail_weights(b) for b in range(count)]
+
+        def borders(x, low):
+            theta = _theta_values(x, count - 1)
+            squares = [x ** (2 * k) for k in range(count)]
+            return [_border_values(x, p, theta, squares, weights) for p in range(low, count)]
+    else:
+        sign = (-1) ** kind[1]
+        units = [[sign * (i == j) for j in range(count)] for i in reversed(range(count))]
+
+        def borders(x, low):
+            return units[low:]
 
     def at(x, low):
         rows = _pivot_rows(x, count, 1)
-        theta = _theta_values(x, count - 1)
-        squares = [x ** (2 * k) for k in range(count)]
-        return [_bordered_value(rows, _border_values(x, p, theta, squares, weights), x)
-                for p in range(low, count)]
+        return [_bordered_value(rows, border, x) for border in borders(x, low)]
     return at
 
 
@@ -357,8 +385,9 @@ def hankel_det(size: int, offset: int) -> IntPoly:
 
 
 def clear_hankel_cache() -> None:
-    """Forget every cached determinant, of every kind."""
+    """Forget every cached determinant, of every kind, and every unit solution."""
     hankel_det.cache_clear()
+    unit_solution.cache_clear()
     _TABLES.clear()
 
 
@@ -366,8 +395,19 @@ def clear_hankel_cache() -> None:
 # linear solves
 # ---------------------------------------------------------------------------
 
+def _check_unit_residual(rows, nums, d: IntPoly) -> None:
+    """RouteMismatch unless the rows times the numerators are d e_0,
+    recomputed symbolically."""
+    for r, row in enumerate(rows):
+        acc = IntPoly.zero()
+        for a, y in zip(row, nums):
+            acc = acc + a * y
+        if acc != (d if r == 0 else IntPoly.zero()):
+            raise RouteMismatch(f"unit-RHS residual check failed in row {r}")
+
+
 def solve_unit_rhs(m: PolyMatrix) -> tuple:
-    """Solve m x = (1, 0, ..., 0)^T exactly.
+    """Solve m x = (1, 0, ..., 0)^T exactly; the oracle for `unit_solution`.
 
     Fraction-free elimination of [m | e_0] with row swaps leaves an upper
     triangular system whose last pivot d is the determinant of the permuted
@@ -387,16 +427,17 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
         for j in range(i + 1, n):
             acc = acc - a[i][j] * nums[j]
         nums[i] = acc.divexact(a[i][i])
-    for r in range(n):
-        acc = IntPoly.zero()
-        for j in range(n):
-            acc = acc + m.rows[r][j] * nums[j]
-        if acc != (d if r == 0 else IntPoly.zero()):
-            raise RouteMismatch(f"unit-RHS residual check failed in row {r}")
+    _check_unit_residual(m.rows, nums, d)
     return tuple(RatFunc(num, d) for num in nums)
 
 
 @lru_cache(maxsize=None)
 def unit_solution(p: int) -> tuple:
-    """Cached coefficients for the size p+1, offset 0 Hankel system."""
-    return solve_unit_rhs(build_hankel(at_least("p", p, 0) + 1, 0, reverse_bessel(2 * p)))
+    """The solution of [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule: the
+    numerators from the ("unit", p) table over hankel_det(p+1, 0), with the
+    residual checked symbolically against the reverse Bessel polynomials."""
+    nums = _fill(("unit", at_least("p", p, 0)), p + 1)[::-1]
+    d = hankel_det(p + 1, 0)
+    b = reverse_bessel(2 * p).polys
+    _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, d)
+    return tuple(RatFunc(num, d) for num in nums)

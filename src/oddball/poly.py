@@ -29,6 +29,7 @@ Two performance notes, because the determinant kernels lean on this module:
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -446,6 +447,10 @@ def format_poly(p: IntPoly) -> str:
     return " ".join(parts)
 
 
+# one term of parse_poly, signs stripped: digits, then R or R^k, k >= 0
+_TERM = re.compile(r"(\d*)(R(?:\^(\d+))?)?")
+
+
 def parse_poly(text: str) -> IntPoly:
     """Inverse of format_poly; accepts any signed sum of c*R^k terms."""
     s = text.replace("*", "").replace(" ", "")
@@ -472,19 +477,12 @@ def parse_poly(text: str) -> IntPoly:
             t = t[1:]
         if not t:
             raise ParseError(f"dangling sign in {text!r}")
-        if "R" in t:
-            head, _, tail = t.partition("R")
-            coeff = int(head) if head else 1
-            if tail.startswith("^"):
-                power = int(tail[1:])
-            elif tail == "":
-                power = 1
-            else:
-                raise ParseError(f"bad term {t!r}")
-        else:
-            coeff = int(t)
-            power = 0
-        coeffs[power] = coeffs.get(power, 0) + sign * coeff
+        term = _TERM.fullmatch(t)
+        if term is None:
+            raise ParseError(f"bad term {t!r} in {text!r}")
+        head, r, power = term.groups()
+        power = int(power) if power else (1 if r else 0)
+        coeffs[power] = coeffs.get(power, 0) + sign * (int(head) if head else 1)
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

@@ -28,6 +28,7 @@ from oddball.hankel import (
     det_minor_expansion,
     hankel_det,
     solve_unit_rhs,
+    unit_solution,
 )
 from oddball.magnitude import (
     verify_derivative_conjecture,
@@ -118,9 +119,8 @@ def test_criterion_6_oracle_pairs():
                 assert oracle == det_bareiss(m), (p, offset)
                 assert hankel_det(p + 1, offset) == oracle, (p, offset)
         for p in range(16):
-            # solve_unit_rhs checks the symbolic residual internally
-            sol = solve_unit_rhs(build_hankel(p + 1, 0, tb))
-            assert len(sol) == p + 1
+            # both check the symbolic residual internally
+            assert unit_solution(p) == solve_unit_rhs(build_hankel(p + 1, 0, tb)), p
 
 
 def test_criterion_7_integral_lemma():

@@ -9,6 +9,7 @@ import pytest
 
 from oddball import bessel, cli, errors, golden, hankel, magnitude, potential
 from oddball.errors import GoldenMismatch, InputError
+from oddball.explaurent import ExpLaurent
 from oddball.poly import RatFunc
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddball"
@@ -86,6 +87,11 @@ _BAD_LIBRARY_CALLS = {
     "float-unit-solution": lambda: (hankel.unit_solution(1), hankel.unit_solution(1.0)),
     "float-table-bound": lambda: (bessel.reverse_bessel(3), bessel.reverse_bessel(3.0)),
     "float-bound": lambda: errors.at_least("p", 1.0, 0),
+    "laplacian-minus-one": lambda: ExpLaurent.exponential().laplacian(-1),
+    "laplacian-minus-three": lambda: ExpLaurent.exponential().laplacian(-3),
+    "laplacian-float-dimension": lambda: ExpLaurent.exponential().laplacian(3.0),
+    "float-deriv-coeff": lambda: bessel.deriv_coeff(2.0, 1),
+    "float-triangle-value": lambda: bessel.deriv_triangle(3).value(2.0, 1),
 }
 
 

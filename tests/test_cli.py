@@ -2,11 +2,15 @@
 and the golden reproduction driver."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oddball import cli, golden
+from oddball import cli, golden, hankel
 from oddball.errors import (
     InputError,
     ParseError,
@@ -250,6 +254,48 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "hankel_det", failing)
         with pytest.raises(ValueError, match="internal fault"):
             cli.main(["det", "--p", "1"])
+
+    def test_closed_pipe_exits_one_without_traceback(self):
+        # `oddball chi --max 300 --pretty | head -1`: its 12 MB outlast any pipe buffer
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oddball.cli", "chi", "--max", "300", "--pretty"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.stdout.readline() == b"chi_0 = 1\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err, err.decode()
+
+
+class PolynomialEliminationRan(Exception):
+    """Not an OddballError, so cli.main lets it through."""
+
+
+@pytest.mark.parametrize("command", [
+    "reproduce",
+    "potential --n 9 --radius 1/2 --verify",
+    "magnitude --n 9 --route all",
+    "verify boundary --max 9",
+    "verify observation --max 9",
+    "verify equality --max 9 --jobs 1",
+    "verify derivative --max 9 --jobs 1",
+])
+def test_production_runs_no_polynomial_elimination(monkeypatch, capsys, command):
+    # the polynomial elimination and its inputs are the tests' oracles only;
+    # --jobs 1 keeps every computation in this process, where the patch holds
+    def refuse(*args):
+        raise PolynomialEliminationRan(command)
+
+    for name in ("_eliminate", "solve_unit_rhs", "build_hankel"):
+        monkeypatch.setattr(hankel, name, refuse)
+    hankel.clear_hankel_cache()
+    try:
+        code, _, err = _run(capsys, *command.split())
+    finally:
+        hankel.clear_hankel_cache()
+    assert code == 0, err
 
 
 class TestDeterminism:

@@ -221,6 +221,18 @@ class TestEvaluationInterpolation:
             assert v == (k - 1 if s == 0 else k)
             assert det.valuation() >= v and det.degree <= v + count - 1
 
+    def test_unit_points_cover_the_oracle(self):
+        # entry p - i of ("unit", p) holds y_i, det H times the oracle's
+        # reduced i-th component, and deg y_i <= p(p+1) - i
+        for p in range(9):
+            m = build_hankel(p + 1, 0, TB)
+            d = det_bareiss(m)
+            for i, y in enumerate(solve_unit_rhs(m)):
+                num = (y.num * d).divexact(y.den)
+                v, count = hankel._valuation_and_points(("unit", p), p - i)
+                assert v + count - 1 == p * (p + 1) - i
+                assert num.valuation() >= v and num.degree <= v + count - 1, (p, i)
+
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_each_size_at_its_own_points(self, monkeypatch, s):
         interpolated = []
@@ -292,6 +304,25 @@ class TestSolve:
         r = IntPoly([0, 1])
         with pytest.raises(SingularMatrix):
             solve_unit_rhs(PolyMatrix([[r, r], [r, r]]))
+
+    def test_clear_forgets_unit_solutions(self):
+        unit_solution(3)
+        clear_hankel_cache()
+        assert unit_solution.cache_info().currsize == 0
+
+    def test_corrupted_unit_value_is_fatal(self, monkeypatch):
+        # a wrong numerator that is still a polynomial passes the
+        # interpolation; only unit_solution's residual check can catch it
+        real = hankel._fill
+
+        def corrupted(kind, count):
+            table = real(kind, count)
+            return (table[0] + IntPoly.one(),) + table[1:] if kind == ("unit", 3) else table
+
+        monkeypatch.setattr(hankel, "_fill", corrupted)
+        clear_hankel_cache()
+        with pytest.raises(RouteMismatch):
+            unit_solution(3)
 
     def test_residual_is_symbolically_checked(self):
         # fresh solve (not the cached path) exercises the residual assertion

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddball import poly
-from oddball.errors import InexactDivision, InputError, ZeroDenominator
+from oddball.errors import InexactDivision, InputError, ParseError, ZeroDenominator
 from oddball.poly import (
     IntPoly,
     RatFunc,
@@ -288,6 +288,12 @@ class TestFormatting:
     def test_parse_round_trip(self):
         for p in (MAG3_NUM, CHI4, IntPoly([-24, -27, -9, -1]), R, IntPoly.const(7), IntPoly.zero()):
             assert parse_poly(format_poly(p)) == p
+
+    @pytest.mark.parametrize("text", ["3 + 2R^-1", "2R^-1 + 3", "R^-1", "2x", "R^", "R^1.5",
+                                      "3R^2R"])
+    def test_parse_refuses_malformed_terms(self, text):
+        with pytest.raises(ParseError):
+            parse_poly(text)
 
     def test_format_ratfunc(self):
         f = RatFunc(MAG3_NUM, IntPoly.const(6))

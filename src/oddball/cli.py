@@ -9,8 +9,8 @@ rendering in descending powers.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (argparse's, or any InputError).
 
 Radii are always exact rationals written as P or P/Q; there is no floating
-point radius path.  The ODDBALL_PRECISION environment variable overrides the
-mantissa bits used by the numeric checks; it must lie in [64, 1024].
+point radius path.  The quadrature check runs at DEFAULT_PRECISION mantissa
+bits.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     at_least,
     positive_radius,
 )
-from .explaurent import DEFAULT_PRECISION
 from .hankel import hankel_det
 from .magnitude import (
     magnitude_boundary,
@@ -57,10 +56,6 @@ from .potential import (
     verify_limit_derivative,
 )
 
-# mantissa bits ODDBALL_PRECISION may set: 40 bits misses the quadrature error
-# bound, and at 4096 bits three integral samples take over a minute
-_MIN_PRECISION, _MAX_PRECISION = 64, 1024
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -78,19 +73,6 @@ def parse_rational(text: str) -> Fraction:
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _precision_bits() -> int:
-    env = os.environ.get("ODDBALL_PRECISION")
-    if not env:
-        return DEFAULT_PRECISION
-    try:
-        bits = int(env)
-    except ValueError as exc:
-        raise ParseError(f"bad ODDBALL_PRECISION value {env!r}") from exc
-    if not _MIN_PRECISION <= bits <= _MAX_PRECISION:
-        raise ParseError(f"ODDBALL_PRECISION must be in [{_MIN_PRECISION}, {_MAX_PRECISION}], got {bits}")
-    return bits
 
 
 def _add_format_flags(parser, default="pretty", csv=False):
@@ -173,7 +155,7 @@ def _cmd_potential(args) -> int:
         checks = {
             "boundary": verify_boundary_conditions(pot),
             "annihilation": verify_annihilation(pot),
-            "limit_derivative": verify_limit_derivative(args.n, radius),
+            "limit_derivative": verify_limit_derivative(pot),
         }
         payload["checks"] = checks
         if not all(checks.values()):
@@ -248,11 +230,10 @@ def _integral_grid():
 
 def _cmd_verify_integral(args) -> int:
     at_least("--samples", args.samples, 0)
-    prec = _precision_bits()
     count = 0
     ok = True
     for i, b, radius in itertools.islice(_integral_grid(), args.samples):
-        ok = verify_integral_lemma(i, b, radius, prec_bits=prec)
+        ok = verify_integral_lemma(i, b, radius)
         count += 1
         if args.fmt != "json":
             print(f"i={i} b={b} R={radius}: {'pass' if ok else 'FAIL'}")

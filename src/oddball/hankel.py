@@ -18,24 +18,46 @@ with deg q < N (`_valuation_and_points`), so x = 1..N give q, and Newton
 interpolation, each Delta^j / j! checked exact, rebuilds it.  A miss fills
 every entry below the one asked for, so callers ask largest first.
 
-* Hankel degree.  deg B_m = m, so every permutation term has degree exactly
-  k(k-1) + ks, the bound used; the exact degree k(k-1)/2 + ks (proof in
-  ROADMAP item 1) is not used yet.
+* Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
+  and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
+  (s = 0), B_m(R) = e^R R^(2m) int u^m dmu(u), and Heine's formula gives
+  H^(s)_k = e^(kR) R^(2ks + 2k(k-1)) (1/k!) int Delta(u)^2 prod_i u_i^s dmu^k.
+  Put u_i = v_i + 1/R; Delta does not change under the shift.  Expanding
+  prod_i (v_i + 1/R)^s Delta(v)^2 gives terms R^(e-ks) prod_i v_i^(a_i)
+  with 0 <= e <= ks and sum_i a_i = k(k-1) + e, and int v^a dmu =
+  e^(-R) R^(-2a) Q_a(R), Q_a(R) = sum_l C(a,l) (-1)^(a-l) R^(a-l) B_l(R).
+  So each term of H^(s)_k is a constant times R^(ks-e) prod_i Q_(a_i)(R).
+  The coefficient of R^(l-q) in B_l is (l-q)(l-q+1)..(l+q-1) / (q! 2^q)
+  for every l >= 0 (it vanishes for l <= q when q >= 1), a polynomial of
+  degree 2q in l.  So the coefficient of R^(a-q) in Q_a, an a-th
+  difference of it, vanishes unless 2q >= a, and deg Q_a <= floor(a/2)
+  (checked for a <= 40).  Each term therefore has degree at
+  most ks - e + (k(k-1) + e)/2 <= k(k-1)/2 + ks.  tests/test_hankel.py shows
+  the bound attained for k <= 14 and s <= 3.
 * Hankel valuation v.  B_m = R theta_{m-1} for m >= 1.  At s >= 1 every
-  entry has the factor R, so v = k.  At s = 0, eliminating the corner
-  B_0 = 1 leaves [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.
-* Hankel values.  At each x, one fraction-free elimination of that matrix
-  (at s = 0, that complement) divided by x has the pivots q_1(x) .. q_K(x).
+  entry has the factor R, so v = k.  At s = 0, the Schur complement of the
+  corner B_0 = 1 is [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.
+  The value H(x) at each point is divided by x^v, checked exact.
+* Hankel values.  At each x, the Desnanot-Jacobi identity on the offset-s
+  matrix of size k+1, whose corner minors of size k are H^(s)_k, H^(s+2)_k
+  and twice H^(s+1)_k and whose interior is H^(s+2)_(k-1), gives
+  H^(s)_(k+1) = (H^(s)_k H^(s+2)_k - (H^(s+1)_k)^2) / H^(s+2)_(k-1),
+  from H^(s)_0 = 1 and H^(s)_1 = B_s.  So the column B_s(x) ..
+  B_(s+2K-2)(x) gives H^(s)_1(x) .. H^(s)_K(x) in O(K^2) operations.  Every
+  quotient is an integer determinant, and its divisor H^(s+2)_(k-1)(x) is
+  positive by the next bullet; every division is checked (InexactDivision)
+  and every value <= 0 raises RouteMismatch, with no fallback.
 * Positivity.  B_m(x) = e^x x^(2m) k_m(x), k_0 = e^(-r), k_{m+1} =
   -(1/r) k_m', so k_m(r) = int_0^inf (2t)^m e^(-r^2 t) g(t) dt with
   g(t) = e^(-1/(4t)) / sqrt(4 pi t^3) > 0.  Thus [B_{i+j+s}(x)] =
   e^x x^(2s) D M D with D = diag(x^(2i)) and M the moment matrix of
   dmu = (2t)^s e^(-x^2 t) g(t) dt, positive definite since u^T M u =
-  int (sum_i u_i (2t)^i)^2 dmu > 0 for u != 0.  So for x > 0 every pivot,
-  a leading minor, is positive; one <= 0 raises RouteMismatch, with no
-  fallback.
-* Pivot rows.  Row k of the elimination at x, reduced by the pivots before
-  it, holds a_kj for j >= k: the minor on rows 0..k and columns 0..k-1, j,
+  int (sum_i u_i (2t)^i)^2 dmu > 0 for u != 0.  So for x > 0 and every
+  s >= 0, every H^(s)_k(x) and every pivot, a leading minor, is positive;
+  one <= 0 raises RouteMismatch, with no fallback.
+* Pivot rows.  Only the bordered and unit kinds eliminate: row k of the
+  elimination of the offset-1 matrix at x, reduced by the pivots before it,
+  holds a_kj for j >= k: the minor on rows 0..k and columns 0..k-1, j,
   so a_kk is the leading minor of size k+1.  `_bordered_value` reduces one
   more row, a border, through rows 0..m-1 by the same Bareiss update
   r_j <- (a_kk r_j - r_k a_kj) / a_{k-1,k-1}, with a_{-1,-1} = 1.  After
@@ -52,7 +74,8 @@ every entry below the one asked for, so callers ask largest first.
 * Bordered values.  At each x, one elimination of [B_{i+j+1}(x) / x] of
   size P + 1 gives pivot rows that reduce every border xi_p(x) / x, p <= P,
   to q_p(x).  The offset-2 table, which the equality campaign compares
-  with D_p, shares only theta_m(x) and the interpolation with it.
+  with D_p, comes from the recurrence, a different algorithm; the two
+  share only theta_m(x) and the interpolation.
 * Unit numerators.  y_i is the cofactor (0, i) of H = [B_{i+j}]_{i,j<=p},
   the determinant of H with row 0 replaced by e_i.  Rows 1..p of H are the
   offset-1 rows, and moving e_i from row 0 to below them takes p
@@ -224,29 +247,30 @@ def _bareiss_row(row: list, top: list, shift: int, fac: int, pivot: int,
         row[j] = q
 
 
-def _pivot_rows(x: int, size: int, offset: int) -> list:
-    """The pivot rows of one fraction-free elimination at x; t_m = theta_m(x).
-    Row k keeps its columns k..size-1 (the matrix is symmetric), reduced by
-    the pivots before it, so its first entry is q_{k+1}(x) = H_{k+1}(x) / x^v.
-    At offset 0 row 0 is [1], the corner B_0, and the rest eliminate the
-    complement; at offset s >= 1 row i is [B_{i+j+s}(x) / x]."""
-    t = _theta_values(x, 2 * (size - 1) + offset - 1)
-    if offset:
-        t = t[offset - 1:]
-        a = [t[2 * i:i + size] for i in range(size)]
-    else:
-        a = [[t[i + j + 1] - x * t[i] * t[j] for j in range(i, size - 1)]
-             for i in range(size - 1)]
+def _exact(a: int, b: int, x: int) -> int:
+    """a / b, from the values at x; InexactDivision unless b divides a."""
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivision(f"division by {b} at x={x} is inexact")
+    return q
+
+
+def _pivot_rows(x: int, size: int) -> list:
+    """The pivot rows of one fraction-free elimination of the offset-1
+    matrix [B_{i+j+1}(x) / x] = [theta_{i+j}(x)].  Row k keeps its columns
+    k..size-1 (the matrix is symmetric), reduced by the pivots before it,
+    so its first entry is H^(1)_{k+1}(x) / x^(k+1)."""
+    t = _theta_values(x, 2 * size - 2)
+    a = [t[2 * i:i + size] for i in range(size)]
     prev = 1
     for k, top in enumerate(a):
         pivot = top[0]
         if pivot <= 0:
-            raise RouteMismatch(f"Hankel pivot {k + 1 + (not offset)} at offset {offset} "
-                                f"is {pivot} at x={x}")
-        for i in range(k + 1, len(a)):
+            raise RouteMismatch(f"Hankel pivot {k + 1} at offset 1 is {pivot} at x={x}")
+        for i in range(k + 1, size):
             _bareiss_row(a[i], top, i - k, top[i - k], pivot, prev, x)
         prev = pivot
-    return a if offset else [[1]] + a
+    return a
 
 
 def _bordered_value(rows: list, border: list, x: int) -> int:
@@ -272,7 +296,7 @@ def _valuation_and_points(kind, k: int) -> tuple:
     elif isinstance(kind, tuple):
         v, degree = kind[1], kind[1] ** 2 + k
     else:
-        v, degree = (k if kind == 0 else k + 1), (k + 1) * (k + kind)
+        v, degree = (k if kind == 0 else k + 1), (k + 1) * (k + 2 * kind) // 2
     return v, degree - v + 1
 
 
@@ -280,14 +304,9 @@ def _interpolate(values: list, valuation: int) -> IntPoly:
     """R^valuation q, q the integer polynomial of degree < len(values) with
     q(x) = values[x - 1]: q = sum_j (Delta^j q(1) / j!) (x-1)...(x-j), by
     Horner in that basis."""
-    diffs = list(values)
-    newton = []
-    fact = 1
+    diffs, newton, fact = values, [], 1
     for j in range(len(values)):
-        c, r = divmod(diffs[0], fact)
-        if r:
-            raise InexactDivision(f"difference {j} at x=1 is not divisible by {j}!")
-        newton.append(c)
+        newton.append(_exact(diffs[0], fact, 1))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         fact *= j + 1
     coeffs = [newton[-1]]
@@ -320,12 +339,23 @@ def _border_values(x: int, p: int, theta: list, squares: list, weights: list) ->
 
 def _point_values(kind, count: int):
     """The values at one point of the table `kind` with `count` entries:
-    at(x, low) gives entries low..count-1 at x divided by their R^v, the
-    pivots of one elimination or, for "bordered", the borders reduced
-    through the offset-1 pivot rows, or for ("unit", p) the borders
-    (-1)^p e_i, i = p..0."""
+    at(x, low) gives entries low..count-1 at x divided by their R^v: at an
+    offset, the first entries of the levels of the Desnanot-Jacobi
+    recurrence, where level k holds H^(offset+t)_k(x); for "bordered", the
+    borders reduced through the offset-1 pivot rows, or for ("unit", p)
+    the borders (-1)^p e_i, i = p..0."""
     if isinstance(kind, int):
-        return lambda x, low: [row[0] for row in _pivot_rows(x, count, kind)[low:]]
+        def at(x, low):
+            col = [1] + [x * t for t in _theta_values(x, kind + 2 * count - 3)]
+            prev, cur, values = [1] * len(col), col[kind:], []
+            for k in range(1, count + 1):
+                if min(cur) <= 0:
+                    raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
+                values.append(_exact(cur[0], x ** (k - (kind == 0)), x))
+                prev, cur = cur, [_exact(a * c - b * b, d, x)
+                                  for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
+            return values[low:]
+        return at
     if kind == "bordered":
         weights = [_tail_weights(b) for b in range(count)]
 
@@ -341,7 +371,7 @@ def _point_values(kind, count: int):
             return units[low:]
 
     def at(x, low):
-        rows = _pivot_rows(x, count, 1)
+        rows = _pivot_rows(x, count)
         return [_bordered_value(rows, border, x) for border in borders(x, low)]
     return at
 

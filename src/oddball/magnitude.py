@@ -406,11 +406,12 @@ def determinantal_identity_check(p: int) -> bool:
 # closed-form integral identity, quadrature cross-check
 # ---------------------------------------------------------------------------
 
-def verify_integral_lemma(i: int, b: int, radius, prec_bits: int = DEFAULT_PRECISION) -> bool:
+def verify_integral_lemma(i: int, b: int, radius) -> bool:
     """Check int_R^inf e^(-r) B_i(r) r^(2b) dr against its closed form.
 
-    Left side: adaptive quadrature on [R, R + 180] at the working precision;
-    the discarded tail is bounded analytically and must be negligible.
+    Left side: adaptive quadrature on [R, R + 180] at DEFAULT_PRECISION bits
+    and a guard; the discarded tail is bounded analytically and must be
+    negligible.
     Right side: e^(-R) _lemma_tail(i, b)(R) / R, the rational part
     evaluated exactly and converted once.
     """
@@ -421,7 +422,7 @@ def verify_integral_lemma(i: int, b: int, radius, prec_bits: int = DEFAULT_PRECI
 
     integrand_coeffs = reverse_bessel(i).poly(i).shift(2 * b).coeffs  # all nonnegative
     guard = 64
-    with mpmath.workprec(prec_bits + guard):
+    with mpmath.workprec(DEFAULT_PRECISION + guard):
         rv = mpmath.mpf(radius.numerator) / radius.denominator
         rhs = mpmath.exp(-rv) * mpmath.mpf(rhs_rational.numerator) / rhs_rational.denominator
 

@@ -125,12 +125,9 @@ def boundary_limit_derivative(n: int) -> RatFunc:
     return RatFunc(num, den)
 
 
-def verify_limit_derivative(n: int, radius) -> bool:
+def verify_limit_derivative(pot: Potential) -> bool:
     """Differentiate the exterior p+1 times and compare with the closed form."""
-    radius = positive_radius(radius)
-    pot = build_potential(n, radius)
     g = pot.exterior
     for _ in range(pot.p + 1):
         g = g.diff()
-    direct = g.laurent_at(radius)
-    return direct == boundary_limit_derivative(n)(radius)
+    return g.laurent_at(pot.radius) == boundary_limit_derivative(pot.n)(pot.radius)

@@ -101,7 +101,7 @@ def test_criterion_5_potential_verification():
                 pot = build_potential(n, radius)
                 assert verify_boundary_conditions(pot), (n, radius)
                 assert verify_annihilation(pot), (n, radius)
-                assert verify_limit_derivative(n, radius), (n, radius)
+                assert verify_limit_derivative(pot), (n, radius)
 
 
 def test_criterion_6_oracle_pairs():
@@ -128,7 +128,7 @@ def test_criterion_7_integral_lemma():
         for i in range(5):
             for b in range(4):
                 for radius in (Fraction(1), Fraction(3, 2), Fraction(3)):
-                    assert verify_integral_lemma(i, b, radius, prec_bits=128), (i, b, radius)
+                    assert verify_integral_lemma(i, b, radius), (i, b, radius)
 
 
 def test_criterion_8_observation():

@@ -158,8 +158,8 @@ class TestEvaluationInterpolation:
         clear_hankel_cache()
 
     def test_degree(self, reference):
-        # deg H^(s)_k = k(k-1)/2 + ks (proof in ROADMAP item 1); the engine
-        # still takes its points from the looser k(k-1) + ks
+        # deg H^(s)_k = k(k-1)/2 + ks (proof in the hankel docstring), the
+        # bound the engine takes its points from, is attained
         for k, s in sorted(reference, reverse=True):
             det = hankel_det(k, s)
             assert det == reference[k, s]
@@ -206,6 +206,8 @@ class TestEvaluationInterpolation:
         assert calls == []
 
     def test_desnanot_jacobi(self):
+        # the engine's own recurrence restated on the polynomials: a
+        # consistency check, not an oracle (det_bareiss is the oracle)
         for s in self.OFFSETS:
             for k in range(2, self.MAX_SIZE + 1):
                 lhs = hankel_det(k, s) * hankel_det(k - 2, s + 2)
@@ -214,10 +216,10 @@ class TestEvaluationInterpolation:
                 assert lhs == rhs, (k, s)
 
     def test_points_cover_the_degree_bound(self, reference):
-        # every permutation term of det [B_{i+j+s}] has degree k(k-1) + ks
+        # deg H^(s)_k <= k(k-1)/2 + ks, proved in the hankel docstring
         for (k, s), det in reference.items():
             v, count = hankel._valuation_and_points(s, k - 1)
-            assert v + count - 1 == k * (k - 1) + k * s
+            assert v + count - 1 == k * (k - 1) // 2 + k * s
             assert v == (k - 1 if s == 0 else k)
             assert det.valuation() >= v and det.degree <= v + count - 1
 
@@ -232,6 +234,18 @@ class TestEvaluationInterpolation:
                 v, count = hankel._valuation_and_points(("unit", p), p - i)
                 assert v + count - 1 == p * (p + 1) - i
                 assert num.valuation() >= v and num.degree <= v + count - 1, (p, i)
+
+    def test_runs_no_elimination(self, reference, monkeypatch):
+        # every offset comes from the Desnanot-Jacobi recurrence alone; the
+        # pivot rows serve only the bordered and unit kinds
+        def refuse(*args):
+            raise AssertionError("Hankel tables must not eliminate")
+
+        monkeypatch.setattr(hankel, "_pivot_rows", refuse)
+        monkeypatch.setattr(hankel, "_bareiss_row", refuse)
+        for s in self.OFFSETS:
+            for k in range(10, 0, -1):
+                assert hankel_det(k, s) == reference[k, s], (k, s)
 
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_each_size_at_its_own_points(self, monkeypatch, s):
@@ -252,7 +266,7 @@ class TestEvaluationInterpolation:
         def corrupted(x, top):
             values = real(x, top)
             if x == 3:
-                values[1] = 0  # H_2(3) / 3 = theta_1 - 3 theta_0^2 becomes -3
+                values[1] = 0  # B_2(3) = 3 theta_1 becomes 0, and H_2(3) = -9
             return values
 
         monkeypatch.setattr(hankel, "_theta_values", corrupted)

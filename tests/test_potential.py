@@ -126,9 +126,8 @@ class TestLimitDerivative:
             boundary_limit_derivative(6)
 
     def test_direct_differentiation_agrees(self):
-        assert verify_limit_derivative(3, 1)
-        assert verify_limit_derivative(1, 5)
-        assert verify_limit_derivative(7, 2)
+        for n, radius in ((3, 1), (1, 5), (7, 2)):
+            assert verify_limit_derivative(build_potential(n, radius)), (n, radius)
 
     def test_three_ball_value(self):
         # both routes give -3 at radius 1

@@ -2,21 +2,23 @@
 of the det route, and exact linear algebra.
 
 Every determinant table is filled by kind, and held in one store,
-`_TABLES`, or, for the unit kind, in `unit_solution`'s cache:
+`_TABLES`, keyed by offset or "bordered", or, for the unit kind, in
+`unit_solution`'s cache:
 
-* an integer offset s: H_1 .. H_K, with H_k = det [B_{i+j+s}]_{i,j<k} over
-  Z[R], read through `hankel_det(k, s)`;
+* a set of offsets, one table per offset s: H_1 .. H_K, with H_k =
+  det [B_{i+j+s}]_{i,j<k} over Z[R], read through `hankel_det(k, s)`; a
+  lone `hankel_det` fills the one-offset set;
 * "bordered": D_0 .. D_{K-1}, with D_p the determinant of the rows
   B_{i+j+1} (i < p, j <= p) over the border row xi_{p,j} of the det route
   (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`;
 * ("unit", p): y_p .. y_0, the numerators of [B_{i+j}]_{i,j<=p} y = e_0 by
   Cramer's rule, read through `unit_solution(p)` over hankel_det(p+1, 0).
 
-One loop, `_fill`, computes a table by evaluation at integer points and
-interpolation, with no polynomial product or division.  Entry k is R^v q
-with deg q < N (`_valuation_and_points`), so x = 1..N give q, and Newton
-interpolation, each Delta^j / j! checked exact, rebuilds it.  A miss fills
-every entry below the one asked for, so callers ask largest first.
+One loop, `_fill`, computes the tables of a kind by evaluation at integer
+points and interpolation, with no polynomial product or division.  Entry k
+is R^v q with deg q < N (`_valuation_and_points`), so x = 1..N give q, and
+Newton interpolation, each Delta^j / j! checked exact, rebuilds it.  A miss
+fills every entry below the one asked for, so callers ask largest first.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -42,11 +44,16 @@ every entry below the one asked for, so callers ask largest first.
   matrix of size k+1, whose corner minors of size k are H^(s)_k, H^(s+2)_k
   and twice H^(s+1)_k and whose interior is H^(s+2)_(k-1), gives
   H^(s)_(k+1) = (H^(s)_k H^(s+2)_k - (H^(s+1)_k)^2) / H^(s+2)_(k-1),
-  from H^(s)_0 = 1 and H^(s)_1 = B_s.  So the column B_s(x) ..
-  B_(s+2K-2)(x) gives H^(s)_1(x) .. H^(s)_K(x) in O(K^2) operations.  Every
-  quotient is an integer determinant, and its divisor H^(s+2)_(k-1)(x) is
-  positive by the next bullet; every division is checked (InexactDivision)
-  and every value <= 0 raises RouteMismatch, with no fallback.
+  from H^(s)_0 = 1 and H^(s)_1 = B_s.  So the column B_lo(x) ..
+  B_(hi+2K-2)(x) gives, at level k, H^(s)_k(x) for every s from lo up to
+  hi + 2(K-k), in O(K (K + hi - lo)) operations: one pass per point serves
+  every offset of a set from lo to hi.  Each offset's entries are recorded
+  only at their own points, and the column starts at the least offset
+  that still needs the point; offsets between those named run in the
+  recurrence but are not interpolated.  Every quotient is an integer
+  determinant, and its divisor H^(s+2)_(k-1)(x) is positive by the next
+  bullet; every division is checked (InexactDivision) and every level
+  value <= 0 raises RouteMismatch, with no fallback.
 * Positivity.  B_m(x) = e^x x^(2m) k_m(x), k_0 = e^(-r), k_{m+1} =
   -(1/r) k_m', so k_m(r) = int_0^inf (2t)^m e^(-r^2 t) g(t) dt with
   g(t) = e^(-1/(4t)) / sqrt(4 pi t^3) > 0.  Thus [B_{i+j+s}(x)] =
@@ -99,6 +106,7 @@ for `det_bareiss`.  `PolyMatrix` and `build_hankel` build their input.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 from .bessel import BesselTable, reverse_bessel
@@ -338,23 +346,30 @@ def _border_values(x: int, p: int, theta: list, squares: list, weights: list) ->
 
 
 def _point_values(kind, count: int):
-    """The values at one point of the table `kind` with `count` entries:
-    at(x, low) gives entries low..count-1 at x divided by their R^v: at an
-    offset, the first entries of the levels of the Desnanot-Jacobi
-    recurrence, where level k holds H^(offset+t)_k(x); for "bordered", the
-    borders reduced through the offset-1 pivot rows, or for ("unit", p)
-    the borders (-1)^p e_i, i = p..0."""
-    if isinstance(kind, int):
-        def at(x, low):
-            col = [1] + [x * t for t in _theta_values(x, kind + 2 * count - 3)]
-            prev, cur, values = [1] * len(col), col[kind:], []
+    """The values at one point of the tables `kind` fills, `count` entries
+    each: at(x, lows) gives, for each key of lows, that table's entries
+    lows[key]..count-1 at x divided by their R^v.  For a set of offsets, the
+    first entries of the levels of one Desnanot-Jacobi recurrence, where
+    level k holds H^(s)_k(x) for every s from the least key of lows up; for
+    "bordered", the borders reduced through the offset-1 pivot rows, or for
+    ("unit", p) the borders (-1)^p e_i, i = p..0."""
+    if isinstance(kind, frozenset):
+        top = max(kind) + 2 * count - 2  # the column B_lo(x) .. B_top(x)
+
+        def at(x, lows):
+            lo = min(lows)
+            cur = ([1] + [x * t for t in _theta_values(x, top - 1)])[lo:]
+            prev, values = [1] * len(cur), {s: [] for s in lows}
             for k in range(1, count + 1):
+                if k > 1:
+                    prev, cur = cur, [_exact(a * c - b * b, d, x)
+                                      for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
                 if min(cur) <= 0:
                     raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
-                values.append(_exact(cur[0], x ** (k - (kind == 0)), x))
-                prev, cur = cur, [_exact(a * c - b * b, d, x)
-                                  for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
-            return values[low:]
+                for s, low in lows.items():
+                    if k > low:
+                        values[s].append(_exact(cur[s - lo], x ** (k - (s == 0)), x))
+            return values
         return at
     if kind == "bordered":
         weights = [_tail_weights(b) for b in range(count)]
@@ -370,44 +385,52 @@ def _point_values(kind, count: int):
         def borders(x, low):
             return units[low:]
 
-    def at(x, low):
+    def at(x, lows):
         rows = _pivot_rows(x, count)
-        return [_bordered_value(rows, border, x) for border in borders(x, low)]
+        return {kind: [_bordered_value(rows, border, x) for border in borders(x, lows[kind])]}
     return at
 
 
-def _fill(kind, count: int) -> tuple:
-    """Entries 0..count-1 of the table `kind`; entry k is evaluated only at
-    its own N_k points, which grow with k."""
-    needs = [_valuation_and_points(kind, k) for k in range(count)]
-    values = [[] for _ in needs]
+def _fill(kind, count: int) -> dict:
+    """Entries 0..count-1 of each table that `kind` names, as {key: table}:
+    a frozenset of offsets, filled by one pass and keyed by offset,
+    "bordered" or ("unit", p).  Entry k of each table is evaluated only at
+    its own N_k points, which grow with k, and only the tables named are
+    interpolated."""
+    keys = sorted(kind) if isinstance(kind, frozenset) else [kind]
+    needs = {key: [_valuation_and_points(key, k) for k in range(count)] for key in keys}
+    points = {key: [n for _, n in need] for key, need in needs.items()}
+    values = {key: [[] for _ in range(count)] for key in keys}
     at = _point_values(kind, count)
-    low = 0
-    for x in range(1, needs[-1][1] + 1):
-        while needs[low][1] < x:
-            low += 1
-        for vals, value in zip(values[low:], at(x, low)):
-            vals.append(value)
-    return tuple(_interpolate(vals, v) for (v, _), vals in zip(needs, values))
+    for x in range(1, max(n[-1] for n in points.values()) + 1):
+        lows = {key: bisect_left(n, x) for key, n in points.items() if n[-1] >= x}
+        for key, entries in at(x, lows).items():
+            for vals, value in zip(values[key][lows[key]:], entries):
+                vals.append(value)
+    return {key: tuple(_interpolate(vals, v) for (v, _), vals in zip(needs[key], values[key]))
+            for key in keys}
 
 
-# kind -> entries 0..K-1 of that table, for the largest K computed
+# key, an offset or "bordered" -> entries 0..K-1 of that table, for the
+# largest K computed
 _TABLES: dict = {}
 
 
-def _table(kind, count: int) -> tuple:
-    """The table `kind` with at least `count` entries; a miss fills it."""
-    dets = _TABLES.get(kind, ())
-    if len(dets) < count:
-        dets = _TABLES[kind] = _fill(kind, count)
-    return dets
+def _table(key, count: int) -> tuple:
+    """The table `key` with at least `count` entries; a miss fills it, an
+    offset as the one-offset set."""
+    if len(_TABLES.get(key, ())) < count:
+        _TABLES.update(_fill(frozenset([key]) if isinstance(key, int) else key, count))
+    return _TABLES[key]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: hankel_det(2.0, 0) must miss, and be refused
 def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
-    determinant, which is 1 by convention.  A miss computes every size up
-    to this one at the offset, so callers ask for their largest size first."""
+    determinant, which is 1 by convention.  A miss that the held table does
+    not cover computes every size up to this one at the offset, by the
+    one-offset pass, so callers ask for their largest size first; a
+    campaign fills all its offsets in one pass beforehand."""
     at_least("offset", offset, 0)
     if at_least("size", size, 0) == 0:
         return IntPoly.one()
@@ -466,7 +489,8 @@ def unit_solution(p: int) -> tuple:
     """The solution of [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule: the
     numerators from the ("unit", p) table over hankel_det(p+1, 0), with the
     residual checked symbolically against the reverse Bessel polynomials."""
-    nums = _fill(("unit", at_least("p", p, 0)), p + 1)[::-1]
+    kind = ("unit", at_least("p", p, 0))
+    nums = _fill(kind, p + 1)[kind][::-1]
     d = hankel_det(p + 1, 0)
     b = reverse_bessel(2 * p).polys
     _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, d)

@@ -21,11 +21,13 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 The det = hankel, boundary = det = hankel and derivative campaigns share one
 comparison loop: a job per odd n computes the values that must be equal, and
 the loop compares them in the calling process, also when the jobs ran in a
-worker pool.  With a pool, the determinant tables the jobs read are first
-computed once each, one pool task per table, and held by the calling
-process.  The derivative campaign's job pool starts holding them; the
-equality campaign's jobs, a few reductions each once the tables are held,
-run in the calling process.  No table is computed twice.
+worker pool.  First the determinant tables the jobs read are computed once
+and held by the calling process: every offset the campaign names in one
+Desnanot-Jacobi pass, and the bordered determinants in another.  With a
+pool, each pass is one pool task.  The derivative campaign's job pool
+starts holding the tables; the equality campaign's jobs, a few reductions
+each once the tables are held, run in the calling process.  No table is
+computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -296,22 +298,25 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
            pool_jobs: bool = True) -> CampaignReport:
     """Run job on every odd n <= max_n and raise failure(n, ...) in this
     process unless all the values it returns are equal; each entry keeps
-    the first value.  The largest n goes first: its determinants fill the
-    tables for every smaller n, and in a pool the slowest job starts first.
-    A pool first computes the determinant tables that the jobs read, named
-    by kind (see `hankel`) and costliest first, one task each.  The jobs
-    then read the held tables, so none computes a determinant; they run in
-    a second pool whose workers start holding them, or here when
+    the first value.  First the determinant tables that the jobs read,
+    named by key (an offset or "bordered", see `hankel`), are filled: the
+    bordered determinants, then every offset in one pass.  With a pool and
+    two n or more, each of these fills is one pool task; else they run
+    here.  The jobs then read the held tables.  They run largest n first,
+    so that in a pool the slowest job starts first, in a second pool whose
+    workers start holding the tables, or here when there is no pool or
     `pool_jobs` is false."""
     p = odd_dimension(max_n)
     ns = list(range(max_n, 0, -2))
-    if jobs > 1 and len(ns) > 1:
-        missing = [kind for kind in tables if len(_TABLES.get(kind, ())) <= p]
-        _install(dict(zip(missing, _pool_map(partial(_fill, count=p + 1), missing, jobs))))
-        if not pool_jobs:
-            jobs = 1
+    if len(ns) < 2:
+        jobs = 1
+    missing = [key for key in tables if len(_TABLES.get(key, ())) <= p]
+    offsets = frozenset(key for key in missing if isinstance(key, int))
+    kinds = [key for key in missing if not isinstance(key, int)] + ([offsets] if offsets else [])
+    for filled in _pool_map(partial(_fill, count=p + 1), kinds, jobs):
+        _install(filled)
     entries = []
-    for n, values, millis in _run_jobs(job, ns, jobs):
+    for n, values, millis in _run_jobs(job, ns, jobs if pool_jobs else 1):
         first, *rest = values.values()
         if any(v != first for v in rest):
             raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
@@ -336,7 +341,7 @@ def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
 def verify_triple_route(max_n: int) -> CampaignReport:
     """Check boundary route == det route == hankel route, as rational
     functions, for every odd n <= max_n."""
-    return _sweep(max_n, _triple_job, Disagreement)
+    return _sweep(max_n, _triple_job, Disagreement, 1, ("bordered", 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -560,11 +560,28 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def derivative(self) -> "RatFunc":
-        """Exact d/dR by the quotient rule, reduced."""
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """Exact d/dR by the quotient rule, (a'b - ab') / b^2 for a/b,
+        reduced through g = gcd(b, b') rather than a gcd with b^2.
+
+        If q^e exactly divides b (q irreducible, e >= 1), then b = q^e c and
+        a'b - ab' = q^(e-1) (a'qc - a(e q'c + qc')).  The bracket is
+        -e a q' c mod q, nonzero since q divides none of a (a/b is
+        reduced), q' (characteristic 0) and c; likewise q^(e-1) exactly
+        divides b'.  So over Q[R] the gcd of a'b - ab' and b^2 is gcd(b,
+        b'), and after dividing both by its primitive part g, checked
+        exact, they are coprime over Q[R]: by Gauss's lemma only the gcd
+        of their contents is left to cancel."""
+        a, b = self.num, self.den
+        num = a.derivative() * b - a * b.derivative()
+        if num.is_zero:
+            return RatFunc._raw(num, IntPoly.one())
+        g = poly_gcd(b, b.derivative()).primitive()
+        num, den = num.divexact(g), b.divexact(g) * b
+        c = math.gcd(num.content(), den.content())
+        if c > 1:
+            num = IntPoly._raw(tuple(x // c for x in num.coeffs))
+            den = IntPoly._raw(tuple(x // c for x in den.coeffs))
+        return RatFunc._raw(num, den)
 
     def __call__(self, x) -> Fraction:
         d = self.den(x)

@@ -236,8 +236,9 @@ class TestEvaluationInterpolation:
                 assert num.valuation() >= v and num.degree <= v + count - 1, (p, i)
 
     def test_runs_no_elimination(self, reference, monkeypatch):
-        # every offset comes from the Desnanot-Jacobi recurrence alone; the
-        # pivot rows serve only the bordered and unit kinds
+        # every offset comes from the Desnanot-Jacobi recurrence alone, one
+        # at a time or all in one pass; the pivot rows serve only the
+        # bordered and unit kinds
         def refuse(*args):
             raise AssertionError("Hankel tables must not eliminate")
 
@@ -246,6 +247,11 @@ class TestEvaluationInterpolation:
         for s in self.OFFSETS:
             for k in range(10, 0, -1):
                 assert hankel_det(k, s) == reference[k, s], (k, s)
+        tables = hankel._fill(frozenset(self.OFFSETS), 10)
+        assert sorted(tables) == list(self.OFFSETS)
+        for s in self.OFFSETS:
+            for k in range(1, 11):
+                assert tables[s][k - 1] == reference[k, s], (k, s)
 
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_each_size_at_its_own_points(self, monkeypatch, s):
@@ -257,8 +263,31 @@ class TestEvaluationInterpolation:
             return real(values, v)
 
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
-        hankel._fill(s, 8)
+        hankel_det(8, s)  # a lone offset: the one-offset pass, interpolating only offset s
         assert interpolated == [hankel._valuation_and_points(s, k)[::-1] for k in range(8)]
+
+    def test_one_pass_at_the_points_of_the_largest_offset(self, monkeypatch):
+        # offsets 0 and 2 share one theta column per point, x = 1..N for
+        # offset 2's largest entry; offset 1 runs in the recurrence but is
+        # not interpolated, and each entry is interpolated from its own points
+        points, interpolated = [], []
+        real_theta, real_interpolate = hankel._theta_values, hankel._interpolate
+
+        def theta(x, top):
+            points.append(x)
+            return real_theta(x, top)
+
+        def interpolate(values, v):
+            interpolated.append((len(values), v))
+            return real_interpolate(values, v)
+
+        monkeypatch.setattr(hankel, "_theta_values", theta)
+        monkeypatch.setattr(hankel, "_interpolate", interpolate)
+        tables = hankel._fill(frozenset({0, 2}), 8)
+        assert sorted(tables) == [0, 2]
+        assert points == list(range(1, hankel._valuation_and_points(2, 7)[1] + 1))
+        assert interpolated == [hankel._valuation_and_points(s, k)[::-1]
+                                for s in (0, 2) for k in range(8)]
 
     def test_nonpositive_pivot_is_fatal(self, monkeypatch):
         real = hankel._theta_values
@@ -330,8 +359,10 @@ class TestSolve:
         real = hankel._fill
 
         def corrupted(kind, count):
-            table = real(kind, count)
-            return (table[0] + IntPoly.one(),) + table[1:] if kind == ("unit", 3) else table
+            tables = real(kind, count)
+            if kind == ("unit", 3):
+                tables[kind] = (tables[kind][0] + IntPoly.one(),) + tables[kind][1:]
+            return tables
 
         monkeypatch.setattr(hankel, "_fill", corrupted)
         clear_hankel_cache()

@@ -307,7 +307,59 @@ class TestCampaignPool:
         held = hankel._TABLES
         for kind in kinds:
             assert len(held[kind]) >= 5, kind
-            assert held[kind][:5] == hankel._fill(kind, 5), kind
+            alone = frozenset([kind]) if isinstance(kind, int) else kind
+            assert held[kind][:5] == hankel._fill(alone, 5)[kind], kind
+
+    @pytest.mark.parametrize("campaign, fills", [
+        (verify_formula_equality, ["bordered", frozenset({0, 2})]),
+        (verify_derivative_conjecture, [frozenset({0, 1, 2})]),
+        (verify_triple_route, ["bordered", frozenset({0, 2})]),
+    ])
+    def test_tables_filled_up_front_in_one_pass(self, monkeypatch, campaign, fills):
+        # each campaign fills the tables it names before its first job, the
+        # offsets together, and no job fills one lazily
+        calls = []
+        real = hankel._fill
+
+        def recording(kind, count):
+            calls.append((kind, count))
+            return real(kind, count)
+
+        monkeypatch.setattr(hankel, "_fill", recording)
+        monkeypatch.setattr(mag, "_fill", recording)
+        campaign(9)
+        assert [(kind, count) for kind, count in calls
+                if not isinstance(kind, tuple)] == [(kind, 5) for kind in fills]
+
+    @pytest.mark.parametrize("campaign, tasks", [
+        (verify_formula_equality, ["bordered", frozenset({0, 2})]),
+        (verify_derivative_conjecture, [frozenset({0, 1, 2})]),
+    ])
+    def test_pool_fills_the_offsets_as_one_task(self, monkeypatch, campaign, tasks):
+        maps = []
+        real = mag._pool_map
+
+        def recording(fn, items, jobs):
+            maps.append((list(items), jobs))
+            return real(fn, items, jobs)
+
+        monkeypatch.setattr(mag, "_pool_map", recording)
+        campaign(9, jobs=2)
+        assert maps[0] == (tasks, 2)
+
+    def test_derivative_campaign_runs_one_pass(self, monkeypatch):
+        # offsets 0, 1 and 2 share one theta column per point, x = 1..N for
+        # offset 2's largest entry, where a fill per offset takes one each
+        points = []
+        real = hankel._theta_values
+
+        def theta(x, top):
+            points.append(x)
+            return real(x, top)
+
+        monkeypatch.setattr(hankel, "_theta_values", theta)
+        verify_derivative_conjecture(9, jobs=1)
+        assert points == list(range(1, hankel._valuation_and_points(2, 4)[1] + 1))
 
     @pytest.mark.parametrize("campaign, job_pool", [
         (verify_formula_equality, False),
@@ -341,12 +393,12 @@ class TestCampaignPool:
 
     def test_job_workers_start_holding_the_tables(self):
         # forked workers inherit them; spawned ones get them from the initializer
-        mag._install({kind: hankel._fill(kind, 3) for kind in ("bordered", 0)})
+        mag._install({**hankel._fill("bordered", 3), **hankel._fill(frozenset({0}), 3)})
         for n, held, _ in mag._run_jobs(_held_lengths, [3, 1], 2):
             assert held["bordered"] == 3 and held[0] == 3, n
 
     def test_installed_tables_compute_no_determinant(self, monkeypatch):
-        tables = {kind: hankel._fill(kind, 5) for kind in ("bordered", 0, 1, 2)}
+        tables = {**hankel._fill("bordered", 5), **hankel._fill(frozenset({0, 1, 2}), 5)}
         want = {job: job(9)[1] for job in (mag._equality_job, mag._derivative_job)}
         clear_hankel_cache()
         mag._install(tables)

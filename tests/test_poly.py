@@ -127,6 +127,18 @@ def _polys(min_len, max_len, bits=80):
 
 
 _SCHOOLBOOK = _polys(1, 30)  # at most 900 coefficient products
+
+
+@st.composite
+def _denominators(draw):
+    """A nonzero constant, or c R^v q^e r with e >= 2: a repeated factor
+    q other than R, so that gcd(b, b') goes through the PRS."""
+    c = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    if draw(st.integers(0, 4)) == 0:
+        return IntPoly.const(c)
+    factor = _polys(2, 4, bits=12).filter(lambda q: q.constant_term != 0)
+    den = (c * draw(factor) ** draw(st.integers(2, 3))).shift(draw(st.integers(0, 4)))
+    return den * draw(factor | st.just(IntPoly.one()))
 _KRONECKER = _polys(33, 60)  # at least 1089
 
 
@@ -171,6 +183,20 @@ class TestProperties:
             got = poly_gcd(a, b)
         assert got.coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
         assert prs.called  # the common factor g defeats the modular fast path
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_polys(1, 8, bits=30) | st.integers(-50, 50).map(IntPoly.const), _denominators())
+    def test_derivative_matches_the_generic_reduction(self, a, b):
+        # d/dR reduces through gcd(b, b'); the oracle reduces the quotient
+        # rule's (a'b - ab') / b^2 by a full gcd with b^2
+        f = RatFunc(a, b)
+        want = RatFunc(f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den)
+        with mock.patch.object(poly, "_pseudo_rem_c", wraps=poly._pseudo_rem_c) as prs:
+            got = f.derivative()
+        assert got == want
+        g = poly_gcd(f.den, f.den.derivative())
+        if g.degree > g.valuation():  # a repeated factor other than R
+            assert prs.called
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(_polys(1, 12, bits=70) | st.just(IntPoly.zero()))

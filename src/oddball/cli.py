@@ -186,7 +186,7 @@ def _cmd_magnitude(args) -> int:
         records.append(_record(args.n, route, values[route], millis[route], agree, **extra))
     _emit_records(records, args.fmt)
     if radius is not None and args.fmt == "pretty":
-        print(f"value at R={args.radius}: {values[routes[0]](radius)}")
+        print(f"value at R={radius}: {values[routes[0]](radius)}")
     return 0 if agree else 1
 
 

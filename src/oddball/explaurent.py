@@ -8,7 +8,7 @@ lets every identity in this package be checked by exact coefficient
 arithmetic: the exponential factor is part of the type, never a number.
 
 Numeric evaluation (the only place floating point appears) goes through
-mpmath at a configurable mantissa size, 128 bits by default.
+mpmath at DEFAULT_PRECISION, 128 mantissa bits.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ class ExpLaurent:
             total += c * x ** k
         return total
 
-    def eval(self, at, prec_bits: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        """Numeric value e^(-at) * sum c_k at^k at the given precision."""
+    def eval(self, at) -> mpmath.mpf:
+        """Numeric value e^(-at) * sum c_k at^k at DEFAULT_PRECISION bits."""
         at = positive_radius(at)
-        with mpmath.workprec(prec_bits):
+        with mpmath.workprec(DEFAULT_PRECISION):
             x = mpmath.mpf(at.numerator) / at.denominator
             total = mpmath.mpf(0)
             for k, c in self.terms.items():

@@ -17,8 +17,10 @@ Every determinant table is filled by kind, and held in one store,
 One loop, `_fill`, computes the tables of a kind by evaluation at integer
 points and interpolation, with no polynomial product or division.  Entry k
 is R^v q with deg q < N (`_valuation_and_points`), so x = 1..N give q, and
-Newton interpolation, each Delta^j / j! checked exact, rebuilds it.  A miss
-fills every entry below the one asked for, so callers ask largest first.
+Newton interpolation, each Delta^j / j! checked exact, rebuilds it.
+`_hold` is the one way into the store: given the keys a caller reads and a
+count, it fills every table held shorter, entries 0..count-1, the offsets
+in one pass.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -107,7 +109,7 @@ for `det_bareiss`.  `PolyMatrix` and `build_hankel` build their input.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .bessel import BesselTable, reverse_bessel
 from .errors import (
@@ -416,12 +418,17 @@ def _fill(kind, count: int) -> dict:
 _TABLES: dict = {}
 
 
-def _table(key, count: int) -> tuple:
-    """The table `key` with at least `count` entries; a miss fills it, an
-    offset as the one-offset set."""
-    if len(_TABLES.get(key, ())) < count:
-        _TABLES.update(_fill(frozenset([key]) if isinstance(key, int) else key, count))
-    return _TABLES[key]
+def _hold(keys, count: int, run=map) -> None:
+    """Hold the tables `keys` names, each an offset or "bordered", with at
+    least `count` entries.  Those held shorter are filled by
+    run(fill, passes): each kind as its own pass, "bordered" first, then
+    every missing offset in one Desnanot-Jacobi pass."""
+    missing = [key for key in keys if len(_TABLES.get(key, ())) < count]
+    offsets = frozenset(key for key in missing if isinstance(key, int))
+    passes = [key for key in missing if not isinstance(key, int)] + ([offsets] if offsets else [])
+    if passes:
+        for filled in run(partial(_fill, count=count), passes):
+            _TABLES.update(filled)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: hankel_det(2.0, 0) must miss, and be refused
@@ -429,12 +436,13 @@ def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
     determinant, which is 1 by convention.  A miss that the held table does
     not cover computes every size up to this one at the offset, by the
-    one-offset pass, so callers ask for their largest size first; a
-    campaign fills all its offsets in one pass beforehand."""
+    one-offset pass; a caller that reads several offsets or sizes holds
+    them first with `_hold`."""
     at_least("offset", offset, 0)
     if at_least("size", size, 0) == 0:
         return IntPoly.one()
-    return _table(offset, size)[size - 1]
+    _hold((offset,), size)
+    return _TABLES[offset][size - 1]
 
 
 def clear_hankel_cache() -> None:

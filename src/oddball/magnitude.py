@@ -21,9 +21,9 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 The det = hankel, boundary = det = hankel and derivative campaigns share one
 comparison loop: a job per odd n computes the values that must be equal, and
 the loop compares them in the calling process, also when the jobs ran in a
-worker pool.  First the determinant tables the jobs read are computed once
-and held by the calling process: every offset the campaign names in one
-Desnanot-Jacobi pass, and the bordered determinants in another.  With a
+worker pool.  First `hankel._hold` computes the determinant tables the jobs
+read once, held by the calling process: every offset the campaign names in
+one Desnanot-Jacobi pass, and the bordered determinants in another.  With a
 pool, each pass is one pool task.  The derivative campaign's job pool
 starts holding the tables; the equality campaign's jobs, a few reductions
 each once the tables are held, run in the calling process.  No table is
@@ -54,13 +54,12 @@ from .errors import (
     IdentityFails,
     ObservationFails,
     QuadratureNonconvergence,
-    RouteMismatch,
     at_least,
     odd_dimension,
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
-from .hankel import _TABLES, _fill, _table, _tail_weights, hankel_det, unit_solution
+from .hankel import _TABLES, _hold, _tail_weights, hankel_det, unit_solution
 from .poly import IntPoly, RatFunc
 
 
@@ -90,8 +89,9 @@ def border_polys(p: int) -> tuple:
 
 def _bordered_det(p: int) -> IntPoly:
     """Determinant of the offset-1 Hankel rows stacked on the border row.  A
-    miss computes every p' <= p, so callers ask for their largest p first."""
-    return _table("bordered", at_least("p", p, 0) + 1)[p]
+    miss computes every p' <= p."""
+    _hold(("bordered",), at_least("p", p, 0) + 1)
+    return _TABLES["bordered"][p]
 
 
 def magnitude_det(n: int) -> RatFunc:
@@ -195,37 +195,28 @@ def magnitude_boundary(n: int) -> RatFunc:
 # derivative conjecture
 # ---------------------------------------------------------------------------
 
-def _square_times(f: RatFunc, power: int, divisor: int) -> RatFunc:
-    """f^2 R^power / divisor, reduced, for a reduced f and divisor > 0,
-    without a polynomial gcd.  Coprime a, b in Z[R] have coprime squares
-    (Gauss's lemma), so only a power of R and an integer can cancel: the
-    first from the valuation of b^2, the second from the content of a^2."""
+def _square_times(f: RatFunc, divisor: int) -> RatFunc:
+    """f^2 / divisor, reduced, for a reduced f and divisor > 0, without a
+    polynomial gcd.  Coprime a, b in Z[R] have coprime squares (Gauss's
+    lemma), so only an integer can cancel, from the content of a^2."""
     if f.is_zero:
         return f
     num = f.num * f.num
-    den = f.den * f.den
-    cut = min(power, den.valuation())
-    num = num.shift(power - cut)
-    den = den.shift_down(cut)
     g = math.gcd(num.content(), divisor)
-    return RatFunc._raw(IntPoly._raw(tuple(c // g for c in num.coeffs)), (divisor // g) * den)
+    return RatFunc._raw(IntPoly._raw(tuple(c // g for c in num.coeffs)),
+                        (divisor // g) * (f.den * f.den))
 
 
 def derivative_conjecture_rhs(n: int) -> RatFunc:
     """Conjectured d|B^n_R|/dR: squared offset-1 Hankel determinant over
-    (2p)! R^2 times the squared offset-0 one.
-
-    The equivalent form R^(n-1)/(n-1)! times the squared boundary limit
-    derivative is computed too and must reduce to the identical function.
-    Each form squares an already reduced fraction (`_square_times`).
+    (2p)! R^2 times the squared offset-0 one, squared from the reduced
+    H^(1) / (R H^(0)) by `_square_times`, so one gcd per n.  It equals
+    R^(n-1)/(n-1)! times the squared boundary limit derivative, which reads
+    the same two determinants; tests/test_magnitude.py checks that form.
     """
     p = odd_dimension(n)
-    rhs = _square_times(RatFunc(hankel_det(p + 1, 1), hankel_det(p + 1, 0).shift(1)),
-                        0, math.factorial(2 * p))
-    other = _square_times(potential.boundary_limit_derivative(n), n - 1, math.factorial(n - 1))
-    if rhs != other:
-        raise RouteMismatch(f"the two conjecture right-hand sides differ at n={n}")
-    return rhs
+    return _square_times(RatFunc(hankel_det(p + 1, 1), hankel_det(p + 1, 0).shift(1)),
+                         math.factorial(2 * p))
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +289,18 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
            pool_jobs: bool = True) -> CampaignReport:
     """Run job on every odd n <= max_n and raise failure(n, ...) in this
     process unless all the values it returns are equal; each entry keeps
-    the first value.  First the determinant tables that the jobs read,
-    named by key (an offset or "bordered", see `hankel`), are filled: the
-    bordered determinants, then every offset in one pass.  With a pool and
-    two n or more, each of these fills is one pool task; else they run
-    here.  The jobs then read the held tables.  They run largest n first,
-    so that in a pool the slowest job starts first, in a second pool whose
-    workers start holding the tables, or here when there is no pool or
-    `pool_jobs` is false."""
+    the first value.  First `hankel._hold` fills the determinant tables that
+    the jobs read, named by key (an offset or "bordered"), its passes run by
+    `_pool_map`: with a pool and two n or more, each pass is one pool task;
+    else they run here.  The jobs then read the held tables.  They run
+    largest n first, so that in a pool the slowest job starts first, in a
+    second pool whose workers start holding the tables, or here when there
+    is no pool or `pool_jobs` is false."""
     p = odd_dimension(max_n)
     ns = list(range(max_n, 0, -2))
     if len(ns) < 2:
         jobs = 1
-    missing = [key for key in tables if len(_TABLES.get(key, ())) <= p]
-    offsets = frozenset(key for key in missing if isinstance(key, int))
-    kinds = [key for key in missing if not isinstance(key, int)] + ([offsets] if offsets else [])
-    for filled in _pool_map(partial(_fill, count=p + 1), kinds, jobs):
-        _install(filled)
+    _hold(tables, p + 1, partial(_pool_map, jobs=jobs))
     entries = []
     for n, values, millis in _run_jobs(job, ns, jobs if pool_jobs else 1):
         first, *rest = values.values()
@@ -372,10 +358,11 @@ class ObservationEntry:
 def verify_observation(max_n: int) -> CampaignReport:
     """Check that the magnitude numerator at n matches the numerator of the
     zeroth solve coefficient at n + 2, up to integer content and a power of
-    R; the extracted factors are reported, not assumed."""
+    R; the extracted factors are reported, not assumed.  The offset-0 and
+    offset-2 tables it reads, up to p + 1 at n = max_n + 2, are held first
+    in one pass."""
     p_top = odd_dimension(max_n) + 1  # p at n = max_n + 2
-    hankel_det(p_top + 1, 0)  # the largest sizes first: a miss fills every smaller one
-    hankel_det(p_top, 2)
+    _hold((0, 2), p_top + 1)
     entries = []
     for n in range(1, max_n + 1, 2):
         t0 = time.perf_counter()

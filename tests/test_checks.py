@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oddball import bessel, cli, errors, golden, hankel, magnitude, potential
+from oddball import bessel, cli, errors, golden, hankel, magnitude
 from oddball.errors import GoldenMismatch, InputError
 from oddball.explaurent import ExpLaurent
 from oddball.poly import RatFunc
@@ -108,8 +108,8 @@ def test_fixture_not_in_lowest_terms_is_refused():
         golden._rf((2, 2), (2,))
 
 
-def test_conjecture_route_mismatch_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(potential, "boundary_limit_derivative", lambda n: RatFunc.const(2))
+def test_conjecture_failure_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(magnitude, "derivative_conjecture_rhs", lambda n: RatFunc.const(2))
     code = cli.main(["verify", "derivative", "--max", "3", "--jobs", "1", "--json"])
     assert code == 1
-    assert "conjecture right-hand sides differ" in capsys.readouterr().err
+    assert "derivative conjecture fails at n=" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, output formats, exit codes, determinism,
 and the golden reproduction driver."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -80,6 +81,11 @@ class TestSubcommands:
         code, out, _ = _run(capsys, "magnitude", "--n", "3", "--radius", "1", "--json")
         (rec,) = json.loads(out)
         assert code == 0 and rec["value"] == "25/6"
+
+    def test_magnitude_pretty_prints_the_parsed_radius(self, capsys):
+        code, out, _ = _run(capsys, "magnitude", "--n", "3", "--radius", "2/4", "--pretty")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("value at R=1/2: ")
 
     def test_magnitude_all_routes(self, capsys):
         code, out, _ = _run(capsys, "magnitude", "--n", "5", "--route", "all", "--json")
@@ -296,6 +302,22 @@ def test_production_runs_no_polynomial_elimination(monkeypatch, capsys, command)
     finally:
         hankel.clear_hankel_cache()
     assert code == 0, err
+
+
+RECORDED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_recorded_command_output(capsys, command):
+    # every benchmark command, in-process: its exit code and the SHA-256 of
+    # its stdout as recorded.  No assert, so that the check still runs
+    # under python -O.
+    code, out, err = _run(capsys, *command.split())
+    want = RECORDED[command]
+    got = {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    if got != {"exit": want["exit"], "sha256": want["sha256"]}:
+        pytest.fail(f"oddball {command}: {got}, recorded {want}\n{err}")
 
 
 class TestDeterminism:

@@ -95,9 +95,3 @@ class TestEvaluation:
         with pytest.raises(NonpositiveRadius):
             K1.eval(Fraction(-1, 2))
 
-    def test_precision_is_configurable(self):
-        coarse = K0.eval(1, prec_bits=53)
-        fine = K0.eval(1, prec_bits=256)
-        with mpmath.workprec(300):
-            truth = mpmath.exp(mpmath.mpf(-1))
-            assert abs(fine - truth) < abs(coarse - truth) or abs(fine - truth) < mpmath.mpf(10) ** -70

@@ -39,6 +39,7 @@ from oddball.magnitude import (
     verify_triple_route,
 )
 from oddball.poly import IntPoly, RatFunc
+from oddball.potential import boundary_limit_derivative
 
 
 def _bordered_oracle(p):
@@ -326,7 +327,6 @@ class TestCampaignPool:
             return real(kind, count)
 
         monkeypatch.setattr(hankel, "_fill", recording)
-        monkeypatch.setattr(mag, "_fill", recording)
         campaign(9)
         assert [(kind, count) for kind, count in calls
                 if not isinstance(kind, tuple)] == [(kind, 5) for kind in fills]
@@ -360,6 +360,16 @@ class TestCampaignPool:
         monkeypatch.setattr(hankel, "_theta_values", theta)
         verify_derivative_conjecture(9, jobs=1)
         assert points == list(range(1, hankel._valuation_and_points(2, 4)[1] + 1))
+
+    def test_held_tables_fill_nothing(self, monkeypatch):
+        hankel._hold(("bordered", 2, 0), 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a held table was filled again: {args} {kwargs}")
+
+        monkeypatch.setattr(hankel, "_fill", refuse)
+        hankel._hold(("bordered", 0, 2), 5, refuse)
+        hankel._hold((2,), 3, refuse)
 
     @pytest.mark.parametrize("campaign, job_pool", [
         (verify_formula_equality, False),
@@ -418,6 +428,22 @@ class TestObservation:
             assert entry.constant == 1
             assert entry.power_shift == 0
 
+    def test_fills_in_one_pass(self, monkeypatch):
+        # offsets 0 and 2 share one theta column per point, x = 1..N for
+        # offset 2's entry p + 1, p at n = max_n + 2; two passes, one per
+        # offset, would run the points of each
+        points = []
+        real = hankel._theta_values
+
+        def theta(x, top):
+            points.append(x)
+            return real(x, top)
+
+        clear_hankel_cache()
+        monkeypatch.setattr(hankel, "_theta_values", theta)
+        verify_observation(9)
+        assert points == list(range(1, hankel._valuation_and_points(2, 5)[1] + 1))
+
     def test_printed_cases(self):
         # numerator of |B^n| equals numerator of the leading coefficient at n+2
         from oddball.hankel import unit_solution
@@ -454,10 +480,12 @@ class TestDerivativeConjecture:
             assert magnitude_hankel(entry.n).derivative() == entry.value
 
     def test_both_rhs_forms_agree(self):
-        # the squared-determinant form versus the squared limit-derivative
-        # form; derivative_conjecture_rhs asserts their equality internally
+        # the squared-determinant form versus R^(n-1)/(n-1)! times the
+        # squared limit derivative, by plain RatFunc arithmetic
         for n in range(1, 16, 2):
-            derivative_conjecture_rhs(n)
+            limit = boundary_limit_derivative(n)
+            scale = RatFunc(IntPoly.monomial(n - 1), IntPoly.const(math.factorial(n - 1)))
+            assert derivative_conjecture_rhs(n) == scale * limit * limit, n
 
 
 _small_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(IntPoly)
@@ -466,11 +494,11 @@ _small_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(IntPol
 class TestSquareTimes:
     @settings(max_examples=150, deadline=None, database=None)
     @given(_small_polys, _small_polys.filter(lambda b: not b.is_zero),
-           st.integers(0, 12), st.integers(0, 4), st.integers(1, 10 ** 6))
-    def test_matches_full_reduction(self, a, b, v, power, divisor):
+           st.integers(0, 12), st.integers(1, 10 ** 6))
+    def test_matches_full_reduction(self, a, b, v, divisor):
         f = RatFunc(a, b.shift(v))
-        want = RatFunc(f.num * f.num * IntPoly.monomial(power), divisor * (f.den * f.den))
-        assert mag._square_times(f, power, divisor) == want
+        want = RatFunc(f.num * f.num, divisor * (f.den * f.den))
+        assert mag._square_times(f, divisor) == want
 
     def test_derivative_rhs_forms_match_reference(self):
         for n in range(1, 14, 2):

@@ -107,8 +107,9 @@ class ParseError(InputError):
 
 
 def at_least(name: str, value: int, least: int) -> int:
-    """value, if it is an int >= least; else InputError naming the argument."""
-    if not isinstance(value, int):
+    """value, if it is an int (not a bool) >= least; else InputError naming
+    the argument."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
@@ -116,8 +117,9 @@ def at_least(name: str, value: int, least: int) -> int:
 
 
 def odd_dimension(n: int) -> int:
-    """p = (n - 1) / 2 for an odd int n >= 1; EvenDimension otherwise."""
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
+    """p = (n - 1) / 2 for an odd int n >= 1, not a bool; EvenDimension
+    otherwise."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n % 2 == 0:
         raise EvenDimension(f"dimension must be odd and >= 1, got {n!r}")
     return (n - 1) // 2
 

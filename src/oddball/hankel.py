@@ -2,25 +2,26 @@
 of the det route, and exact linear algebra.
 
 Every determinant table is filled by kind, and held in one store,
-`_TABLES`, keyed by offset or "bordered", or, for the unit kind, in
-`unit_solution`'s cache:
+`_TABLES`, keyed by offset, "bordered" or "unit":
 
 * a set of offsets, one table per offset s: H_1 .. H_K, with H_k =
   det [B_{i+j+s}]_{i,j<k} over Z[R], read through `hankel_det(k, s)`; a
   lone `hankel_det` fills the one-offset set;
-* "bordered": D_0 .. D_{K-1}, with D_p the determinant of the rows
+* "bordered": F_0 .. F_{K-1}, with F_p the determinant of the rows
   B_{i+j+1} (i < p, j <= p) over the border row xi_{p,j} of the det route
   (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`;
-* ("unit", p): y_p .. y_0, the numerators of [B_{i+j}]_{i,j<=p} y = e_0 by
-  Cramer's rule, read through `unit_solution(p)` over hankel_det(p+1, 0).
+* "unit": y^(0) .. y^(K-1), with y^(p) = (y_0 .. y_p) the numerators of
+  [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule, read through
+  `unit_solution(p)` over hankel_det(p+1, 0).
 
 One loop, `_fill`, computes the tables of a kind by evaluation at integer
 points and interpolation, with no polynomial product or division.  Entry k
 is R^v q with deg q < N (`_valuation_and_points`), so x = 1..N give q, and
 Newton interpolation, each Delta^j / j! checked exact, rebuilds it.
 `_hold` is the one way into the store: given the keys a caller reads and a
-count, it fills every table held shorter, entries 0..count-1, the offsets
-in one pass.
+count, it fills every table held shorter, entries 0..count-1, in two kinds
+of pass: the offsets in one Desnanot-Jacobi pass, and "bordered" and
+"unit" in one Heine pass.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -62,54 +63,59 @@ in one pass.
   e^x x^(2s) D M D with D = diag(x^(2i)) and M the moment matrix of
   dmu = (2t)^s e^(-x^2 t) g(t) dt, positive definite since u^T M u =
   int (sum_i u_i (2t)^i)^2 dmu > 0 for u != 0.  So for x > 0 and every
-  s >= 0, every H^(s)_k(x) and every pivot, a leading minor, is positive;
-  one <= 0 raises RouteMismatch, with no fallback.
-* Pivot rows.  Only the bordered and unit kinds eliminate: row k of the
-  elimination of the offset-1 matrix at x, reduced by the pivots before it,
-  holds a_kj for j >= k: the minor on rows 0..k and columns 0..k-1, j,
-  so a_kk is the leading minor of size k+1.  `_bordered_value` reduces one
-  more row, a border, through rows 0..m-1 by the same Bareiss update
-  r_j <- (a_kk r_j - r_k a_kj) / a_{k-1,k-1}, with a_{-1,-1} = 1.  After
-  the step with row k, each r_j is the minor on rows 0..k and the border,
-  columns 0..k and j (Sylvester's identity), an integer, so every division
-  is exact (checked).  The entry left in the last column is the
-  determinant of the m rows over the border.
-* Bordered degree.  Entry (i, j) of D_p has degree <= r_i + c_j, with
+  s >= 0, every H^(s)_k(x) is positive; one <= 0 raises RouteMismatch,
+  with no fallback.
+* Heine pass.  At x, put c_m = theta_m(x), so [B_{i+j+1}(x)] = x [c_{i+j}],
+  and Q_p(t) = det [c_{i+j} (i < p, j <= p); 1 t .. t^p], Heine's
+  orthogonal polynomial for L(t^m) = c_m.  Its lead is D_p = det
+  [c_{i+j}]_{i,j<p} = H^(1)_p(x) / x^p > 0, L(t^k Q_p) = 0 for k < p,
+  D_{p+1} = L(t^p Q_p) = sum_j Q_p[j] c_{j+p}, and put E_p = L(t^(p+1) Q_p)
+  = sum_j Q_p[j] c_{j+p+1}.  The monic P_p = Q_p / D_p satisfy P_{p+1} =
+  (t - alpha_p) P_p - beta_p P_{p-1}, with beta_p = L(P_p^2) / L(P_{p-1}^2)
+  = D_{p+1} D_{p-1} / D_p^2 and alpha_p = L(t P_p^2) / L(P_p^2) = (D_p E_p
+  + Q_p[p-1] D_{p+1}) / (D_p D_{p+1}), since L(P_p^2) = D_{p+1} / D_p.
+  Times D_{p+1} D_p^2, from Q_{-1} = 0, Q_0 = 1 and D_0 = 1:
+      D_p^2 Q_{p+1} = D_{p+1} D_p t Q_p - (D_p E_p + Q_p[p-1] D_{p+1}) Q_p
+                      - D_{p+1}^2 Q_{p-1},
+  O(p) integer operations per level.  Every coefficient of Q_{p+1} is a
+  minor of the c's, an integer, so every division is checked
+  (InexactDivision), and every D_{p+1} <= 0 raises RouteMismatch, with no
+  fallback.  Expanding F_p along its border row gives F_p(x) = x^p sum_i
+  xi_{p,i}(x) Q_p[i].  The cofactor (0, i) of [B_{i+j}]_{i,j<=p}, with
+  rows 1..p the offset-1 rows, is y_i = (-1)^p x^p Q_p[i] (p transpositions
+  move row 0 below them), so entry p of "unit" is (-1)^p Q_p.
+* Bordered degree.  Entry (i, j) of F_p has degree <= r_i + c_j, with
   r_i = i + 1 on the Hankel rows, r_p = 2p + 2 on the border (the
-  R^(2p+2) B_j term leads) and c_j = j, so deg D_p <= p^2 + 3p + 2.
+  R^(2p+2) B_j term leads) and c_j = j, so deg F_p <= p^2 + 3p + 2.
 * Bordered valuation.  Every Hankel row has the factor R; so does every
   border entry, whose terms are R^(2p+2) B_j and multiples of B_m with
-  m >= 1.  So v = p + 1, and q_p needs N_p = p^2 + 2p + 2 points.
-* Bordered values.  At each x, one elimination of [B_{i+j+1}(x) / x] of
-  size P + 1 gives pivot rows that reduce every border xi_p(x) / x, p <= P,
-  to q_p(x).  The offset-2 table, which the equality campaign compares
-  with D_p, comes from the recurrence, a different algorithm; the two
+  m >= 1.  So v = p + 1, and q_p needs N_p = p^2 + 2p + 2 points.  The
+  offset-2 table, which the equality campaign compares with F_p, comes
+  from the Desnanot-Jacobi recurrence, a different algorithm; the two
   share only theta_m(x) and the interpolation.
-* Unit numerators.  y_i is the cofactor (0, i) of H = [B_{i+j}]_{i,j<=p},
-  the determinant of H with row 0 replaced by e_i.  Rows 1..p of H are the
-  offset-1 rows, and moving e_i from row 0 to below them takes p
-  transpositions, so y_i = det [the p offset-1 rows; (-1)^p e_i], which
-  `_bordered_value` gives from the offset-1 pivot rows, every division
-  exact by Sylvester's identity as for D_p.  Each offset-1 row has the
-  factor R, so v = p; the row and column degrees r_i = i + 1, r_p = -i,
-  c_j = j give deg y_i <= p(p+1) - i, so R^(-p) y_i needs p^2 - i + 1
-  points.  `unit_solution` checks H y = H_{p+1} e_0 symbolically, with H
-  from the reverse Bessel recurrence and H_{p+1} from the offset-0 table,
-  so a fault in the offset-1 rows it shares with the det route raises
-  RouteMismatch rather than making two routes agree.
+* Unit degree and valuation.  Each offset-1 row has the factor R, so
+  v = p; the row and column degrees r_i = i + 1, r_p = -i, c_j = j give
+  deg y_i <= p(p+1) - i, so every R^(-p) y_i is recorded at x = 1 ..
+  p^2 + 1.  `unit_solution` checks H y = H^(0)_{p+1} e_0 symbolically, with
+  H from the reverse Bessel recurrence and H^(0)_{p+1} from the
+  Desnanot-Jacobi table, so a fault in the Heine pass it shares with the
+  det route raises RouteMismatch rather than making two routes agree.
 
-`_eliminate`, checked fraction-free elimination with row swaps over Z[R],
-is the one polynomial elimination, and only the tests' oracles run it:
-`det_bareiss`, for `hankel_det` and the bordered determinants, and
-`solve_unit_rhs`, for `unit_solution`, which eliminates [m | e_0] and
-back-substitutes in O(dim^3).  A memoized cofactor expansion is the oracle
-for `det_bareiss`.  `PolyMatrix` and `build_hankel` build their input.
+Production eliminates nothing: its two point recurrences are
+Desnanot-Jacobi's and Heine's.  `_eliminate`, checked fraction-free
+elimination with row swaps over Z[R], is the one polynomial elimination,
+and only the tests' oracles run it: `det_bareiss`, for `hankel_det` and
+the bordered determinants, and `solve_unit_rhs`, for `unit_solution`,
+which eliminates [m | e_0] and back-substitutes in O(dim^3).  A memoized
+cofactor expansion is the oracle for `det_bareiss`.  `PolyMatrix` and
+`build_hankel` build their input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache, partial
+from operator import mul
 
 from .bessel import BesselTable, reverse_bessel
 from .errors import (
@@ -246,17 +252,6 @@ def _theta_values(x: int, top: int) -> list:
     return values[:top + 1]
 
 
-def _bareiss_row(row: list, top: list, shift: int, fac: int, pivot: int,
-                 prev: int, x: int) -> None:
-    """One fraction-free step on a row, in place: row[j] <- (pivot row[j] -
-    fac top[j + shift]) / prev, each division checked exact."""
-    for j, y in enumerate(row):
-        q, r = divmod(pivot * y - fac * top[j + shift], prev)
-        if r:
-            raise InexactDivision(f"fraction-free step at x={x} is inexact")
-        row[j] = q
-
-
 def _exact(a: int, b: int, x: int) -> int:
     """a / b, from the values at x; InexactDivision unless b divides a."""
     q, r = divmod(a, b)
@@ -265,52 +260,20 @@ def _exact(a: int, b: int, x: int) -> int:
     return q
 
 
-def _pivot_rows(x: int, size: int) -> list:
-    """The pivot rows of one fraction-free elimination of the offset-1
-    matrix [B_{i+j+1}(x) / x] = [theta_{i+j}(x)].  Row k keeps its columns
-    k..size-1 (the matrix is symmetric), reduced by the pivots before it,
-    so its first entry is H^(1)_{k+1}(x) / x^(k+1)."""
-    t = _theta_values(x, 2 * size - 2)
-    a = [t[2 * i:i + size] for i in range(size)]
-    prev = 1
-    for k, top in enumerate(a):
-        pivot = top[0]
-        if pivot <= 0:
-            raise RouteMismatch(f"Hankel pivot {k + 1} at offset 1 is {pivot} at x={x}")
-        for i in range(k + 1, size):
-            _bareiss_row(a[i], top, i - k, top[i - k], pivot, prev, x)
-        prev = pivot
-    return a
-
-
-def _bordered_value(rows: list, border: list, x: int) -> int:
-    """Reduce the border row through the pivot rows before its last column
-    (Bareiss's update with the pivots of `_pivot_rows`).  By Sylvester's
-    identity the entry left is the determinant of those rows over the
-    border, each step's division being exact."""
-    row = list(border)
-    prev = 1
-    for top in rows[:len(row) - 1]:
-        fac = row.pop(0)
-        _bareiss_row(row, top, 1, fac, top[0], prev, x)
-        prev = top[0]
-    return row[0]
-
-
-def _valuation_and_points(kind, k: int) -> tuple:
-    """(v, N): entry k of the table `kind`, H_{k+1} at an offset, D_k when
-    "bordered" or y_{p-k} when ("unit", p), is R^v times a polynomial of
-    degree below N."""
-    if kind == "bordered":
+def _valuation_and_points(key, k: int) -> tuple:
+    """(v, N): entry k of the table `key`, H_{k+1} at an offset, F_k when
+    "bordered" or the numerators y^(k) when "unit", is R^v times
+    polynomials of degree below N."""
+    if key == "bordered":
         v, degree = k + 1, k * k + 3 * k + 2
-    elif isinstance(kind, tuple):
-        v, degree = kind[1], kind[1] ** 2 + k
+    elif key == "unit":
+        v, degree = k, k * (k + 1)
     else:
-        v, degree = (k if kind == 0 else k + 1), (k + 1) * (k + 2 * kind) // 2
+        v, degree = (k if key == 0 else k + 1), (k + 1) * (k + 2 * key) // 2
     return v, degree - v + 1
 
 
-def _interpolate(values: list, valuation: int) -> IntPoly:
+def _interpolate(values, valuation: int) -> IntPoly:
     """R^valuation q, q the integer polynomial of degree < len(values) with
     q(x) = values[x - 1]: q = sum_j (Delta^j q(1) / j!) (x-1)...(x-j), by
     Horner in that basis."""
@@ -347,85 +310,104 @@ def _border_values(x: int, p: int, theta: list, squares: list, weights: list) ->
             for i in range(p + 1)]
 
 
-def _point_values(kind, count: int):
-    """The values at one point of the tables `kind` fills, `count` entries
-    each: at(x, lows) gives, for each key of lows, that table's entries
-    lows[key]..count-1 at x divided by their R^v.  For a set of offsets, the
-    first entries of the levels of one Desnanot-Jacobi recurrence, where
-    level k holds H^(s)_k(x) for every s from the least key of lows up; for
-    "bordered", the borders reduced through the offset-1 pivot rows, or for
-    ("unit", p) the borders (-1)^p e_i, i = p..0."""
-    if isinstance(kind, frozenset):
-        top = max(kind) + 2 * count - 2  # the column B_lo(x) .. B_top(x)
-
-        def at(x, lows):
-            lo = min(lows)
-            cur = ([1] + [x * t for t in _theta_values(x, top - 1)])[lo:]
-            prev, values = [1] * len(cur), {s: [] for s in lows}
-            for k in range(1, count + 1):
-                if k > 1:
-                    prev, cur = cur, [_exact(a * c - b * b, d, x)
-                                      for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
-                if min(cur) <= 0:
-                    raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
-                for s, low in lows.items():
-                    if k > low:
-                        values[s].append(_exact(cur[s - lo], x ** (k - (s == 0)), x))
-            return values
-        return at
-    if kind == "bordered":
-        weights = [_tail_weights(b) for b in range(count)]
-
-        def borders(x, low):
-            theta = _theta_values(x, count - 1)
-            squares = [x ** (2 * k) for k in range(count)]
-            return [_border_values(x, p, theta, squares, weights) for p in range(low, count)]
-    else:
-        sign = (-1) ** kind[1]
-        units = [[sign * (i == j) for j in range(count)] for i in reversed(range(count))]
-
-        def borders(x, low):
-            return units[low:]
+def _desnanot_jacobi(offsets: frozenset, count: int):
+    """at(x, lows): for each offset s of lows, H^(s)_k(x) / x^v for k from
+    lows[s] + 1 to count, the first entries of the levels of one
+    Desnanot-Jacobi recurrence, where level k holds H^(s)_k(x) for every s
+    from the least key of lows up."""
+    top = max(offsets) + 2 * count - 2  # the column B_lo(x) .. B_top(x)
 
     def at(x, lows):
-        rows = _pivot_rows(x, count)
-        return {kind: [_bordered_value(rows, border, x) for border in borders(x, lows[kind])]}
+        lo = min(lows)
+        cur = ([1] + [x * t for t in _theta_values(x, top - 1)])[lo:]
+        prev, values = [1] * len(cur), {s: [] for s in lows}
+        for k in range(1, count + 1):
+            if k > 1:
+                prev, cur = cur, [_exact(a * c - b * b, d, x)
+                                  for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
+            if min(cur) <= 0:
+                raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
+            for s, low in lows.items():
+                if k > low:
+                    values[s].append(_exact(cur[s - lo], x ** (k - (s == 0)), x))
+        return values
     return at
 
 
-def _fill(kind, count: int) -> dict:
-    """Entries 0..count-1 of each table that `kind` names, as {key: table}:
-    a frozenset of offsets, filled by one pass and keyed by offset,
-    "bordered" or ("unit", p).  Entry k of each table is evaluated only at
-    its own N_k points, which grow with k, and only the tables named are
-    interpolated."""
-    keys = sorted(kind) if isinstance(kind, frozenset) else [kind]
+def _heine_polys(x: int, c: list, count: int) -> list:
+    """The coefficient lists of Q_0 .. Q_{count-1} at x, for the moments
+    c[m] = theta_m(x), by the three-term recurrence of the Heine bullet."""
+    q_prev, q, d = [], [1], 1
+    polys = [q]
+    for p in range(count - 1):
+        d_next = sum(map(mul, q, c[p:]))
+        if d_next <= 0:
+            raise RouteMismatch(f"Hankel determinant {p + 1} at offset 1 is {d_next} at x={x}")
+        alpha = d * sum(map(mul, q, c[p + 1:])) + (q[p - 1] if p else 0) * d_next
+        a, b, dd = d_next * d, d_next * d_next, d * d
+        q_prev, q = q, [_exact(a * up - alpha * mid - b * low, dd, x)
+                        for up, mid, low in zip([0] + q, q + [0], q_prev + [0, 0])]
+        polys.append(q)
+        d = d_next
+    return polys
+
+
+def _heine(count: int):
+    """at(x, lows): for "bordered" and "unit" among lows, entries lows[key]
+    .. count-1 at x divided by their R^v, from one Heine recurrence on
+    theta(x): the border rows against Q_p, and (-1)^p Q_p."""
+    weights = [_tail_weights(b) for b in range(count)]
+
+    def at(x, lows):
+        theta = _theta_values(x, 2 * count - 2)
+        polys = _heine_polys(x, theta, count)
+        values = {}
+        if "unit" in lows:
+            values["unit"] = [[-a for a in q] if p % 2 else q
+                              for p, q in enumerate(polys) if p >= lows["unit"]]
+        if "bordered" in lows:
+            squares = [x ** (2 * k) for k in range(count)]
+            values["bordered"] = [
+                sum(map(mul, _border_values(x, p, theta, squares, weights), polys[p]))
+                for p in range(lows["bordered"], count)]
+        return values
+    return at
+
+
+def _fill(kind: frozenset, count: int) -> dict:
+    """Entries 0..count-1 of each table that `kind` names, as {key: table},
+    filled by one pass: offsets by `_desnanot_jacobi`, "bordered" and
+    "unit" by `_heine`.  Entry k of each table is evaluated only at its own
+    N_k points, which grow with k, and only the tables named are
+    interpolated; a "unit" entry is the tuple of its components."""
+    keys = sorted(kind)
     needs = {key: [_valuation_and_points(key, k) for k in range(count)] for key in keys}
     points = {key: [n for _, n in need] for key, need in needs.items()}
     values = {key: [[] for _ in range(count)] for key in keys}
-    at = _point_values(kind, count)
+    at = _heine(count) if isinstance(keys[0], str) else _desnanot_jacobi(kind, count)
     for x in range(1, max(n[-1] for n in points.values()) + 1):
         lows = {key: bisect_left(n, x) for key, n in points.items() if n[-1] >= x}
         for key, entries in at(x, lows).items():
             for vals, value in zip(values[key][lows[key]:], entries):
                 vals.append(value)
-    return {key: tuple(_interpolate(vals, v) for (v, _), vals in zip(needs[key], values[key]))
+    return {key: tuple(tuple(_interpolate(col, v) for col in zip(*vals)) if key == "unit"
+                       else _interpolate(vals, v) for (v, _), vals in zip(needs[key], values[key]))
             for key in keys}
 
 
-# key, an offset or "bordered" -> entries 0..K-1 of that table, for the
-# largest K computed
+# key, an offset, "bordered" or "unit" -> entries 0..K-1 of that table, for
+# the largest K computed
 _TABLES: dict = {}
 
 
 def _hold(keys, count: int, run=map) -> None:
-    """Hold the tables `keys` names, each an offset or "bordered", with at
-    least `count` entries.  Those held shorter are filled by
-    run(fill, passes): each kind as its own pass, "bordered" first, then
-    every missing offset in one Desnanot-Jacobi pass."""
+    """Hold the tables `keys` names, each an offset, "bordered" or "unit",
+    with at least `count` entries.  Those held shorter are filled by
+    run(fill, passes): the missing named tables in one Heine pass, then
+    the missing offsets in one Desnanot-Jacobi pass."""
     missing = [key for key in keys if len(_TABLES.get(key, ())) < count]
-    offsets = frozenset(key for key in missing if isinstance(key, int))
-    passes = [key for key in missing if not isinstance(key, int)] + ([offsets] if offsets else [])
+    passes = [kind for kind in (frozenset(key for key in missing if isinstance(key, str)),
+                                frozenset(key for key in missing if isinstance(key, int))) if kind]
     if passes:
         for filled in run(partial(_fill, count=count), passes):
             _TABLES.update(filled)
@@ -495,10 +477,11 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
 @lru_cache(maxsize=None)
 def unit_solution(p: int) -> tuple:
     """The solution of [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule: the
-    numerators from the ("unit", p) table over hankel_det(p+1, 0), with the
-    residual checked symbolically against the reverse Bessel polynomials."""
-    kind = ("unit", at_least("p", p, 0))
-    nums = _fill(kind, p + 1)[kind][::-1]
+    numerators, entry p of the held "unit" table, over hankel_det(p+1, 0),
+    with the residual checked symbolically against the reverse Bessel
+    polynomials."""
+    _hold(("unit",), at_least("p", p, 0) + 1)
+    nums = _TABLES["unit"][p]
     d = hankel_det(p + 1, 0)
     b = reverse_bessel(2 * p).polys
     _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, d)

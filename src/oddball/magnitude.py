@@ -6,8 +6,10 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 * det route: a bordered determinant (Hankel rows over an integer border
   row) divided by the plain Hankel determinant, scaled by (-1)^p / (n! R).
   `hankel` computes the bordered determinants by evaluation at integers
-  and interpolation (their degree, valuation and Sylvester proof are in its
-  docstring); a Bareiss of the built matrix is only the tests' oracle.
+  and interpolation, each value a cofactor expansion along the border row
+  against Heine's polynomials (their degree, valuation and recurrence are
+  in its docstring); a Bareiss of the built matrix is only the tests'
+  oracle.
 * hankel route: the offset-2 Hankel determinant over n! R times the
   offset-0 one;
 * boundary route: volume plus boundary integrals of Laplacian powers of the
@@ -23,11 +25,11 @@ comparison loop: a job per odd n computes the values that must be equal, and
 the loop compares them in the calling process, also when the jobs ran in a
 worker pool.  First `hankel._hold` computes the determinant tables the jobs
 read once, held by the calling process: every offset the campaign names in
-one Desnanot-Jacobi pass, and the bordered determinants in another.  With a
-pool, each pass is one pool task.  The derivative campaign's job pool
-starts holding the tables; the equality campaign's jobs, a few reductions
-each once the tables are held, run in the calling process.  No table is
-computed twice.
+one Desnanot-Jacobi pass, and the bordered determinants and unit-RHS
+numerators it names in one Heine pass.  With a pool, each pass is one pool
+task.  The derivative campaign's job pool starts holding the tables; the
+equality campaign's jobs, a few reductions each once the tables are held,
+run in the calling process.  No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -290,9 +292,11 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
     """Run job on every odd n <= max_n and raise failure(n, ...) in this
     process unless all the values it returns are equal; each entry keeps
     the first value.  First `hankel._hold` fills the determinant tables that
-    the jobs read, named by key (an offset or "bordered"), its passes run by
-    `_pool_map`: with a pool and two n or more, each pass is one pool task;
-    else they run here.  The jobs then read the held tables.  They run
+    the jobs read, named by key (an offset, "bordered" or "unit"): the
+    named ones in one Heine pass and the offsets in one Desnanot-Jacobi
+    pass, run by `_pool_map`: with a pool and two n or more, each pass is
+    one pool task; else they run here.  The jobs then read the held
+    tables, the unit numerators through `unit_solution`.  They run
     largest n first, so that in a pool the slowest job starts first, in a
     second pool whose workers start holding the tables, or here when there
     is no pool or `pool_jobs` is false."""
@@ -327,7 +331,7 @@ def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
 def verify_triple_route(max_n: int) -> CampaignReport:
     """Check boundary route == det route == hankel route, as rational
     functions, for every odd n <= max_n."""
-    return _sweep(max_n, _triple_job, Disagreement, 1, ("bordered", 2, 0))
+    return _sweep(max_n, _triple_job, Disagreement, 1, ("bordered", "unit", 2, 0))
 
 
 # ---------------------------------------------------------------------------

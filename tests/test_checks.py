@@ -87,6 +87,10 @@ _BAD_LIBRARY_CALLS = {
     "float-unit-solution": lambda: (hankel.unit_solution(1), hankel.unit_solution(1.0)),
     "float-table-bound": lambda: (bessel.reverse_bessel(3), bessel.reverse_bessel(3.0)),
     "float-bound": lambda: errors.at_least("p", 1.0, 0),
+    # a bool is an int to isinstance, but not an argument
+    "bool-table-bound": lambda: bessel.reverse_bessel(True),
+    "bool-size": lambda: hankel.hankel_det(True, 0),
+    "bool-dimension-route": lambda: magnitude.magnitude_hankel(True),
     "laplacian-minus-one": lambda: ExpLaurent.exponential().laplacian(-1),
     "laplacian-minus-three": lambda: ExpLaurent.exponential().laplacian(-3),
     "laplacian-float-dimension": lambda: ExpLaurent.exponential().laplacian(3.0),

@@ -1,6 +1,8 @@
 """Hankel matrix construction; det_bareiss against the cofactor expansion;
-hankel_det, by evaluation and interpolation, against det_bareiss; unit-RHS
-solves and their first and last components as Hankel-determinant ratios."""
+hankel_det, by evaluation and interpolation, against det_bareiss; the
+Heine pass's bordered and unit tables against det_bareiss and
+solve_unit_rhs; unit-RHS solves and their first and last components as
+Hankel-determinant ratios."""
 
 import random
 
@@ -29,6 +31,7 @@ from oddball.hankel import (
     solve_unit_rhs,
     unit_solution,
 )
+from oddball.magnitude import border_polys
 from oddball.poly import IntPoly, RatFunc
 
 TB = reverse_bessel(40)
@@ -142,6 +145,7 @@ class TestEvaluationInterpolation:
 
     MAX_SIZE = 14
     OFFSETS = range(4)
+    MAX_P = 12
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -150,6 +154,19 @@ class TestEvaluationInterpolation:
             for k in range(1, self.MAX_SIZE + 1)
             for s in self.OFFSETS
         }
+
+    @pytest.fixture(scope="class")
+    def heine_reference(self):
+        """The bordered determinants, by a Bareiss of the built matrix, and
+        the unit numerators y_0 .. y_p, by the oracle solve, for p <= MAX_P."""
+        bordered, units = [], []
+        for p in range(self.MAX_P + 1):
+            rows = [[TB.poly(i + j + 1) for j in range(p + 1)] for i in range(p)]
+            bordered.append(det_bareiss(PolyMatrix(rows + [list(border_polys(p))])))
+            m = build_hankel(p + 1, 0, TB)
+            d = det_bareiss(m)
+            units.append(tuple((y.num * d).divexact(y.den) for y in solve_unit_rhs(m)))
+        return {"bordered": bordered, "unit": units}
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
@@ -224,34 +241,44 @@ class TestEvaluationInterpolation:
             assert det.valuation() >= v and det.degree <= v + count - 1
 
     def test_unit_points_cover_the_oracle(self):
-        # entry p - i of ("unit", p) holds y_i, det H times the oracle's
-        # reduced i-th component, and deg y_i <= p(p+1) - i
+        # entry p of "unit" holds y_0 .. y_p, det H times the oracle's
+        # reduced components, and deg y_i <= p(p+1) - i
         for p in range(9):
             m = build_hankel(p + 1, 0, TB)
             d = det_bareiss(m)
+            v, count = hankel._valuation_and_points("unit", p)
+            assert v == p and v + count - 1 == p * (p + 1)
             for i, y in enumerate(solve_unit_rhs(m)):
                 num = (y.num * d).divexact(y.den)
-                v, count = hankel._valuation_and_points(("unit", p), p - i)
-                assert v + count - 1 == p * (p + 1) - i
-                assert num.valuation() >= v and num.degree <= v + count - 1, (p, i)
+                assert num.valuation() >= v and num.degree <= v + count - 1 - i, (p, i)
 
-    def test_runs_no_elimination(self, reference, monkeypatch):
-        # every offset comes from the Desnanot-Jacobi recurrence alone, one
-        # at a time or all in one pass; the pivot rows serve only the
-        # bordered and unit kinds
+    def test_heine_pass_matches_the_oracles(self, heine_reference):
+        hankel._hold(("bordered", "unit"), self.MAX_P + 1)
+        for key, want in heine_reference.items():
+            assert list(hankel._TABLES[key]) == want, key
+
+    def test_runs_no_elimination(self, reference, heine_reference, monkeypatch):
+        # every offset comes from the Desnanot-Jacobi recurrence, one at a
+        # time or all in one pass, and the bordered and unit tables from
+        # the Heine recurrence: no table eliminates
+        count = 10
+
         def refuse(*args):
-            raise AssertionError("Hankel tables must not eliminate")
+            raise AssertionError("a table must not eliminate")
 
-        monkeypatch.setattr(hankel, "_pivot_rows", refuse)
-        monkeypatch.setattr(hankel, "_bareiss_row", refuse)
+        monkeypatch.setattr(hankel, "_eliminate", refuse)
+        monkeypatch.setattr(hankel, "det_bareiss", refuse)
         for s in self.OFFSETS:
-            for k in range(10, 0, -1):
+            for k in range(count, 0, -1):
                 assert hankel_det(k, s) == reference[k, s], (k, s)
-        tables = hankel._fill(frozenset(self.OFFSETS), 10)
+        tables = hankel._fill(frozenset(self.OFFSETS), count)
         assert sorted(tables) == list(self.OFFSETS)
         for s in self.OFFSETS:
-            for k in range(1, 11):
+            for k in range(1, count + 1):
                 assert tables[s][k - 1] == reference[k, s], (k, s)
+        hankel._hold(("bordered", "unit"), count)
+        for key, want in heine_reference.items():
+            assert list(hankel._TABLES[key]) == want[:count], key
 
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_each_size_at_its_own_points(self, monkeypatch, s):
@@ -288,6 +315,44 @@ class TestEvaluationInterpolation:
         assert points == list(range(1, hankel._valuation_and_points(2, 7)[1] + 1))
         assert interpolated == [hankel._valuation_and_points(s, k)[::-1]
                                 for s in (0, 2) for k in range(8)]
+
+    def test_heine_pass_at_the_bordered_points(self, monkeypatch):
+        # "bordered" and "unit" share one theta column per point, x = 1..N
+        # of the bordered entry 7, and each entry, each component of a unit
+        # entry, is interpolated from its own points
+        points, interpolated = [], []
+        real_theta, real_interpolate = hankel._theta_values, hankel._interpolate
+
+        def theta(x, top):
+            points.append(x)
+            return real_theta(x, top)
+
+        def interpolate(values, v):
+            interpolated.append((len(values), v))
+            return real_interpolate(values, v)
+
+        monkeypatch.setattr(hankel, "_theta_values", theta)
+        monkeypatch.setattr(hankel, "_interpolate", interpolate)
+        hankel._hold(("bordered", "unit"), 8)
+        assert points == list(range(1, hankel._valuation_and_points("bordered", 7)[1] + 1))
+        per_entry = {key: [hankel._valuation_and_points(key, p)[::-1] for p in range(8)]
+                     for key in ("bordered", "unit")}
+        assert interpolated == per_entry["bordered"] + [
+            need for p, need in enumerate(per_entry["unit"]) for _ in range(p + 1)]
+        assert [len(y) for y in hankel._TABLES["unit"]] == list(range(1, 9))
+
+    def test_nonpositive_heine_determinant_is_fatal(self, monkeypatch):
+        real = hankel._theta_values
+
+        def corrupted(x, top):
+            values = real(x, top)
+            if x == 3:
+                values[2] = 0  # D_2 = theta_0 theta_2 - theta_1^2 becomes -16
+            return values
+
+        monkeypatch.setattr(hankel, "_theta_values", corrupted)
+        with pytest.raises(RouteMismatch):
+            unit_solution(3)
 
     def test_nonpositive_pivot_is_fatal(self, monkeypatch):
         real = hankel._theta_values
@@ -350,8 +415,10 @@ class TestSolve:
 
     def test_clear_forgets_unit_solutions(self):
         unit_solution(3)
+        assert "unit" in hankel._TABLES
         clear_hankel_cache()
         assert unit_solution.cache_info().currsize == 0
+        assert "unit" not in hankel._TABLES
 
     def test_corrupted_unit_value_is_fatal(self, monkeypatch):
         # a wrong numerator that is still a polynomial passes the
@@ -360,14 +427,17 @@ class TestSolve:
 
         def corrupted(kind, count):
             tables = real(kind, count)
-            if kind == ("unit", 3):
-                tables[kind] = (tables[kind][0] + IntPoly.one(),) + tables[kind][1:]
+            if "unit" in tables:
+                units = list(tables["unit"])
+                units[3] = (units[3][0] + IntPoly.one(),) + units[3][1:]
+                tables["unit"] = tuple(units)
             return tables
 
         monkeypatch.setattr(hankel, "_fill", corrupted)
         clear_hankel_cache()
         with pytest.raises(RouteMismatch):
             unit_solution(3)
+        clear_hankel_cache()  # the corrupted table stays held
 
     def test_residual_is_symbolically_checked(self):
         # fresh solve (not the cached path) exercises the residual assertion

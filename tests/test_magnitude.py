@@ -126,8 +126,8 @@ class TestBorderedEngine:
             return values
 
         monkeypatch.setattr(hankel, "_border_values", corrupted)
-        # a border with one changed integer still has integral minors, so the
-        # Bareiss steps stay exact and Newton's checked divisions catch it
+        # a border with one changed integer still gives an integer value
+        # against Q_5, and only Newton's checked divisions catch it
         with pytest.raises(InexactDivision):
             mag._bordered_det(6)
 
@@ -160,7 +160,7 @@ class TestBorderedEngine:
 
         monkeypatch.setattr(hankel, "_border_values", border)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
-        hankel._fill("bordered", 8)
+        hankel._fill(frozenset({"bordered"}), 8)
         points = [hankel._valuation_and_points("bordered", p)[1] for p in range(8)]
         assert sorted(reduced) == [(p, x) for p in range(8) for x in range(1, points[p] + 1)]
         assert interpolated == points
@@ -177,7 +177,7 @@ class TestBorderedEngine:
 
         monkeypatch.setattr(hankel, "_fill", recording)
         assert mag._bordered_det(4) == reference[4]
-        assert fills == [("bordered", 5)]
+        assert fills == [(frozenset({"bordered"}), 5)]
 
 
 class TestMagnitudeRoutes:
@@ -308,17 +308,17 @@ class TestCampaignPool:
         held = hankel._TABLES
         for kind in kinds:
             assert len(held[kind]) >= 5, kind
-            alone = frozenset([kind]) if isinstance(kind, int) else kind
-            assert held[kind][:5] == hankel._fill(alone, 5)[kind], kind
+            assert held[kind][:5] == hankel._fill(frozenset([kind]), 5)[kind], kind
 
     @pytest.mark.parametrize("campaign, fills", [
-        (verify_formula_equality, ["bordered", frozenset({0, 2})]),
+        (verify_formula_equality, [frozenset({"bordered"}), frozenset({0, 2})]),
         (verify_derivative_conjecture, [frozenset({0, 1, 2})]),
-        (verify_triple_route, ["bordered", frozenset({0, 2})]),
+        (verify_triple_route, [frozenset({"bordered", "unit"}), frozenset({0, 2})]),
     ])
     def test_tables_filled_up_front_in_one_pass(self, monkeypatch, campaign, fills):
         # each campaign fills the tables it names before its first job, the
-        # offsets together, and no job fills one lazily
+        # named ones together and the offsets together, and no job fills
+        # one lazily: the unit numerators too
         calls = []
         real = hankel._fill
 
@@ -328,11 +328,10 @@ class TestCampaignPool:
 
         monkeypatch.setattr(hankel, "_fill", recording)
         campaign(9)
-        assert [(kind, count) for kind, count in calls
-                if not isinstance(kind, tuple)] == [(kind, 5) for kind in fills]
+        assert calls == [(kind, 5) for kind in fills]
 
     @pytest.mark.parametrize("campaign, tasks", [
-        (verify_formula_equality, ["bordered", frozenset({0, 2})]),
+        (verify_formula_equality, [frozenset({"bordered"}), frozenset({0, 2})]),
         (verify_derivative_conjecture, [frozenset({0, 1, 2})]),
     ])
     def test_pool_fills_the_offsets_as_one_task(self, monkeypatch, campaign, tasks):
@@ -403,12 +402,12 @@ class TestCampaignPool:
 
     def test_job_workers_start_holding_the_tables(self):
         # forked workers inherit them; spawned ones get them from the initializer
-        mag._install({**hankel._fill("bordered", 3), **hankel._fill(frozenset({0}), 3)})
+        mag._install({**hankel._fill(frozenset({"bordered"}), 3), **hankel._fill(frozenset({0}), 3)})
         for n, held, _ in mag._run_jobs(_held_lengths, [3, 1], 2):
             assert held["bordered"] == 3 and held[0] == 3, n
 
     def test_installed_tables_compute_no_determinant(self, monkeypatch):
-        tables = {**hankel._fill("bordered", 5), **hankel._fill(frozenset({0, 1, 2}), 5)}
+        tables = {**hankel._fill(frozenset({"bordered"}), 5), **hankel._fill(frozenset({0, 1, 2}), 5)}
         want = {job: job(9)[1] for job in (mag._equality_job, mag._derivative_job)}
         clear_hankel_cache()
         mag._install(tables)

@@ -12,7 +12,8 @@ Every determinant table is filled by kind, and held in one store,
   (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`;
 * "unit": y^(0) .. y^(K-1), with y^(p) = (y_0 .. y_p) the numerators of
   [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule, read through
-  `unit_solution(p)` over hankel_det(p+1, 0).
+  `unit_numerators(p)`, and through `unit_solution(p)` over
+  hankel_det(p+1, 0).
 
 One loop, `_fill`, computes the tables of a kind by evaluation at integer
 points and interpolation, with no polynomial product or division.  Entry k
@@ -30,12 +31,12 @@ of pass: the offsets in one Desnanot-Jacobi pass, and "bordered" and
   Put u_i = v_i + 1/R; Delta does not change under the shift.  Expanding
   prod_i (v_i + 1/R)^s Delta(v)^2 gives terms R^(e-ks) prod_i v_i^(a_i)
   with 0 <= e <= ks and sum_i a_i = k(k-1) + e, and int v^a dmu =
-  e^(-R) R^(-2a) Q_a(R), Q_a(R) = sum_l C(a,l) (-1)^(a-l) R^(a-l) B_l(R).
-  So each term of H^(s)_k is a constant times R^(ks-e) prod_i Q_(a_i)(R).
+  e^(-R) R^(-2a) M_a(R), M_a(R) = sum_l C(a,l) (-1)^(a-l) R^(a-l) B_l(R).
+  So each term of H^(s)_k is a constant times R^(ks-e) prod_i M_(a_i)(R).
   The coefficient of R^(l-q) in B_l is (l-q)(l-q+1)..(l+q-1) / (q! 2^q)
   for every l >= 0 (it vanishes for l <= q when q >= 1), a polynomial of
-  degree 2q in l.  So the coefficient of R^(a-q) in Q_a, an a-th
-  difference of it, vanishes unless 2q >= a, and deg Q_a <= floor(a/2)
+  degree 2q in l.  So the coefficient of R^(a-q) in M_a, an a-th
+  difference of it, vanishes unless 2q >= a, and deg M_a <= floor(a/2)
   (checked for a <= 40).  Each term therefore has degree at
   most ks - e + (k(k-1) + e)/2 <= k(k-1)/2 + ks.  tests/test_hankel.py shows
   the bound attained for k <= 14 and s <= 3.
@@ -83,23 +84,44 @@ of pass: the offsets in one Desnanot-Jacobi pass, and "bordered" and
   fallback.  Expanding F_p along its border row gives F_p(x) = x^p sum_i
   xi_{p,i}(x) Q_p[i].  The cofactor (0, i) of [B_{i+j}]_{i,j<=p}, with
   rows 1..p the offset-1 rows, is y_i = (-1)^p x^p Q_p[i] (p transpositions
-  move row 0 below them), so entry p of "unit" is (-1)^p Q_p.
-* Bordered degree.  Entry (i, j) of F_p has degree <= r_i + c_j, with
-  r_i = i + 1 on the Hankel rows, r_p = 2p + 2 on the border (the
-  R^(2p+2) B_j term leads) and c_j = j, so deg F_p <= p^2 + 3p + 2.
-* Bordered valuation.  Every Hankel row has the factor R; so does every
-  border entry, whose terms are R^(2p+2) B_j and multiples of B_m with
-  m >= 1.  So v = p + 1, and q_p needs N_p = p^2 + 2p + 2 points.  The
-  offset-2 table, which the equality campaign compares with F_p, comes
-  from the Desnanot-Jacobi recurrence, a different algorithm; the two
-  share only theta_m(x) and the interpolation.
-* Unit degree and valuation.  Each offset-1 row has the factor R, so
-  v = p; the row and column degrees r_i = i + 1, r_p = -i, c_j = j give
-  deg y_i <= p(p+1) - i, so every R^(-p) y_i is recorded at x = 1 ..
-  p^2 + 1.  `unit_solution` checks H y = H^(0)_{p+1} e_0 symbolically, with
+  move row 0 below them), so entry p of "unit" is (-1)^p Q_p.  The border
+  row sums in O(p) (`_border_sum`).  By the integral lemma
+  (`magnitude._lemma_tail`), xi_{p,i}(x) / x = x^(2p+1) B_i(x) + n sum_j
+  2^j (p-i)!/(p-i-j)! x^(2(p-j)) theta_{i+j}(x) over j <= p - i; with
+  m = i + j and T_m = sum_{i<=m} 2^(m-i) (p-i)!/(p-m)! x^(2i) Q_p[i],
+      sum_i (xi_{p,i}(x) / x) Q_p[i] = x^(2p+1) (Q_p[0] + x sum_{i>=1}
+                  Q_p[i] theta_{i-1}) + n sum_{m<=p} theta_m x^(2(p-m)) T_m,
+  and T_0 = Q_p[0], T_m = 2(p-m+1) T_{m-1} + Q_p[m] x^(2m), all integers.
+* Unit degree.  deg Q_p[i] <= p(p+1)/2 - i, the Hankel degree bullet's
+  argument on Heine's polynomials.  With u and mu as there, c_m =
+  B_{m+1}/R = e^R R^(2m+1) int u^(m+1) dmu: the moments of u dmu, row i
+  scaled by e^R R^(2i+1) and column j by R^(2j).  So Heine's formula,
+  Q_p(t) = (e^R R)^p R^(2p^2) (1/p!) int Delta(u)^2 prod_r u_r (t/R^2 - u_r)
+  dmu^p, gives Q_p[i] = +-(e^R R)^p R^(2(p^2-i)) (1/p!) int Delta(u)^2
+  prod_r u_r e_{p-i}(u) dmu^p, an integrand of degree p^2 + p - i.  The
+  shift u_r = v_r + 1/R leaves Delta alone and turns prod_r u_r e_{p-i}(u)
+  into terms R^(-e) times monomials in v of degree p^2 + p - i - e, with
+  0 <= e <= 2p - i; each integrates to e^(-pR) R^(-2(p^2+p-i-e)) times a
+  product of M_(a_r)(R).  So each term of Q_p[i] is a constant times
+  R^(e-p) prod_r M_(a_r)(R), of degree at most e - p + (p^2 + p - i - e)/2
+  <= p(p+1)/2 - i; tests/test_hankel.py shows the bound attained for
+  p <= 15.  Q_p[i] is an integer polynomial, a minor of the theta's, so
+  entry p of "unit" is R^p times polynomials of degree <= p(p+1)/2, and
+  x = 1 .. p(p+1)/2 + 1 give it.
+  `unit_numerators` checks H y = H^(0)_{p+1} e_0 symbolically, with
   H from the reverse Bessel recurrence and H^(0)_{p+1} from the
   Desnanot-Jacobi table, so a fault in the Heine pass it shares with the
   det route raises RouteMismatch rather than making two routes agree.
+* Bordered degree and valuation.  F_p = R^p sum_i xi_{p,i} Q_p[i] with
+  deg xi_{p,i} = 2p + 2 + i (its R^(2p+2) B_i term leads; the lemma terms
+  have degree 2p + 1 + i - j), so the unit bound gives deg F_p <= p + 2p
+  + 2 + p(p+1)/2 = (p^2 + 7p + 4)/2.  Every border entry has the factor R,
+  since its terms are R^(2p+2) B_j and multiples of B_m with m >= 1, so
+  v = p + 1, and q_p needs N_p = (p+1)(p+4)/2 points.  The offset-2 table,
+  which the equality campaign compares with F_p, comes from the
+  Desnanot-Jacobi recurrence, a different algorithm; the two share only
+  theta_m(x) and the interpolation.  The bound does not use deg H^(2)_{p+1}
+  = (p+1)(p+4)/2, p lower, which would assume the identity checked.
 
 Production eliminates nothing: its two point recurrences are
 Desnanot-Jacobi's and Heine's.  `_eliminate`, checked fraction-free
@@ -265,9 +287,9 @@ def _valuation_and_points(key, k: int) -> tuple:
     "bordered" or the numerators y^(k) when "unit", is R^v times
     polynomials of degree below N."""
     if key == "bordered":
-        v, degree = k + 1, k * k + 3 * k + 2
+        v, degree = k + 1, (k * k + 7 * k + 4) // 2
     elif key == "unit":
-        v, degree = k, k * (k + 1)
+        v, degree = k, k * (k + 3) // 2
     else:
         v, degree = (k if key == 0 else k + 1), (k + 1) * (k + 2 * key) // 2
     return v, degree - v + 1
@@ -291,23 +313,15 @@ def _interpolate(values, valuation: int) -> IntPoly:
     return IntPoly(coeffs).shift(valuation)
 
 
-def _tail_weights(b: int) -> list:
-    """2^j b!/(b-j)! for j = 0..b, the weights of the integral lemma."""
-    weights = [1]
-    for j in range(b):
-        weights.append(weights[-1] * 2 * (b - j))
-    return weights
-
-
-def _border_values(x: int, p: int, theta: list, squares: list, weights: list) -> list:
-    """xi_{p,i}(x) / x for i = 0..p, from theta[m] = theta_m(x) = B_{m+1}(x) / x,
-    squares[k] = x^(2k) and weights[b] = _tail_weights(b):
-    x^(2p+1) B_i(x) + n sum_j w_{p-i,j} x^(2(p-j)) theta_{i+j}(x)."""
-    n = 2 * p + 1
-    lead = x * squares[p]
-    return [lead * (x * theta[i - 1] if i else 1)
-            + n * sum(w * squares[p - j] * theta[i + j] for j, w in enumerate(weights[p - i]))
-            for i in range(p + 1)]
+def _border_sum(x: int, p: int, theta: list, q: list, squares: list) -> int:
+    """sum_i (xi_{p,i}(x) / x) q[i], the border row of F_p against q, in O(p)
+    from theta[m] = theta_m(x) and squares[k] = x^(2k), by the Heine bullet's
+    prefix recurrence T_m = 2(p-m+1) T_{m-1} + q[m] x^(2m)."""
+    t = tail = 0
+    for m in range(p + 1):
+        t = 2 * (p - m + 1) * t + q[m] * squares[m]
+        tail += theta[m] * squares[p - m] * t
+    return x * squares[p] * (q[0] + x * sum(map(mul, q[1:], theta))) + (2 * p + 1) * tail
 
 
 def _desnanot_jacobi(offsets: frozenset, count: int):
@@ -355,9 +369,7 @@ def _heine_polys(x: int, c: list, count: int) -> list:
 def _heine(count: int):
     """at(x, lows): for "bordered" and "unit" among lows, entries lows[key]
     .. count-1 at x divided by their R^v, from one Heine recurrence on
-    theta(x): the border rows against Q_p, and (-1)^p Q_p."""
-    weights = [_tail_weights(b) for b in range(count)]
-
+    theta(x): the border sums against Q_p, and (-1)^p Q_p."""
     def at(x, lows):
         theta = _theta_values(x, 2 * count - 2)
         polys = _heine_polys(x, theta, count)
@@ -367,9 +379,8 @@ def _heine(count: int):
                               for p, q in enumerate(polys) if p >= lows["unit"]]
         if "bordered" in lows:
             squares = [x ** (2 * k) for k in range(count)]
-            values["bordered"] = [
-                sum(map(mul, _border_values(x, p, theta, squares, weights), polys[p]))
-                for p in range(lows["bordered"], count)]
+            values["bordered"] = [_border_sum(x, p, theta, polys[p], squares)
+                                  for p in range(lows["bordered"], count)]
         return values
     return at
 
@@ -430,6 +441,7 @@ def hankel_det(size: int, offset: int) -> IntPoly:
 def clear_hankel_cache() -> None:
     """Forget every cached determinant, of every kind, and every unit solution."""
     hankel_det.cache_clear()
+    unit_numerators.cache_clear()
     unit_solution.cache_clear()
     _TABLES.clear()
 
@@ -475,14 +487,21 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def unit_solution(p: int) -> tuple:
-    """The solution of [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule: the
-    numerators, entry p of the held "unit" table, over hankel_det(p+1, 0),
-    with the residual checked symbolically against the reverse Bessel
-    polynomials."""
+def unit_numerators(p: int) -> tuple:
+    """The numerators y^(p) of [B_{i+j}]_{i,j<=p} y = H^(0)_{p+1} e_0 by
+    Cramer's rule, entry p of the held "unit" table, with the residual
+    checked symbolically against the reverse Bessel polynomials."""
     _hold(("unit",), at_least("p", p, 0) + 1)
     nums = _TABLES["unit"][p]
-    d = hankel_det(p + 1, 0)
     b = reverse_bessel(2 * p).polys
-    _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, d)
+    _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, hankel_det(p + 1, 0))
+    return nums
+
+
+@lru_cache(maxsize=None)
+def unit_solution(p: int) -> tuple:
+    """The solution of [B_{i+j}]_{i,j<=p} y = e_0: the certified
+    `unit_numerators(p)` over hankel_det(p+1, 0), each reduced."""
+    nums = unit_numerators(p)
+    d = hankel_det(p + 1, 0)
     return tuple(RatFunc(num, d) for num in nums)

@@ -61,7 +61,7 @@ from .errors import (
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
-from .hankel import _TABLES, _hold, _tail_weights, hankel_det, unit_solution
+from .hankel import _TABLES, _hold, hankel_det, unit_numerators, unit_solution
 from .poly import IntPoly, RatFunc
 
 
@@ -74,9 +74,10 @@ def _lemma_tail(i: int, b: int) -> IntPoly:
     integral lemma: int_R^inf e^(-r) B_i(r) r^(2b) dr = e^(-R) tail(R) / R.
     The border row, the explicit formula and the quadrature check share it."""
     tb = reverse_bessel(i + b + 1)
-    tail = IntPoly.zero()
-    for j, w in enumerate(_tail_weights(b)):
+    tail, w = IntPoly.zero(), 1
+    for j in range(b + 1):
         tail = tail + (w * tb.poly(i + j + 1)).shift(2 * (b - j))
+        w *= 2 * (b - j)
     return tail
 
 
@@ -175,9 +176,9 @@ def magnitude_boundary(n: int) -> RatFunc:
 
         Lambda_i = -sum_{t <= p-i} (-2)^t (p-i)!/(p-i-t)! sigma_t R^(2(p-t)) theta_{i+t}
 
-    and no Laplacian runs.  Over H_0 = hankel_det(p+1, 0), every a_i H_0 is
-    an exact quotient, and |B| = (R^n H_0 + n sum_i (a_i H_0) Lambda_i) /
-    (n! H_0), reduced once at the end.
+    and no Laplacian runs.  Over H_0 = hankel_det(p+1, 0), a_i H_0 = y_i,
+    the certified Cramer numerators `unit_numerators(p)`, and |B| =
+    (R^n H_0 + n sum_i y_i Lambda_i) / (n! H_0), reduced once at the end.
     """
     p = odd_dimension(n)
     sigma = [sum((-1) ** j * math.comb(p + 1, j) * math.comb(j - 1, t)
@@ -185,11 +186,11 @@ def magnitude_boundary(n: int) -> RatFunc:
     theta = [b.shift_down(1) for b in reverse_bessel(p + 1).polys[1:]]
     h0 = hankel_det(p + 1, 0)
     total = IntPoly.zero()
-    for i, a in enumerate(unit_solution(p)):
+    for i, y in enumerate(unit_numerators(p)):
         lam = IntPoly.zero()
         for t in range(p - i + 1):
             lam = lam - ((-2) ** t * math.perm(p - i, t) * sigma[t] * theta[i + t]).shift(2 * (p - t))
-        total = total + h0.divexact(a.den) * a.num * lam
+        total = total + y * lam
     return RatFunc(h0.shift(n) + n * total, math.factorial(n) * h0)
 
 
@@ -296,7 +297,7 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
     named ones in one Heine pass and the offsets in one Desnanot-Jacobi
     pass, run by `_pool_map`: with a pool and two n or more, each pass is
     one pool task; else they run here.  The jobs then read the held
-    tables, the unit numerators through `unit_solution`.  They run
+    tables, the unit numerators through `unit_numerators`.  They run
     largest n first, so that in a pool the slowest job starts first, in a
     second pool whose workers start holding the tables, or here when there
     is no pool or `pool_jobs` is false."""

@@ -242,15 +242,38 @@ class TestEvaluationInterpolation:
 
     def test_unit_points_cover_the_oracle(self):
         # entry p of "unit" holds y_0 .. y_p, det H times the oracle's
-        # reduced components, and deg y_i <= p(p+1) - i
+        # reduced components, and deg y_i <= p + p(p+1)/2 - i
         for p in range(9):
             m = build_hankel(p + 1, 0, TB)
             d = det_bareiss(m)
             v, count = hankel._valuation_and_points("unit", p)
-            assert v == p and v + count - 1 == p * (p + 1)
+            assert v == p and count == p * (p + 1) // 2 + 1
             for i, y in enumerate(solve_unit_rhs(m)):
                 num = (y.num * d).divexact(y.den)
                 assert num.valuation() >= v and num.degree <= v + count - 1 - i, (p, i)
+
+    def test_heine_degree_bounds(self):
+        # Q_p[i] and F_p interpolated at the row and column degree bounds,
+        # p^2 - i and p^2 + 3p + 2, which hold for any such entries: the
+        # Heine bounds of the hankel docstring are below them, deg Q_p[i] =
+        # p(p+1)/2 - i is attained, and deg F_p <= (p^2 + 7p + 4)/2
+        top = 15
+        count = top + 1
+        units = [[[] for _ in range(p + 1)] for p in range(count)]
+        borders = [[] for _ in range(count)]
+        for x in range(1, top * top + 2 * top + 3):
+            theta = hankel._theta_values(x, 2 * count - 2)
+            squares = [x ** (2 * k) for k in range(count)]
+            for p, q in enumerate(hankel._heine_polys(x, theta, count)):
+                if x <= p * p + 1:
+                    for column, c in zip(units[p], q):
+                        column.append(c)
+                if x <= p * p + 2 * p + 2:
+                    borders[p].append(hankel._border_sum(x, p, theta, q, squares))
+        for p in range(count):
+            assert [hankel._interpolate(column, 0).degree for column in units[p]] == [
+                p * (p + 1) // 2 - i for i in range(p + 1)], p
+            assert hankel._interpolate(borders[p], p + 1).degree <= (p * p + 7 * p + 4) // 2, p
 
     def test_heine_pass_matches_the_oracles(self, heine_reference):
         hankel._hold(("bordered", "unit"), self.MAX_P + 1)
@@ -418,6 +441,7 @@ class TestSolve:
         assert "unit" in hankel._TABLES
         clear_hankel_cache()
         assert unit_solution.cache_info().currsize == 0
+        assert hankel.unit_numerators.cache_info().currsize == 0
         assert "unit" not in hankel._TABLES
 
     def test_corrupted_unit_value_is_fatal(self, monkeypatch):

@@ -98,34 +98,36 @@ class TestBorderedEngine:
             assert mag._bordered_det(p) == reference[p], (order, p)
 
     def test_points_cover_degree_and_valuation(self, reference):
-        # entry (i, j) has degree <= r_i + j: r_i = i + 1, and 2p + 2 on the border
+        # F_p = R^p sum_i xi_{p,i} Q_p[i], with deg xi_{p,i} = 2p + 2 + i and
+        # deg Q_p[i] <= p(p+1)/2 - i (the hankel docstring's Heine bound)
         for p, det in enumerate(reference):
             v, count = hankel._valuation_and_points("bordered", p)
-            assert v == p + 1
-            assert det.degree <= (p + 1) + count - 1 == p * p + 3 * p + 2
+            assert v == p + 1 and count == (p + 1) * (p + 4) // 2
+            assert det.degree <= (p + 1) + count - 1 == (p * p + 7 * p + 4) // 2
             assert det.valuation() >= p + 1
 
     def test_border_values_match_polys(self):
+        # the border sum is linear in q, and against the unit vector e_i it
+        # is the border value xi_{p,i}(x) / x
         for p in range(8):
             polys = border_polys(p)
-            weights = [hankel._tail_weights(b) for b in range(p + 1)]
             for x in (1, 2, 7):
                 theta = hankel._theta_values(x, p)
                 squares = [x ** (2 * k) for k in range(p + 1)]
-                want = [xi(x) // x for xi in polys]
-                assert hankel._border_values(x, p, theta, squares, weights) == want, (p, x)
+                got = [hankel._border_sum(x, p, theta, [int(i == j) for j in range(p + 1)], squares)
+                       for i in range(p + 1)]
+                assert got == [xi(x) // x for xi in polys], (p, x)
 
     @pytest.mark.parametrize("column", [0, -1])
     def test_corrupted_border_value_is_fatal(self, monkeypatch, column):
-        real = hankel._border_values
+        real = hankel._border_sum
 
-        def corrupted(x, p, *rest):
-            values = real(x, p, *rest)
-            if p == 5 and x == 9:
-                values[column] += 1
-            return values
+        def corrupted(x, p, theta, q, squares):
+            value = real(x, p, theta, q, squares)
+            # the sum with border value `column` one larger
+            return value + q[column] if p == 5 and x == 9 else value
 
-        monkeypatch.setattr(hankel, "_border_values", corrupted)
+        monkeypatch.setattr(hankel, "_border_sum", corrupted)
         # a border with one changed integer still gives an integer value
         # against Q_5, and only Newton's checked divisions catch it
         with pytest.raises(InexactDivision):
@@ -146,9 +148,9 @@ class TestBorderedEngine:
         assert calls == []
 
     def test_each_border_at_its_own_points(self, monkeypatch):
-        # border p is reduced at x = 1..N_p only, and q_p interpolated from them
+        # border p is summed at x = 1..N_p only, and q_p interpolated from them
         reduced, interpolated = [], []
-        real_border, real_interpolate = hankel._border_values, hankel._interpolate
+        real_border, real_interpolate = hankel._border_sum, hankel._interpolate
 
         def border(x, p, *rest):
             reduced.append((p, x))
@@ -158,7 +160,7 @@ class TestBorderedEngine:
             interpolated.append(len(values))
             return real_interpolate(values, v)
 
-        monkeypatch.setattr(hankel, "_border_values", border)
+        monkeypatch.setattr(hankel, "_border_sum", border)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
         hankel._fill(frozenset({"bordered"}), 8)
         points = [hankel._valuation_and_points("bordered", p)[1] for p in range(8)]
@@ -518,13 +520,13 @@ class TestDisagreementPath:
         import oddball.magnitude as mag
         from oddball.errors import Disagreement
 
-        real = mag.unit_solution
+        real = mag.unit_numerators
 
         def crooked(p):
-            coeffs = real(p)
-            return (coeffs[0] + RatFunc.const(1),) + coeffs[1:]
+            nums = real(p)
+            return (nums[0] + IntPoly.one(),) + nums[1:]
 
-        monkeypatch.setattr(mag, "unit_solution", crooked)
+        monkeypatch.setattr(mag, "unit_numerators", crooked)
         with pytest.raises(Disagreement):
             mag.verify_triple_route(3)
 

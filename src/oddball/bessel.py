@@ -21,8 +21,8 @@ factorials) which must agree entry for entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     IndexOutOfTriangle,
@@ -35,16 +35,14 @@ from .explaurent import ExpLaurent
 from .poly import IntPoly
 
 
-@dataclass(frozen=True)
-class KernelTable:
+class KernelTable(NamedTuple):
     """Decaying kernels k_0 .. k_max_index in the e^(-r) Laurent algebra."""
 
     max_index: int
     funcs: tuple
 
 
-@dataclass(frozen=True)
-class BesselTable:
+class BesselTable(NamedTuple):
     """Reverse Bessel polynomials B_0 .. B_max_index."""
 
     max_index: int
@@ -108,8 +106,7 @@ def reverse_bessel(max_index: int) -> BesselTable:
 # derivative-conversion triangle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivTriangle:
+class DerivTriangle(NamedTuple):
     """Rows j = 1..max_j; row j holds d[j][k] for k = 1..j.
 
     If g_{j+1} = -(1/r) g_j', then g_j expands over plain derivatives of g_0

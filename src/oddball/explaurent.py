@@ -8,15 +8,15 @@ lets every identity in this package be checked by exact coefficient
 arithmetic: the exponential factor is part of the type, never a number.
 
 Numeric evaluation (the only place floating point appears) goes through
-mpmath at DEFAULT_PRECISION, 128 mantissa bits.
+mpmath at DEFAULT_PRECISION, 128 mantissa bits.  Only that oracle needs
+mpmath, so `eval` imports it on first call: a process that never evaluates
+numerically never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping
-
-import mpmath
 
 from .errors import odd_dimension, positive_radius
 
@@ -120,6 +120,8 @@ class ExpLaurent:
 
     def eval(self, at) -> mpmath.mpf:
         """Numeric value e^(-at) * sum c_k at^k at DEFAULT_PRECISION bits."""
+        import mpmath
+
         at = positive_radius(at)
         with mpmath.workprec(DEFAULT_PRECISION):
             x = mpmath.mpf(at.numerator) / at.denominator

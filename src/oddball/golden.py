@@ -15,7 +15,7 @@ they must never be regenerated from the code they test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GoldenMismatch
 from .hankel import unit_solution
@@ -98,8 +98,7 @@ MAGNITUDE_DERIVATIVE = {
 }
 
 
-@dataclass(frozen=True)
-class GoldenResult:
+class GoldenResult(NamedTuple):
     table: str
     n: int
     ok: bool

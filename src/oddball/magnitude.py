@@ -41,12 +41,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-
-import mpmath
+from typing import NamedTuple
 
 from . import potential
 from .bessel import reverse_bessel
@@ -226,15 +223,13 @@ def derivative_conjecture_rhs(n: int) -> RatFunc:
 # campaign reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CampaignEntry:
+class CampaignEntry(NamedTuple):
     n: int
     value: RatFunc
     millis: float
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(NamedTuple):
     """A campaign's per-n entries; a failed campaign raises instead."""
 
     entries: tuple
@@ -272,8 +267,12 @@ def _install(tables: dict) -> None:
 def _pool_map(fn, items: list, jobs: int) -> list:
     """[fn(item) for item in items], by a pool of up to `jobs` workers when
     there are two items or more, else (or when no pool starts) here.  The
-    workers start holding this process's determinant tables."""
+    workers start holding this process's determinant tables.  The pool
+    module (with `multiprocessing`) is imported only here, when a pool is
+    asked for: a `--jobs 1` process never loads it."""
     if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_install,
                                      initargs=(_TABLES,)) as pool:
@@ -350,8 +349,7 @@ def _strip_poly(poly: IntPoly) -> tuple:
     return prim, v, c
 
 
-@dataclass(frozen=True)
-class ObservationEntry:
+class ObservationEntry(NamedTuple):
     """num(|B^n|) = constant * R^power_shift * num(first coeff at n+2)."""
 
     n: int
@@ -411,7 +409,10 @@ def verify_integral_lemma(i: int, b: int, radius) -> bool:
     negligible.
     Right side: e^(-R) _lemma_tail(i, b)(R) / R, the rational part
     evaluated exactly and converted once.
+    It imports mpmath on its first call, so that no other command loads it.
     """
+    import mpmath
+
     at_least("i", i, 0)
     at_least("b", b, 0)
     radius = positive_radius(radius)

@@ -18,10 +18,8 @@ back in at working precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import NamedTuple
 
 from .bessel import kernel_table, reverse_bessel
 from .errors import RouteMismatch, SingularMatrix, at_least, odd_dimension, positive_radius
@@ -30,8 +28,7 @@ from .hankel import hankel_det, unit_solution
 from .poly import RatFunc
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """Potential function of the n-ball of the given radius.
 
     coeff_funcs are the solution of the Hankel system as rational functions
@@ -48,6 +45,8 @@ class Potential:
 
     def value_at(self, r) -> mpmath.mpf:
         """Numeric h(r) for r >= radius."""
+        import mpmath
+
         r = positive_radius(r)
         if r < self.radius:
             return mpmath.mpf(1)

@@ -3,6 +3,9 @@ the CLI turns a failed one into exit 1; bad arguments raise an InputError,
 which it turns into exit 2."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,17 +30,73 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# The only modules a function may import: each is heavy to load and few
+# commands need it, so deferring it keeps it out of every other process's
+# start.  The costs are `python -X importtime` on CPython 3.11, 2 vCPUs.
+_DEFERRED_IMPORTS = {
+    "mpmath",  # 30-43 ms; only `verify integral` and the numeric oracles use it
+    "concurrent.futures",  # 27-34 ms with multiprocessing; only a pool of 2 jobs or more
+}
+
+
+def _imported_names(node) -> list:
+    """The modules an import statement names; a relative one by its dots,
+    e.g. "." for `from . import potential`."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return ["." * node.level + (node.module or "")]
+
+
 def test_no_function_local_imports_in_package():
-    # a function-local import is how an import cycle hides; keep them out
+    # a function-local import of a package module, relative or absolute, is
+    # how an import cycle hides, and none is on the list; the list only
+    # defers a heavy module that few commands use
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{node.lineno} {name}"
         for path in sorted(SRC.glob("*.py"))
         for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
         for node in ast.walk(func)
         if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_names(node)
+        if name not in _DEFERRED_IMPORTS
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_import_loads_no_deferred_module(flags):
+    # every command starts by importing these; a top-level import of a
+    # deferred module (or of dataclasses) would put its cost on all of them
+    out = _fresh_python(flags, "import oddball, oddball.cli\n"
+                               "print(sorted(m for m in MODULES if m in sys.modules))")
+    assert out == "[]"
+
+
+def test_deferred_imports_run_on_first_use():
+    # the quadrature check and a two-job pool, each the first use of its
+    # module; the pool fills its tables afresh
+    out = _fresh_python([], (
+        "from oddball.hankel import clear_hankel_cache\n"
+        "from oddball.magnitude import verify_formula_equality, verify_integral_lemma\n"
+        "pairs = lambda jobs: [(e.n, e.value) for e in verify_formula_equality(7, jobs).entries]\n"
+        "want = pairs(1)\n"
+        "clear_hankel_cache()\n"
+        "ok = verify_integral_lemma(0, 0, 1) is True and pairs(2) == want\n"
+        "print(ok, sorted(m for m in MODULES if m in sys.modules))"))
+    assert out == "True ['concurrent.futures', 'mpmath']"
+
+
+def _fresh_python(flags: list, code: str) -> str:
+    """stdout of `code` run by a new interpreter, with `sys` imported and
+    MODULES naming the deferred modules and dataclasses."""
+    src = str(SRC.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    prelude = f"import sys\nMODULES = {sorted(_DEFERRED_IMPORTS | {'dataclasses'})!r}\n"
+    proc = subprocess.run([sys.executable, *flags, "-c", prelude + code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def _raised_name(node: ast.Raise):

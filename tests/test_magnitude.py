@@ -3,6 +3,7 @@ against a Bareiss of the built matrix, the campaign pool, the observation
 and derivative campaigns, the determinantal identity, and the
 quadrature-backed integral check."""
 
+import concurrent.futures
 import math
 import random
 from fractions import Fraction
@@ -399,7 +400,8 @@ class TestCampaignPool:
         def no_pool(*args, **kwargs):
             raise NotImplementedError("no named semaphores")
 
-        monkeypatch.setattr(mag, "ProcessPoolExecutor", no_pool)
+        # `_pool_map` imports the pool class when it asks for a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert [(e.n, e.value) for e in campaign(9, jobs=2).entries] == want
 
     def test_job_workers_start_holding_the_tables(self):

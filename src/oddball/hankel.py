@@ -15,14 +15,16 @@ Every determinant table is filled by kind, and held in one store,
   `unit_numerators(p)`, and through `unit_solution(p)` over
   hankel_det(p+1, 0).
 
-One loop, `_fill`, computes the tables of a kind by evaluation at integer
-points and interpolation, with no polynomial product or division.  Entry k
-is R^v q with deg q < N (`_valuation_and_points`), so x = 1..N give q, and
-Newton interpolation, each Delta^j / j! checked exact, rebuilds it.
-`_hold` is the one way into the store: given the keys a caller reads and a
-count, it fills every table held shorter, entries 0..count-1, in two kinds
-of pass: the offsets in one Desnanot-Jacobi pass, and "bordered" and
-"unit" in one Heine pass.
+Every table is computed by evaluation at integer points and interpolation,
+with no polynomial product or division.  Entry k is R^v q with deg q < N
+(`_valuation_and_points`), so x = 1..N give q, and Newton interpolation,
+each Delta^j / j! checked exact, rebuilds it.  `_hold` is the one way into
+the store: given the keys a caller reads and a count, it fills every table
+held shorter, entries 0..count-1, in one pass over the points.  At each x,
+`_point_values` computes theta(x) once and runs the two recurrences below
+on it, Desnanot-Jacobi for the offsets and Heine for "bordered" and
+"unit".  The points are independent, so a pool of workers that hold
+nothing can share them; the interpolation runs in the caller.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -135,7 +137,6 @@ cofactor expansion is the oracle for `det_bareiss`.  `PolyMatrix` and
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import mul
 
@@ -324,30 +325,6 @@ def _border_sum(x: int, p: int, theta: list, q: list, squares: list) -> int:
     return x * squares[p] * (q[0] + x * sum(map(mul, q[1:], theta))) + (2 * p + 1) * tail
 
 
-def _desnanot_jacobi(offsets: frozenset, count: int):
-    """at(x, lows): for each offset s of lows, H^(s)_k(x) / x^v for k from
-    lows[s] + 1 to count, the first entries of the levels of one
-    Desnanot-Jacobi recurrence, where level k holds H^(s)_k(x) for every s
-    from the least key of lows up."""
-    top = max(offsets) + 2 * count - 2  # the column B_lo(x) .. B_top(x)
-
-    def at(x, lows):
-        lo = min(lows)
-        cur = ([1] + [x * t for t in _theta_values(x, top - 1)])[lo:]
-        prev, values = [1] * len(cur), {s: [] for s in lows}
-        for k in range(1, count + 1):
-            if k > 1:
-                prev, cur = cur, [_exact(a * c - b * b, d, x)
-                                  for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
-            if min(cur) <= 0:
-                raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
-            for s, low in lows.items():
-                if k > low:
-                    values[s].append(_exact(cur[s - lo], x ** (k - (s == 0)), x))
-        return values
-    return at
-
-
 def _heine_polys(x: int, c: list, count: int) -> list:
     """The coefficient lists of Q_0 .. Q_{count-1} at x, for the moments
     c[m] = theta_m(x), by the three-term recurrence of the Heine bullet."""
@@ -366,14 +343,40 @@ def _heine_polys(x: int, c: list, count: int) -> list:
     return polys
 
 
-def _heine(count: int):
-    """at(x, lows): for "bordered" and "unit" among lows, entries lows[key]
-    .. count-1 at x divided by their R^v, from one Heine recurrence on
-    theta(x): the border sums against Q_p, and (-1)^p Q_p."""
-    def at(x, lows):
-        theta = _theta_values(x, 2 * count - 2)
+def _point_values(kind: tuple, count: int, x: int) -> dict:
+    """{key: entries low .. count-1 of the table `key` at x, each divided by
+    its R^v}, for each table of `kind` that x is a point of: entry k is
+    evaluated at x = 1 .. N_k only (`_valuation_and_points`), so low is the
+    number of entries with N_k < x.  theta(x) is computed once; the offsets
+    share one Desnanot-Jacobi recurrence, whose level k holds H^(s)_k(x) for
+    every s from the least offset that needs x up, and "bordered" and
+    "unit" one Heine recurrence: the border sums against Q_p, and (-1)^p
+    Q_p, a "unit" entry being the list of its components.  Module level,
+    so that pool workers, forked or spawned, need only its arguments."""
+    lows = {}
+    for key in kind:
+        low = sum(_valuation_and_points(key, k)[1] < x for k in range(count))
+        if low < count:
+            lows[key] = low
+    offsets = {s: low for s, low in lows.items() if isinstance(s, int)}
+    top = max(offsets, default=0) + 2 * count - 2
+    theta = _theta_values(x, top)
+    values = {s: [] for s in offsets}
+    if offsets:
+        lo = min(offsets)
+        cur = ([1] + [x * t for t in theta])[lo:top + 1]  # B_lo(x) .. B_top(x)
+        prev = [1] * len(cur)
+        for k in range(1, count + 1):
+            if k > 1:
+                prev, cur = cur, [_exact(a * c - b * b, d, x)
+                                  for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
+            if min(cur) <= 0:
+                raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
+            for s, low in offsets.items():
+                if k > low:
+                    values[s].append(_exact(cur[s - lo], x ** (k - (s == 0)), x))
+    if "unit" in lows or "bordered" in lows:
         polys = _heine_polys(x, theta, count)
-        values = {}
         if "unit" in lows:
             values["unit"] = [[-a for a in q] if p % 2 else q
                               for p, q in enumerate(polys) if p >= lows["unit"]]
@@ -381,29 +384,7 @@ def _heine(count: int):
             squares = [x ** (2 * k) for k in range(count)]
             values["bordered"] = [_border_sum(x, p, theta, polys[p], squares)
                                   for p in range(lows["bordered"], count)]
-        return values
-    return at
-
-
-def _fill(kind: frozenset, count: int) -> dict:
-    """Entries 0..count-1 of each table that `kind` names, as {key: table},
-    filled by one pass: offsets by `_desnanot_jacobi`, "bordered" and
-    "unit" by `_heine`.  Entry k of each table is evaluated only at its own
-    N_k points, which grow with k, and only the tables named are
-    interpolated; a "unit" entry is the tuple of its components."""
-    keys = sorted(kind)
-    needs = {key: [_valuation_and_points(key, k) for k in range(count)] for key in keys}
-    points = {key: [n for _, n in need] for key, need in needs.items()}
-    values = {key: [[] for _ in range(count)] for key in keys}
-    at = _heine(count) if isinstance(keys[0], str) else _desnanot_jacobi(kind, count)
-    for x in range(1, max(n[-1] for n in points.values()) + 1):
-        lows = {key: bisect_left(n, x) for key, n in points.items() if n[-1] >= x}
-        for key, entries in at(x, lows).items():
-            for vals, value in zip(values[key][lows[key]:], entries):
-                vals.append(value)
-    return {key: tuple(tuple(_interpolate(col, v) for col in zip(*vals)) if key == "unit"
-                       else _interpolate(vals, v) for (v, _), vals in zip(needs[key], values[key]))
-            for key in keys}
+    return values
 
 
 # key, an offset, "bordered" or "unit" -> entries 0..K-1 of that table, for
@@ -413,15 +394,24 @@ _TABLES: dict = {}
 
 def _hold(keys, count: int, run=map) -> None:
     """Hold the tables `keys` names, each an offset, "bordered" or "unit",
-    with at least `count` entries.  Those held shorter are filled by
-    run(fill, passes): the missing named tables in one Heine pass, then
-    the missing offsets in one Desnanot-Jacobi pass."""
-    missing = [key for key in keys if len(_TABLES.get(key, ())) < count]
-    passes = [kind for kind in (frozenset(key for key in missing if isinstance(key, str)),
-                                frozenset(key for key in missing if isinstance(key, int))) if kind]
-    if passes:
-        for filled in run(partial(_fill, count=count), passes):
-            _TABLES.update(filled)
+    with at least `count` entries.  Those held shorter are filled together:
+    run(at, points) maps `_point_values` over every point x = 1 .. N that
+    one of their entries needs, and each entry is interpolated here from
+    the values at its own points."""
+    kind = tuple(key for key in keys if len(_TABLES.get(key, ())) < count)
+    if not kind:
+        return
+    needs = {key: [_valuation_and_points(key, k) for k in range(count)] for key in kind}
+    values = {key: [[] for _ in range(count)] for key in kind}
+    points = range(1, max(need[-1][1] for need in needs.values()) + 1)
+    for at in run(partial(_point_values, kind, count), points):
+        for key, entries in at.items():
+            for vals, value in zip(values[key][count - len(entries):], entries):
+                vals.append(value)
+    for key, need in needs.items():
+        _TABLES[key] = tuple(
+            tuple(_interpolate(col, v) for col in zip(*vals)) if key == "unit"
+            else _interpolate(vals, v) for (v, _), vals in zip(need, values[key]))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: hankel_det(2.0, 0) must miss, and be refused

@@ -22,14 +22,14 @@ Routes to |B^n_R| as a reduced rational function of the radius:
 
 The det = hankel, boundary = det = hankel and derivative campaigns share one
 comparison loop: a job per odd n computes the values that must be equal, and
-the loop compares them in the calling process, also when the jobs ran in a
-worker pool.  First `hankel._hold` computes the determinant tables the jobs
-read once, held by the calling process: every offset the campaign names in
-one Desnanot-Jacobi pass, and the bordered determinants and unit-RHS
-numerators it names in one Heine pass.  With a pool, each pass is one pool
-task.  The derivative campaign's job pool starts holding the tables; the
-equality campaign's jobs, a few reductions each once the tables are held,
-run in the calling process.  No table is computed twice.
+the loop compares them.  First `hankel._hold` computes the determinant
+tables the jobs read once, held by the calling process, in one pass over
+the integer points: each point gives every offset the campaign names by one
+Desnanot-Jacobi recurrence, and the bordered determinants and unit-RHS
+numerators it names by one Heine recurrence.  With `jobs` above 1, a pool
+of workers that start with nothing shares the points; the interpolation and
+the jobs, a few reductions each once the tables are held, run in the
+calling process.  No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -258,55 +258,44 @@ def _triple_job(n: int) -> tuple:
     return n, values, (time.perf_counter() - t0) * 1000.0
 
 
-def _install(tables: dict) -> None:
-    """Hold the given determinant tables in this process; a module-level
-    function, so that spawned pool workers can run it as their initializer."""
-    _TABLES.update(tables)
-
-
-def _pool_map(fn, items: list, jobs: int) -> list:
+def _pool_map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], by a pool of up to `jobs` workers when
     there are two items or more, else (or when no pool starts) here.  The
-    workers start holding this process's determinant tables.  The pool
-    module (with `multiprocessing`) is imported only here, when a pool is
-    asked for: a `--jobs 1` process never loads it."""
+    items go to the workers in about four chunks each.  The workers are
+    given nothing else, so fn must be module level and need only its
+    arguments.  The pool module (with `multiprocessing`) is imported only
+    here, when a pool is asked for: a `--jobs 1` process never loads it."""
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        workers = min(jobs, len(items))
         try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_install,
-                                     initargs=(_TABLES,)) as pool:
-                return list(pool.map(fn, items))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
         except (OSError, NotImplementedError):  # no pool on this platform
             pass
-    return [fn(item) for item in items]
+    return list(map(fn, items))
 
 
-def _run_jobs(worker, ns, jobs: int) -> list:
-    """worker(n) for every n, in the order given; the records sorted by n."""
-    return sorted(_pool_map(worker, ns, jobs), key=lambda rec: rec[0])
+def _run_jobs(worker, ns) -> list:
+    """worker(n) for every n, in the order given, in this process; the
+    records sorted by n."""
+    return sorted(map(worker, ns), key=lambda rec: rec[0])
 
 
-def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
-           pool_jobs: bool = True) -> CampaignReport:
-    """Run job on every odd n <= max_n and raise failure(n, ...) in this
-    process unless all the values it returns are equal; each entry keeps
-    the first value.  First `hankel._hold` fills the determinant tables that
-    the jobs read, named by key (an offset, "bordered" or "unit"): the
-    named ones in one Heine pass and the offsets in one Desnanot-Jacobi
-    pass, run by `_pool_map`: with a pool and two n or more, each pass is
-    one pool task; else they run here.  The jobs then read the held
-    tables, the unit numerators through `unit_numerators`.  They run
-    largest n first, so that in a pool the slowest job starts first, in a
-    second pool whose workers start holding the tables, or here when there
-    is no pool or `pool_jobs` is false."""
+def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = ()) -> CampaignReport:
+    """Run job on every odd n <= max_n and raise failure(n, ...) unless all
+    the values it returns are equal; each entry keeps the first value.
+    First `hankel._hold` fills the determinant tables that the jobs read,
+    named by key (an offset, "bordered" or "unit"), in one pass over the
+    integer points, which `_pool_map` splits among `jobs` workers when
+    there are two n or more.  The jobs then read the held tables, a few
+    reductions each, in this process, largest n first."""
     p = odd_dimension(max_n)
     ns = list(range(max_n, 0, -2))
-    if len(ns) < 2:
-        jobs = 1
-    _hold(tables, p + 1, partial(_pool_map, jobs=jobs))
+    _hold(tables, p + 1, partial(_pool_map, jobs=jobs) if len(ns) > 1 else map)
     entries = []
-    for n, values, millis in _run_jobs(job, ns, jobs if pool_jobs else 1):
+    for n, values, millis in _run_jobs(job, ns):
         first, *rest = values.values()
         if any(v != first for v in rest):
             raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
@@ -315,16 +304,15 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = (),
 
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
-    """Check det route == hankel route for every odd n <= max_n.  A pool
-    computes only the tables: with them held, the jobs are a few
-    reductions each (0.04 s in all at max_n = 27), cheaper here than in a
-    second pool, whose start and stop would cost more than they take."""
-    return _sweep(max_n, _equality_job, Disagreement, jobs, ("bordered", 2, 0), pool_jobs=False)
+    """Check det route == hankel route for every odd n <= max_n; `jobs`
+    workers share the points of the table pass."""
+    return _sweep(max_n, _equality_job, Disagreement, jobs, ("bordered", 2, 0))
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check d/dR of the hankel-route magnitude equals the conjectured form
-    for every odd n <= max_n."""
+    for every odd n <= max_n; `jobs` workers share the points of the table
+    pass."""
     return _sweep(max_n, _derivative_job, ConjectureFails, jobs, (2, 1, 0))
 
 

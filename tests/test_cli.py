@@ -206,6 +206,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("check", ["derivative", "equality"])
+    def test_jobs_default_counts_the_usable_cpus(self, monkeypatch, check):
+        # a process pinned to 3 of a host's 64 CPUs starts at most 3 workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        assert cli._build_parser().parse_args(["verify", check]).jobs == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+        assert cli._build_parser().parse_args(["verify", check]).jobs == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._build_parser().parse_args(["verify", check]).jobs == 1
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["magnitude"])  # missing --n

@@ -294,11 +294,11 @@ class TestEvaluationInterpolation:
         for s in self.OFFSETS:
             for k in range(count, 0, -1):
                 assert hankel_det(k, s) == reference[k, s], (k, s)
-        tables = hankel._fill(frozenset(self.OFFSETS), count)
-        assert sorted(tables) == list(self.OFFSETS)
+        clear_hankel_cache()
+        hankel._hold(self.OFFSETS, count)
         for s in self.OFFSETS:
             for k in range(1, count + 1):
-                assert tables[s][k - 1] == reference[k, s], (k, s)
+                assert hankel._TABLES[s][k - 1] == reference[k, s], (k, s)
         hankel._hold(("bordered", "unit"), count)
         for key, want in heine_reference.items():
             assert list(hankel._TABLES[key]) == want[:count], key
@@ -333,8 +333,8 @@ class TestEvaluationInterpolation:
 
         monkeypatch.setattr(hankel, "_theta_values", theta)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
-        tables = hankel._fill(frozenset({0, 2}), 8)
-        assert sorted(tables) == [0, 2]
+        hankel._hold((0, 2), 8)
+        assert sorted(hankel._TABLES) == [0, 2]
         assert points == list(range(1, hankel._valuation_and_points(2, 7)[1] + 1))
         assert interpolated == [hankel._valuation_and_points(s, k)[::-1]
                                 for s in (0, 2) for k in range(8)]
@@ -447,17 +447,18 @@ class TestSolve:
     def test_corrupted_unit_value_is_fatal(self, monkeypatch):
         # a wrong numerator that is still a polynomial passes the
         # interpolation; only unit_solution's residual check can catch it
-        real = hankel._fill
+        real = hankel._point_values
 
-        def corrupted(kind, count):
-            tables = real(kind, count)
-            if "unit" in tables:
-                units = list(tables["unit"])
-                units[3] = (units[3][0] + IntPoly.one(),) + units[3][1:]
-                tables["unit"] = tuple(units)
-            return tables
+        def corrupted(kind, count, x):
+            # y_0 of entry 3 one larger at each of its points: R^3 more
+            values = real(kind, count, x)
+            units = values.get("unit", [])
+            index = 3 - (count - len(units))  # the values start at entry count - len
+            if 0 <= index < len(units):
+                units[index] = [units[index][0] + 1] + units[index][1:]
+            return values
 
-        monkeypatch.setattr(hankel, "_fill", corrupted)
+        monkeypatch.setattr(hankel, "_point_values", corrupted)
         clear_hankel_cache()
         with pytest.raises(RouteMismatch):
             unit_solution(3)

@@ -5,6 +5,8 @@ quadrature-backed integral check."""
 
 import concurrent.futures
 import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddball.magnitude as mag
-from oddball import hankel
+from oddball import cli, hankel
 from oddball.bessel import kernel_table, reverse_bessel
 from oddball.errors import (
     EvenDimension,
@@ -163,7 +165,7 @@ class TestBorderedEngine:
 
         monkeypatch.setattr(hankel, "_border_sum", border)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
-        hankel._fill(frozenset({"bordered"}), 8)
+        hankel._hold(("bordered",), 8)
         points = [hankel._valuation_and_points("bordered", p)[1] for p in range(8)]
         assert sorted(reduced) == [(p, x) for p in range(8) for x in range(1, points[p] + 1)]
         assert interpolated == points
@@ -171,16 +173,17 @@ class TestBorderedEngine:
     def test_cleared_store_recomputes(self, reference, monkeypatch):
         mag._bordered_det(4)
         clear_hankel_cache()
-        fills = []
-        real = hankel._fill
+        calls = []
+        real = hankel._point_values
 
-        def recording(kind, count):
-            fills.append((kind, count))
-            return real(kind, count)
+        def recording(kind, count, x):
+            calls.append((kind, count, x))
+            return real(kind, count, x)
 
-        monkeypatch.setattr(hankel, "_fill", recording)
+        monkeypatch.setattr(hankel, "_point_values", recording)
         assert mag._bordered_det(4) == reference[4]
-        assert fills == [(frozenset({"bordered"}), 5)]
+        points = hankel._valuation_and_points("bordered", 4)[1]
+        assert calls == [(("bordered",), 5, x) for x in range(1, points + 1)]
 
 
 class TestMagnitudeRoutes:
@@ -280,19 +283,14 @@ class TestCampaignOrder:
         submitted = []
         real = mag._run_jobs
 
-        def recording(worker, ns, jobs):
+        def recording(worker, ns):
             submitted.append(list(ns))
-            return real(worker, ns, jobs)
+            return real(worker, ns)
 
         monkeypatch.setattr(mag, "_run_jobs", recording)
         report = mag.verify_formula_equality(9, jobs=2)
         assert submitted == [[9, 7, 5, 3, 1]]
         assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
-
-
-def _held_lengths(n):
-    """A pool job that reports the determinant tables its worker holds."""
-    return n, {kind: len(dets) for kind, dets in hankel._TABLES.items()}, 0.0
 
 
 class TestCampaignPool:
@@ -308,50 +306,68 @@ class TestCampaignPool:
     ])
     def test_parent_holds_every_table(self, campaign, kinds):
         campaign(9, jobs=2)
-        held = hankel._TABLES
+        pooled = {kind: hankel._TABLES[kind] for kind in kinds}
+        clear_hankel_cache()
+        hankel._hold(kinds, 5)
         for kind in kinds:
-            assert len(held[kind]) >= 5, kind
-            assert held[kind][:5] == hankel._fill(frozenset([kind]), 5)[kind], kind
+            assert len(pooled[kind]) >= 5, kind
+            assert pooled[kind][:5] == hankel._TABLES[kind][:5], kind
 
     @pytest.mark.parametrize("campaign, fills", [
-        (verify_formula_equality, [frozenset({"bordered"}), frozenset({0, 2})]),
-        (verify_derivative_conjecture, [frozenset({0, 1, 2})]),
-        (verify_triple_route, [frozenset({"bordered", "unit"}), frozenset({0, 2})]),
+        (verify_formula_equality, ("bordered", 2, 0)),
+        (verify_derivative_conjecture, (2, 1, 0)),
+        (verify_triple_route, ("bordered", "unit", 2, 0)),
     ])
     def test_tables_filled_up_front_in_one_pass(self, monkeypatch, campaign, fills):
-        # each campaign fills the tables it names before its first job, the
-        # named ones together and the offsets together, and no job fills
-        # one lazily: the unit numerators too
+        # each campaign fills every table it names before its first job, in
+        # one pass over the points, and no job fills one lazily: the unit
+        # numerators too
         calls = []
-        real = hankel._fill
+        real = hankel._point_values
 
-        def recording(kind, count):
-            calls.append((kind, count))
-            return real(kind, count)
+        def recording(kind, count, x):
+            calls.append((kind, count, x))
+            return real(kind, count, x)
 
-        monkeypatch.setattr(hankel, "_fill", recording)
+        monkeypatch.setattr(hankel, "_point_values", recording)
         campaign(9)
-        assert calls == [(kind, 5) for kind in fills]
+        points = max(hankel._valuation_and_points(kind, 4)[1] for kind in fills)
+        assert calls == [(fills, 5, x) for x in range(1, points + 1)]
 
-    @pytest.mark.parametrize("campaign, tasks", [
-        (verify_formula_equality, [frozenset({"bordered"}), frozenset({0, 2})]),
-        (verify_derivative_conjecture, [frozenset({0, 1, 2})]),
+    @pytest.mark.parametrize("campaign, kinds", [
+        (verify_formula_equality, ("bordered", 2, 0)),
+        (verify_derivative_conjecture, (2, 1, 0)),
     ])
-    def test_pool_fills_the_offsets_as_one_task(self, monkeypatch, campaign, tasks):
-        maps = []
-        real = mag._pool_map
+    def test_pool_maps_the_integer_points(self, monkeypatch, campaign, kinds):
+        # the pool gets the per-point function and the points, and its
+        # workers start with nothing: no initializer, no tables
+        maps, pools = [], []
+        real_map, real_pool = mag._pool_map, concurrent.futures.ProcessPoolExecutor
 
-        def recording(fn, items, jobs):
-            maps.append((list(items), jobs))
-            return real(fn, items, jobs)
+        def mapping(fn, items, jobs):
+            maps.append((fn.func, fn.args, list(items), jobs))
+            return real_map(fn, items, jobs)
 
-        monkeypatch.setattr(mag, "_pool_map", recording)
+        def pool(*args, **kwargs):
+            pools.append((args, kwargs))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(mag, "_pool_map", mapping)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         campaign(9, jobs=2)
-        assert maps[0] == (tasks, 2)
+        points = max(hankel._valuation_and_points(kind, 4)[1] for kind in kinds)
+        assert maps == [(hankel._point_values, (kinds, 5), list(range(1, points + 1)), 2)]
+        assert pools == [((), {"max_workers": 2})]
 
-    def test_derivative_campaign_runs_one_pass(self, monkeypatch):
-        # offsets 0, 1 and 2 share one theta column per point, x = 1..N for
-        # offset 2's largest entry, where a fill per offset takes one each
+    @pytest.mark.parametrize("campaign, kinds", [
+        (verify_derivative_conjecture, (2, 1, 0)),
+        (verify_formula_equality, ("bordered", 2, 0)),
+        (verify_triple_route, ("bordered", "unit", 2, 0)),
+    ])
+    def test_derivative_campaign_runs_one_pass(self, monkeypatch, campaign, kinds):
+        # every table of a campaign shares one theta column per point, x =
+        # 1..N for the entry with the most points, where a pass per kind
+        # or per offset takes one each
         points = []
         real = hankel._theta_values
 
@@ -360,8 +376,9 @@ class TestCampaignPool:
             return real(x, top)
 
         monkeypatch.setattr(hankel, "_theta_values", theta)
-        verify_derivative_conjecture(9, jobs=1)
-        assert points == list(range(1, hankel._valuation_and_points(2, 4)[1] + 1))
+        campaign(9)
+        assert points == list(range(1, max(hankel._valuation_and_points(kind, 4)[1]
+                                           for kind in kinds) + 1))
 
     def test_held_tables_fill_nothing(self, monkeypatch):
         hankel._hold(("bordered", 2, 0), 5)
@@ -369,26 +386,21 @@ class TestCampaignPool:
         def refuse(*args, **kwargs):
             raise AssertionError(f"a held table was filled again: {args} {kwargs}")
 
-        monkeypatch.setattr(hankel, "_fill", refuse)
+        monkeypatch.setattr(hankel, "_point_values", refuse)
         hankel._hold(("bordered", 0, 2), 5, refuse)
         hankel._hold((2,), 3, refuse)
 
-    @pytest.mark.parametrize("campaign, job_pool", [
-        (verify_formula_equality, False),
-        (verify_derivative_conjecture, True),
-    ])
-    def test_jobs_pool_only_for_derivatives(self, monkeypatch, campaign, job_pool):
-        # the equality jobs only reduce held table entries, so they run here
-        pools = []
-        real = mag._run_jobs
-
-        def recording(worker, ns, jobs):
-            pools.append(jobs)
-            return real(worker, ns, jobs)
-
-        monkeypatch.setattr(mag, "_run_jobs", recording)
+    @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
+    def test_jobs_run_in_the_calling_process(self, monkeypatch, campaign):
+        # a pool computes only the points: the per-n jobs read the held
+        # tables, a few reductions each, here
+        job = {verify_formula_equality: "_equality_job",
+               verify_derivative_conjecture: "_derivative_job"}[campaign]
+        pids = []
+        real = getattr(mag, job)
+        monkeypatch.setattr(mag, job, lambda n: pids.append(os.getpid()) or real(n))
         campaign(9, jobs=2)
-        assert pools == [2 if job_pool else 1]
+        assert pids == [os.getpid()] * 5
 
     @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
     def test_no_process_pool_runs_here(self, monkeypatch, campaign):
@@ -404,24 +416,23 @@ class TestCampaignPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert [(e.n, e.value) for e in campaign(9, jobs=2).entries] == want
 
-    def test_job_workers_start_holding_the_tables(self):
-        # forked workers inherit them; spawned ones get them from the initializer
-        mag._install({**hankel._fill(frozenset({"bordered"}), 3), **hankel._fill(frozenset({0}), 3)})
-        for n, held, _ in mag._run_jobs(_held_lengths, [3, 1], 2):
-            assert held["bordered"] == 3 and held[0] == 3, n
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker inherits the patched recurrence")
+    def test_route_mismatch_in_a_pool_worker_is_fatal(self, monkeypatch, capsys):
+        parent = os.getpid()
+        real = hankel._theta_values
 
-    def test_installed_tables_compute_no_determinant(self, monkeypatch):
-        tables = {**hankel._fill(frozenset({"bordered"}), 5), **hankel._fill(frozenset({0, 1, 2}), 5)}
-        want = {job: job(9)[1] for job in (mag._equality_job, mag._derivative_job)}
-        clear_hankel_cache()
-        mag._install(tables)
+        def corrupted(x, top):
+            values = real(x, top)
+            if x == 3 and os.getpid() != parent:
+                values[1] = 0  # B_2(3) = 3 theta_1 becomes 0, and H_2(3) = -9
+            return values
 
-        def refuse(*args):
-            raise AssertionError(f"a determinant table was computed: {args}")
-
-        monkeypatch.setattr(hankel, "_fill", refuse)
-        for job, values in want.items():
-            assert job(9)[1] == values
+        monkeypatch.setattr(hankel, "_theta_values", corrupted)
+        code = cli.main(["verify", "equality", "--max", "9", "--jobs", "2", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed:") and "Traceback" not in err
 
 
 class TestObservation:

@@ -291,7 +291,7 @@ class TestRatFunc:
         assert f.as_dict() == {"num": ["6", "12", "6", "1"], "den": ["6"]}
 
     def test_pickle_round_trip(self):
-        # campaign workers send their results back pickled
+        # both rebuild by value through pickle, immutable as they are
         high = IntPoly([(-1) ** k * 3 ** (5 * k) for k in range(60)])
         polys = [IntPoly.zero(), IntPoly.const(7), IntPoly([-24, -27, -9, -1]), high]
         funcs = [RatFunc(IntPoly.zero()), RatFunc.const(-5), RatFunc(MAG3_NUM, IntPoly.const(6)),

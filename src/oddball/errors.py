@@ -62,6 +62,11 @@ class RouteMismatch(OddballError):
     """Two supposedly-equivalent computation routes disagreed."""
 
 
+class WorkerDied(OddballError):
+    """A process-pool worker ended (killed, out of memory, exited) before it
+    returned its points, so the table pass has no result."""
+
+
 class QuadratureNonconvergence(OddballError):
     """Numerical integration failed to reach the requested accuracy."""
 

@@ -26,10 +26,14 @@ the loop compares them.  First `hankel._hold` computes the determinant
 tables the jobs read once, held by the calling process, in one pass over
 the integer points: each point gives every offset the campaign names by one
 Desnanot-Jacobi recurrence, and the bordered determinants and unit-RHS
-numerators it names by one Heine recurrence.  With `jobs` above 1, a pool
-of workers that start with nothing shares the points; the interpolation and
-the jobs, a few reductions each once the tables are held, run in the
-calling process.  No table is computed twice.
+numerators it names by one Heine recurrence.  With `jobs` above 1 and a
+pass of at least `_POOL_MIN_POINTS` points, a pool of up to `jobs` workers
+that start with nothing shares the points; a smaller pass gains nothing
+from a second process, so it runs here and never imports the pool module.
+The interpolation and the jobs run in the calling process.  The equality
+and triple-route jobs put every route over n! R H^(0)_{p+1}, the boundary
+route's numerator times R, so they compare numerators and reduce once, the
+value kept.  No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -53,6 +57,7 @@ from .errors import (
     IdentityFails,
     ObservationFails,
     QuadratureNonconvergence,
+    WorkerDied,
     at_least,
     odd_dimension,
     positive_radius,
@@ -94,20 +99,27 @@ def _bordered_det(p: int) -> IntPoly:
     return _TABLES["bordered"][p]
 
 
+def _det_numerator(p: int) -> IntPoly:
+    """(-1)^p times the bordered determinant: the det route's numerator."""
+    num = _bordered_det(p)
+    return num if p % 2 == 0 else -num
+
+
+def _route_den(p: int) -> IntPoly:
+    """n! R H^(0)_{p+1}, n = 2p + 1: the det and hankel routes' denominator."""
+    return (math.factorial(2 * p + 1) * hankel_det(p + 1, 0)).shift(1)
+
+
 def magnitude_det(n: int) -> RatFunc:
     """|B^n_R| via the bordered-determinant route, reduced."""
     p = odd_dimension(n)
-    num = _bordered_det(p)
-    den = (math.factorial(n) * hankel_det(p + 1, 0)).shift(1)
-    return RatFunc(num if p % 2 == 0 else -num, den)
+    return RatFunc(_det_numerator(p), _route_den(p))
 
 
 def magnitude_hankel(n: int) -> RatFunc:
     """|B^n_R| via the ratio of offset-2 and offset-0 Hankel determinants."""
     p = odd_dimension(n)
-    num = hankel_det(p + 1, 2)
-    den = (math.factorial(n) * hankel_det(p + 1, 0)).shift(1)
-    return RatFunc(num, den)
+    return RatFunc(hankel_det(p + 1, 2), _route_den(p))
 
 
 def magnitude_explicit(n: int, radius) -> Fraction:
@@ -157,7 +169,14 @@ def boundary_value_at(n: int, radius) -> Fraction:
 
 
 def magnitude_boundary(n: int) -> RatFunc:
-    """|B^n_R| via the boundary route, as one exact rational function.
+    """|B^n_R| via the boundary route, as one exact rational function: see
+    `_boundary_numerator`."""
+    p = odd_dimension(n)
+    return RatFunc(_boundary_numerator(n), math.factorial(n) * hankel_det(p + 1, 0))
+
+
+def _boundary_numerator(n: int) -> IntPoly:
+    """The boundary route's numerator over n! H^(0)_{p+1}, unreduced.
 
     The exterior potential is sum_i a_i R^(2i) k_i, with k_i = e^(-r)
     r^(-2i) B_i(r) and a_i the unit-RHS solution.  The boundary sum is
@@ -175,7 +194,7 @@ def magnitude_boundary(n: int) -> RatFunc:
 
     and no Laplacian runs.  Over H_0 = hankel_det(p+1, 0), a_i H_0 = y_i,
     the certified Cramer numerators `unit_numerators(p)`, and |B| =
-    (R^n H_0 + n sum_i y_i Lambda_i) / (n! H_0), reduced once at the end.
+    (R^n H_0 + n sum_i y_i Lambda_i) / (n! H_0); this returns the numerator.
     """
     p = odd_dimension(n)
     sigma = [sum((-1) ** j * math.comb(p + 1, j) * math.comb(j - 1, t)
@@ -188,7 +207,7 @@ def magnitude_boundary(n: int) -> RatFunc:
         for t in range(p - i + 1):
             lam = lam - ((-2) ** t * math.perm(p - i, t) * sigma[t] * theta[i + t]).shift(2 * (p - t))
         total = total + y * lam
-    return RatFunc(h0.shift(n) + n * total, math.factorial(n) * h0)
+    return h0.shift(n) + n * total
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +254,23 @@ class CampaignReport(NamedTuple):
     entries: tuple
 
 
+def _reduced(n: int, nums: dict) -> dict:
+    """{route: |B^n_R|} from the routes' numerators over their shared
+    denominator D = n! R H^(0)_{p+1}.  a/D = b/D iff a = b, so when the
+    numerators are equal only the hankel route's value is reduced, under the
+    first route's name; otherwise every route's value is, and they differ."""
+    first, *rest = nums.values()
+    if any(v != first for v in rest):
+        den = _route_den(odd_dimension(n))
+        return {name: RatFunc(v, den) for name, v in nums.items()}
+    return {next(iter(nums)): magnitude_hankel(n)}
+
+
 def _equality_job(n: int) -> tuple:
-    """(n, {det, hankel}, millis)."""
+    """(n, {det, hankel}, millis), the routes compared by numerator."""
     t0 = time.perf_counter()
-    values = {"det": magnitude_det(n), "hankel": magnitude_hankel(n)}
+    p = odd_dimension(n)
+    values = _reduced(n, {"det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
     return n, values, (time.perf_counter() - t0) * 1000.0
 
 
@@ -251,27 +283,43 @@ def _derivative_job(n: int) -> tuple:
 
 
 def _triple_job(n: int) -> tuple:
-    """(n, {boundary, det, hankel}, millis)."""
+    """(n, {boundary, det, hankel}, millis), the routes compared by
+    numerator, the boundary route's times R."""
     t0 = time.perf_counter()
-    values = {"boundary": magnitude_boundary(n), "det": magnitude_det(n),
-              "hankel": magnitude_hankel(n)}
+    p = odd_dimension(n)
+    values = _reduced(n, {"boundary": _boundary_numerator(n).shift(1),
+                          "det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
     return n, values, (time.perf_counter() - t0) * 1000.0
+
+
+# The least table pass that starts a pool.  Importing the pool module and
+# starting two workers costs 33-48 ms, about a third of a 119-point pass.
+# Two workers against one process, on 2 vCPUs with CPython 3.11.7, in
+# interleaved fresh-process pairs: `verify equality` lost at 135 and 152
+# points (--max 29 and 31), tied at 170 and 189, and won from 209 (--max 37)
+# on; `verify derivative`, whose points carry no Heine recurrence, lost or
+# tied up to 232 (--max 41).
+_POOL_MIN_POINTS = 200
 
 
 def _pool_map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], by a pool of up to `jobs` workers when
-    there are two items or more, else (or when no pool starts) here.  The
-    items go to the workers in about four chunks each.  The workers are
-    given nothing else, so fn must be module level and need only its
-    arguments.  The pool module (with `multiprocessing`) is imported only
-    here, when a pool is asked for: a `--jobs 1` process never loads it."""
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    jobs > 1 and there are at least `_POOL_MIN_POINTS` items, else (or when
+    no pool starts) here.  The items go to the workers in about four chunks
+    each.  The workers are given nothing else, so fn must be module level
+    and need only its arguments.  A worker that dies raises WorkerDied:
+    nothing is computed again here.  The pool module (with
+    `multiprocessing`) is imported only when a pool starts, so a smaller
+    pass, like a `--jobs 1` process, never loads it."""
+    if jobs > 1 and len(items) >= _POOL_MIN_POINTS:
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         workers = min(jobs, len(items))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+        except BrokenExecutor as exc:
+            raise WorkerDied(f"a pool worker died in the table pass ({exc})") from exc
         except (OSError, NotImplementedError):  # no pool on this platform
             pass
     return list(map(fn, items))
@@ -288,12 +336,12 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = ()) -> Campa
     the values it returns are equal; each entry keeps the first value.
     First `hankel._hold` fills the determinant tables that the jobs read,
     named by key (an offset, "bordered" or "unit"), in one pass over the
-    integer points, which `_pool_map` splits among `jobs` workers when
-    there are two n or more.  The jobs then read the held tables, a few
-    reductions each, in this process, largest n first."""
+    integer points, which `_pool_map` splits among `jobs` workers when the
+    pass has enough points to pay for a pool.  The jobs then read the held
+    tables, a reduction or two each, in this process, largest n first."""
     p = odd_dimension(max_n)
     ns = list(range(max_n, 0, -2))
-    _hold(tables, p + 1, partial(_pool_map, jobs=jobs) if len(ns) > 1 else map)
+    _hold(tables, p + 1, partial(_pool_map, jobs=jobs))
     entries = []
     for n, values, millis in _run_jobs(job, ns):
         first, *rest = values.values()
@@ -304,15 +352,16 @@ def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = ()) -> Campa
 
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
-    """Check det route == hankel route for every odd n <= max_n; `jobs`
-    workers share the points of the table pass."""
+    """Check det route == hankel route for every odd n <= max_n; up to
+    `jobs` workers share the points of the table pass, when it has at least
+    `_POOL_MIN_POINTS` (from --max 37 on)."""
     return _sweep(max_n, _equality_job, Disagreement, jobs, ("bordered", 2, 0))
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check d/dR of the hankel-route magnitude equals the conjectured form
-    for every odd n <= max_n; `jobs` workers share the points of the table
-    pass."""
+    for every odd n <= max_n; up to `jobs` workers share the points of the
+    table pass, when it has at least `_POOL_MIN_POINTS` (from --max 39 on)."""
     return _sweep(max_n, _derivative_job, ConjectureFails, jobs, (2, 1, 0))
 
 
@@ -376,11 +425,7 @@ def verify_observation(max_n: int) -> CampaignReport:
 
 def determinantal_identity_check(p: int) -> bool:
     """(-1)^p det(bordered) == det(offset-2 Hankel), checked exactly."""
-    lhs = _bordered_det(p)
-    if p % 2 == 1:
-        lhs = -lhs
-    rhs = hankel_det(p + 1, 2)
-    if lhs != rhs:
+    if _det_numerator(p) != hankel_det(p + 1, 2):
         raise IdentityFails(p)
     return True
 

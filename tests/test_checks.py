@@ -35,7 +35,9 @@ def test_no_assert_statements_in_package():
 # start.  The costs are `python -X importtime` on CPython 3.11, 2 vCPUs.
 _DEFERRED_IMPORTS = {
     "mpmath",  # 30-43 ms; only `verify integral` and the numeric oracles use it
-    "concurrent.futures",  # 27-34 ms with multiprocessing; only a pool of 2 jobs or more
+    # 27-34 ms with multiprocessing; only a table pass of 2 jobs or more and
+    # at least `magnitude._POOL_MIN_POINTS` points
+    "concurrent.futures",
 }
 
 
@@ -75,16 +77,30 @@ def test_import_loads_no_deferred_module(flags):
 
 def test_deferred_imports_run_on_first_use():
     # the quadrature check and a two-job pool, each the first use of its
-    # module; the pool fills its tables afresh
+    # module; the pool, started however few the points, fills its tables
+    # afresh
     out = _fresh_python([], (
+        "from oddball import magnitude\n"
         "from oddball.hankel import clear_hankel_cache\n"
         "from oddball.magnitude import verify_formula_equality, verify_integral_lemma\n"
+        "magnitude._POOL_MIN_POINTS = 1\n"
         "pairs = lambda jobs: [(e.n, e.value) for e in verify_formula_equality(7, jobs).entries]\n"
         "want = pairs(1)\n"
         "clear_hankel_cache()\n"
         "ok = verify_integral_lemma(0, 0, 1) is True and pairs(2) == want\n"
         "print(ok, sorted(m for m in MODULES if m in sys.modules))"))
     assert out == "True ['concurrent.futures', 'mpmath']"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_deferred_imports_skip_a_small_pass(flags):
+    # the benchmark's `verify equality --max 27 --jobs 2`: its 119-point
+    # table pass runs in process, and never loads the pool module
+    out = _fresh_python(flags, (
+        "from oddball.magnitude import verify_formula_equality\n"
+        "entries = verify_formula_equality(27, 2).entries\n"
+        "print(len(entries), sorted(m for m in MODULES if m in sys.modules))"))
+    assert out == "14 []"
 
 
 def _fresh_python(flags: list, code: str) -> str:

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from oddball.errors import (
     InexactDivision,
     NonpositiveRadius,
     ObservationFails,
+    WorkerDied,
 )
 from oddball.explaurent import ExpLaurent
 from oddball.golden import MAGNITUDE, MAGNITUDE_DERIVATIVE, NUM10_LOW_ASC, NUM10_TOP_DESC
@@ -43,6 +45,13 @@ from oddball.magnitude import (
 )
 from oddball.poly import IntPoly, RatFunc
 from oddball.potential import boundary_limit_derivative
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every table pass with jobs > 1 starts a pool, however few its points,
+    so that a small campaign reaches the pool."""
+    monkeypatch.setattr(mag, "_POOL_MIN_POINTS", 1)
 
 
 def _bordered_oracle(p):
@@ -262,6 +271,7 @@ class TestEqualityCampaign:
         report = verify_formula_equality(1)
         assert report.entries[0].value == RatFunc(IntPoly([1, 1]))
 
+    @pytest.mark.usefixtures("pooled")
     def test_parallel_jobs_match_sequential(self):
         seq = verify_formula_equality(9, jobs=1)
         par = verify_formula_equality(9, jobs=2)
@@ -278,6 +288,7 @@ class TestCampaignOrder:
         assert seen == [9, 7, 5, 3, 1]
         assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
 
+    @pytest.mark.usefixtures("pooled")
     def test_pool_gets_largest_n_first_entries_sorted(self, monkeypatch):
         import oddball.magnitude as mag
         submitted = []
@@ -304,6 +315,7 @@ class TestCampaignPool:
         (verify_formula_equality, ("bordered", 2, 0)),
         (verify_derivative_conjecture, (2, 1, 0)),
     ])
+    @pytest.mark.usefixtures("pooled")
     def test_parent_holds_every_table(self, campaign, kinds):
         campaign(9, jobs=2)
         pooled = {kind: hankel._TABLES[kind] for kind in kinds}
@@ -338,6 +350,7 @@ class TestCampaignPool:
         (verify_formula_equality, ("bordered", 2, 0)),
         (verify_derivative_conjecture, (2, 1, 0)),
     ])
+    @pytest.mark.usefixtures("pooled")
     def test_pool_maps_the_integer_points(self, monkeypatch, campaign, kinds):
         # the pool gets the per-point function and the points, and its
         # workers start with nothing: no initializer, no tables
@@ -390,6 +403,7 @@ class TestCampaignPool:
         hankel._hold(("bordered", 0, 2), 5, refuse)
         hankel._hold((2,), 3, refuse)
 
+    @pytest.mark.usefixtures("pooled")
     @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
     def test_jobs_run_in_the_calling_process(self, monkeypatch, campaign):
         # a pool computes only the points: the per-n jobs read the held
@@ -402,6 +416,7 @@ class TestCampaignPool:
         campaign(9, jobs=2)
         assert pids == [os.getpid()] * 5
 
+    @pytest.mark.usefixtures("pooled")
     @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
     def test_no_process_pool_runs_here(self, monkeypatch, campaign):
         # ProcessPoolExecutor raises NotImplementedError on a platform
@@ -416,6 +431,7 @@ class TestCampaignPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert [(e.n, e.value) for e in campaign(9, jobs=2).entries] == want
 
+    @pytest.mark.usefixtures("pooled")
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only a forked worker inherits the patched recurrence")
     def test_route_mismatch_in_a_pool_worker_is_fatal(self, monkeypatch, capsys):
@@ -433,6 +449,69 @@ class TestCampaignPool:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("verification failed:") and "Traceback" not in err
+
+    @pytest.mark.usefixtures("pooled")
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker inherits the patched recurrence")
+    def test_dead_pool_worker_is_fatal(self, monkeypatch, capsys):
+        # a worker that ends without returning its points (killed, out of
+        # memory) is a typed failure: exit 1, one line, no traceback, and
+        # nothing is computed again in the calling process
+        parent = os.getpid()
+        real = hankel._theta_values
+
+        def dying(x, top):
+            if x == 3 and os.getpid() != parent:
+                os._exit(1)
+            return real(x, top)
+
+        monkeypatch.setattr(hankel, "_theta_values", dying)
+        with pytest.raises(WorkerDied):
+            mag._pool_map(partial(hankel._point_values, (2, 0), 5), range(1, 17), 2)
+        code = cli.main(["verify", "equality", "--max", "15", "--jobs", "2", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed: a pool worker died")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("points, started", [(-1, []), (0, [{"max_workers": 2}])])
+    def test_pool_starts_at_the_threshold(self, monkeypatch, points, started):
+        # a pass one point short of _POOL_MIN_POINTS runs here; one of that
+        # many starts a pool of all the jobs
+        pools = []
+
+        class Recording:
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        items = range(mag._POOL_MIN_POINTS + points)
+        assert mag._pool_map(abs, items, 2) == list(items)
+        assert pools == started
+        assert mag._pool_map(abs, items, 1) == list(items)
+        assert pools == started
+
+    def test_threshold_splits_the_small_and_extended_passes(self):
+        # the benchmark's `verify equality --max 27` (119 points) and the
+        # README's default --max 25 (104) run in process; both --extended
+        # passes, equality (n <= 39, 230 points) and derivative (n <= 57,
+        # 436 points), pool
+        def points(kinds, max_n):
+            return max(hankel._valuation_and_points(kind, max_n // 2)[1] for kind in kinds)
+
+        equality, derivative = ("bordered", 2, 0), (2, 1, 0)
+        assert [points(equality, 27), points(equality, 25)] == [119, 104]
+        assert [points(equality, 39), points(derivative, 57)] == [230, 436]
+        assert 119 < mag._POOL_MIN_POINTS <= 230
 
 
 class TestObservation:
@@ -483,6 +562,7 @@ class TestDerivativeConjecture:
         assert derivative_conjecture_rhs(3) == RatFunc(IntPoly([4, 4, 1]), IntPoly.const(2))
         assert derivative_conjecture_rhs(7) == MAGNITUDE_DERIVATIVE[7]
 
+    @pytest.mark.usefixtures("pooled")
     def test_parallel_jobs_match_sequential(self):
         seq = verify_derivative_conjecture(9, jobs=1)
         par = verify_derivative_conjecture(9, jobs=2)
@@ -547,11 +627,14 @@ class TestDisagreementPath:
         import oddball.magnitude as mag
         from oddball.errors import Disagreement
 
-        real = mag.magnitude_det
-        monkeypatch.setattr(mag, "magnitude_det", lambda n: real(n) + RatFunc.const(1))
+        real = mag._bordered_det
+        monkeypatch.setattr(mag, "_bordered_det", lambda p: real(p) + IntPoly.one())
         with pytest.raises(Disagreement) as exc:
             mag.verify_formula_equality(3, jobs=1)
         assert exc.value.n == 1
+        # the message names each route's reduced value
+        det = RatFunc(real(0) + IntPoly.one(), IntPoly([0, 1]))
+        assert str(exc.value).endswith(f"det={det.as_dict()} hankel={magnitude_hankel(1).as_dict()}")
 
     def test_derivative_mismatch_is_fatal(self, monkeypatch):
         import oddball.magnitude as mag

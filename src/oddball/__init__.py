@@ -33,7 +33,6 @@ from .magnitude import (
     border_polys,
     boundary_value_at,
     derivative_conjecture_rhs,
-    determinantal_identity_check,
     magnitude_boundary,
     magnitude_det,
     magnitude_explicit,
@@ -80,7 +79,6 @@ __all__ = [
     "derivative_conjecture_rhs",
     "det_bareiss",
     "det_minor_expansion",
-    "determinantal_identity_check",
     "format_poly",
     "format_ratfunc",
     "h_sequence",

@@ -2,9 +2,11 @@
 raise them: every n must be odd and >= 1, every radius a positive rational,
 every other integer argument at least its least value (`at_least`).  Every
 bad argument raises an `InputError`, which the CLI reports with exit 2;
-every other `OddballError` is a failed check.  The checks live here, beside
-their errors, so that every module can import them without an import
-cycle."""
+every other `OddballError` is a failed check, which it reports with exit 1:
+a campaign raises `Disagreement` when two routes differ (a failed
+determinantal identity is the equality campaign's), `ConjectureFails` or
+`ObservationFails`.  The checks live here, beside their errors, so that
+every module can import them without an import cycle."""
 
 from fractions import Fraction
 
@@ -24,9 +26,9 @@ class ZeroDenominator(InputError):
 class InexactDivision(OddballError):
     """A division that must be remainder-free left a remainder.
 
-    Fraction-free elimination only ever divides by provably-exact factors,
-    so hitting this means the arithmetic itself is broken.  It is never an
-    input error.
+    The point recurrences, the interpolation and fraction-free elimination
+    divide only by provably-exact factors, so hitting this means the
+    arithmetic itself is broken.  It is never an input error.
     """
 
 
@@ -93,14 +95,6 @@ class ConjectureFails(OddballError):
     def __init__(self, n: int, detail: str = ""):
         self.n = n
         super().__init__(f"derivative conjecture fails at n={n}" + (f": {detail}" if detail else ""))
-
-
-class IdentityFails(OddballError):
-    """The bordered-vs-Hankel determinantal identity failed for some p."""
-
-    def __init__(self, p: int, detail: str = ""):
-        self.p = p
-        super().__init__(f"determinantal identity fails at p={p}" + (f": {detail}" if detail else ""))
 
 
 class GoldenMismatch(OddballError):

@@ -53,12 +53,6 @@ class ExpLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exp(self) -> int:
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        return max(self.terms)
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "ExpLaurent") -> "ExpLaurent":

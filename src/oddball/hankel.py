@@ -18,13 +18,14 @@ Every determinant table is filled by kind, and held in one store,
 Every table is computed by evaluation at integer points and interpolation,
 with no polynomial product or division.  Entry k is R^v q with deg q < N
 (`_valuation_and_points`), so x = 1..N give q, and Newton interpolation,
-each Delta^j / j! checked exact, rebuilds it.  `_hold` is the one way into
-the store: given the keys a caller reads and a count, it fills every table
-held shorter, entries 0..count-1, in one pass over the points.  At each x,
-`_point_values` computes theta(x) once and runs the two recurrences below
-on it, Desnanot-Jacobi for the offsets and Heine for "bordered" and
-"unit".  The points are independent, so a pool of workers that hold
-nothing can share them; the interpolation runs in the caller.
+each Delta^j / j! checked exact, rebuilds it.  `_hold` is the one way to
+fill the store: given the keys a caller reads and a count, it fills every
+table held shorter, entries 0..count-1, in one pass over the points.
+`_entry` is the one way to read it, so no other module knows its layout.
+At each x, `_point_values` computes theta(x) once and runs the two
+recurrences below on it, Desnanot-Jacobi for the offsets and Heine for
+"bordered" and "unit".  The points are independent, so a pool of workers
+that hold nothing can share them; the interpolation runs in the caller.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -414,6 +415,13 @@ def _hold(keys, count: int, run=map) -> None:
             else _interpolate(vals, v) for (v, _), vals in zip(need, values[key]))
 
 
+def _entry(key, k: int):
+    """Entry k of the table `key`, held first (`_hold`): the one way to read
+    an entry of the store."""
+    _hold((key,), k + 1)
+    return _TABLES[key][k]
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: hankel_det(2.0, 0) must miss, and be refused
 def hankel_det(size: int, offset: int) -> IntPoly:
     """det [B_{i+j+offset}] over i, j = 0..size-1; size 0 means the empty
@@ -424,8 +432,7 @@ def hankel_det(size: int, offset: int) -> IntPoly:
     at_least("offset", offset, 0)
     if at_least("size", size, 0) == 0:
         return IntPoly.one()
-    _hold((offset,), size)
-    return _TABLES[offset][size - 1]
+    return _entry(offset, size - 1)
 
 
 def clear_hankel_cache() -> None:
@@ -481,8 +488,7 @@ def unit_numerators(p: int) -> tuple:
     """The numerators y^(p) of [B_{i+j}]_{i,j<=p} y = H^(0)_{p+1} e_0 by
     Cramer's rule, entry p of the held "unit" table, with the residual
     checked symbolically against the reverse Bessel polynomials."""
-    _hold(("unit",), at_least("p", p, 0) + 1)
-    nums = _TABLES["unit"][p]
+    nums = _entry("unit", at_least("p", p, 0))
     b = reverse_bessel(2 * p).polys
     _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, hankel_det(p + 1, 0))
     return nums

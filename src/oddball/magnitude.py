@@ -21,19 +21,20 @@ Routes to |B^n_R| as a reduced rational function of the radius:
   chains symbolically on the potential built at one radius: the oracle.
 
 The det = hankel, boundary = det = hankel and derivative campaigns share one
-comparison loop: a job per odd n computes the values that must be equal, and
-the loop compares them.  First `hankel._hold` computes the determinant
-tables the jobs read once, held by the calling process, in one pass over
-the integer points: each point gives every offset the campaign names by one
-Desnanot-Jacobi recurrence, and the bordered determinants and unit-RHS
-numerators it names by one Heine recurrence.  With `jobs` above 1 and a
-pass of at least `_POOL_MIN_POINTS` points, a pool of up to `jobs` workers
-that start with nothing shares the points; a smaller pass gains nothing
-from a second process, so it runs here and never imports the pool module.
-The interpolation and the jobs run in the calling process.  The equality
-and triple-route jobs put every route over n! R H^(0)_{p+1}, the boundary
-route's numerator times R, so they compare numerators and reduce once, the
-value kept.  No table is computed twice.
+comparison loop: a job per odd n, n ascending, computes the values that must
+be equal, and the loop compares them.  `_run_jobs` runs and times the per-n
+work of every campaign, the observation's too.  First `hankel._hold`
+computes the determinant tables the jobs read once, held by the calling
+process, in one pass over the integer points: each point gives every offset
+the campaign names by one Desnanot-Jacobi recurrence, and the bordered
+determinants and unit-RHS numerators it names by one Heine recurrence.
+With `jobs` above 1 and a pass of at least `_POOL_MIN_POINTS` points, a pool
+of up to `jobs` workers that start with nothing shares the points; a smaller
+pass gains nothing from a second process, so it runs here and never imports
+the pool module.  The interpolation and the jobs run in the calling process.
+The equality and triple-route jobs put every route over n! R H^(0)_{p+1},
+the boundary route's numerator times R, so they compare numerators and
+reduce once, the value kept.  No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -54,7 +55,6 @@ from .bessel import reverse_bessel
 from .errors import (
     ConjectureFails,
     Disagreement,
-    IdentityFails,
     ObservationFails,
     QuadratureNonconvergence,
     WorkerDied,
@@ -63,7 +63,7 @@ from .errors import (
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
-from .hankel import _TABLES, _hold, hankel_det, unit_numerators, unit_solution
+from .hankel import _entry, _hold, hankel_det, unit_numerators, unit_solution
 from .poly import IntPoly, RatFunc
 
 
@@ -95,8 +95,7 @@ def border_polys(p: int) -> tuple:
 def _bordered_det(p: int) -> IntPoly:
     """Determinant of the offset-1 Hankel rows stacked on the border row.  A
     miss computes every p' <= p."""
-    _hold(("bordered",), at_least("p", p, 0) + 1)
-    return _TABLES["bordered"][p]
+    return _entry("bordered", at_least("p", p, 0))
 
 
 def _det_numerator(p: int) -> IntPoly:
@@ -266,30 +265,24 @@ def _reduced(n: int, nums: dict) -> dict:
     return {next(iter(nums)): magnitude_hankel(n)}
 
 
-def _equality_job(n: int) -> tuple:
-    """(n, {det, hankel}, millis), the routes compared by numerator."""
-    t0 = time.perf_counter()
+def _equality_job(n: int) -> dict:
+    """{det, hankel}, the routes compared by numerator."""
     p = odd_dimension(n)
-    values = _reduced(n, {"det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
-    return n, values, (time.perf_counter() - t0) * 1000.0
+    return _reduced(n, {"det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
 
 
-def _derivative_job(n: int) -> tuple:
-    """(n, {conjectured right-hand side, d/dR of the hankel route}, millis)."""
-    t0 = time.perf_counter()
+def _derivative_job(n: int) -> dict:
+    """{conjectured right-hand side, d/dR of the hankel route}."""
     lhs = magnitude_hankel(n).derivative()
-    values = {"rhs": derivative_conjecture_rhs(n), "d/dR": lhs}
-    return n, values, (time.perf_counter() - t0) * 1000.0
+    return {"rhs": derivative_conjecture_rhs(n), "d/dR": lhs}
 
 
-def _triple_job(n: int) -> tuple:
-    """(n, {boundary, det, hankel}, millis), the routes compared by
-    numerator, the boundary route's times R."""
-    t0 = time.perf_counter()
+def _triple_job(n: int) -> dict:
+    """{boundary, det, hankel}, the routes compared by numerator, the
+    boundary route's times R."""
     p = odd_dimension(n)
-    values = _reduced(n, {"boundary": _boundary_numerator(n).shift(1),
-                          "det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
-    return n, values, (time.perf_counter() - t0) * 1000.0
+    return _reduced(n, {"boundary": _boundary_numerator(n).shift(1),
+                        "det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
 
 
 # The least table pass that starts a pool.  Importing the pool module and
@@ -326,24 +319,27 @@ def _pool_map(fn, items, jobs: int) -> list:
 
 
 def _run_jobs(worker, ns) -> list:
-    """worker(n) for every n, in the order given, in this process; the
-    records sorted by n."""
-    return sorted(map(worker, ns), key=lambda rec: rec[0])
+    """(n, worker(n), millis) for every n, in the order given, in this
+    process: the one place that times per-n work."""
+    records = []
+    for n in ns:
+        t0 = time.perf_counter()
+        value = worker(n)
+        records.append((n, value, (time.perf_counter() - t0) * 1000.0))
+    return records
 
 
-def _sweep(max_n: int, job, failure, jobs: int = 1, tables: tuple = ()) -> CampaignReport:
-    """Run job on every odd n <= max_n and raise failure(n, ...) unless all
-    the values it returns are equal; each entry keeps the first value.
-    First `hankel._hold` fills the determinant tables that the jobs read,
-    named by key (an offset, "bordered" or "unit"), in one pass over the
-    integer points, which `_pool_map` splits among `jobs` workers when the
-    pass has enough points to pay for a pool.  The jobs then read the held
-    tables, a reduction or two each, in this process, largest n first."""
-    p = odd_dimension(max_n)
-    ns = list(range(max_n, 0, -2))
-    _hold(tables, p + 1, partial(_pool_map, jobs=jobs))
+def _sweep(max_n: int, job, failure, jobs: int, tables: tuple) -> CampaignReport:
+    """Run job on every odd n <= max_n, ascending, and raise failure(n, ...)
+    unless all the values it returns are equal; each entry keeps the first
+    value.  First `hankel._hold` fills the determinant tables that the jobs
+    read, named by key (an offset, "bordered" or "unit"), in one pass over
+    the integer points, which `_pool_map` splits among `jobs` workers when
+    the pass has enough points to pay for a pool.  The jobs then read the
+    held tables, a reduction or two each, in this process."""
+    _hold(tables, odd_dimension(max_n) + 1, partial(_pool_map, jobs=jobs))
     entries = []
-    for n, values, millis in _run_jobs(job, ns):
+    for n, values, millis in _run_jobs(job, range(1, max_n + 1, 2)):
         first, *rest = values.values()
         if any(v != first for v in rest):
             raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
@@ -395,6 +391,16 @@ class ObservationEntry(NamedTuple):
     millis: float
 
 
+def _observation_job(n: int) -> tuple:
+    """(power_shift, constant) of n's observation entry."""
+    p_up = odd_dimension(n + 2)
+    prim_m, v_m, c_m = _strip_poly(magnitude_hankel(n).num)
+    prim_a, v_a, c_a = _strip_poly(RatFunc(hankel_det(p_up, 2), hankel_det(p_up + 1, 0)).num)
+    if prim_m != prim_a:
+        raise ObservationFails(n, "primitive numerator parts differ")
+    return v_m - v_a, Fraction(c_m, c_a)
+
+
 def verify_observation(max_n: int) -> CampaignReport:
     """Check that the magnitude numerator at n matches the numerator of the
     zeroth solve coefficient at n + 2, up to integer content and a power of
@@ -403,31 +409,8 @@ def verify_observation(max_n: int) -> CampaignReport:
     in one pass."""
     p_top = odd_dimension(max_n) + 1  # p at n = max_n + 2
     _hold((0, 2), p_top + 1)
-    entries = []
-    for n in range(1, max_n + 1, 2):
-        t0 = time.perf_counter()
-        p_up = odd_dimension(n + 2)
-        mag_num = magnitude_hankel(n).num
-        coeff_num = RatFunc(hankel_det(p_up, 2), hankel_det(p_up + 1, 0)).num
-        prim_m, v_m, c_m = _strip_poly(mag_num)
-        prim_a, v_a, c_a = _strip_poly(coeff_num)
-        if prim_m != prim_a:
-            raise ObservationFails(n, "primitive numerator parts differ")
-        entries.append(
-            ObservationEntry(n, v_m - v_a, Fraction(c_m, c_a), (time.perf_counter() - t0) * 1000.0)
-        )
-    return CampaignReport(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# determinantal identity
-# ---------------------------------------------------------------------------
-
-def determinantal_identity_check(p: int) -> bool:
-    """(-1)^p det(bordered) == det(offset-2 Hankel), checked exactly."""
-    if _det_numerator(p) != hankel_det(p + 1, 2):
-        raise IdentityFails(p)
-    return True
+    return CampaignReport(tuple(ObservationEntry(n, *found, millis) for n, found, millis
+                                in _run_jobs(_observation_job, range(1, max_n + 1, 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -263,10 +263,6 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
-    def __reduce__(self):
-        # rebuilt through the constructor, which re-canonicalises
-        return IntPoly, (self.coeffs,)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -288,11 +284,6 @@ class IntPoly:
         return cls._raw((c,) if c else ())
 
     @classmethod
-    def monomial(cls, power: int) -> "IntPoly":
-        """R^power."""
-        return cls._raw((0,) * power + (1,))
-
-    @classmethod
     def variable(cls) -> "IntPoly":
         """The polynomial R itself."""
         return cls._raw((0, 1))
@@ -311,10 +302,6 @@ class IntPoly:
     @property
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
-
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
 
     def valuation(self) -> int:
         """Exponent of the largest power of R dividing self (0 for zero)."""
@@ -345,17 +332,6 @@ class IntPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPoly":
-        at_least("power", n, 0)
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by R^k (k >= 0)."""
@@ -521,10 +497,6 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        # already canonical: rebuilt without a second reduction
-        return RatFunc._raw, (self.num, self.den)
 
     @classmethod
     def _raw(cls, num: IntPoly, den: IntPoly) -> "RatFunc":

@@ -3,6 +3,8 @@ the CLI turns a failed one into exit 1; bad arguments raise an InputError,
 which it turns into exit 2."""
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -192,3 +194,22 @@ def test_conjecture_failure_exits_one(monkeypatch, capsys):
     code = cli.main(["verify", "derivative", "--max", "3", "--jobs", "1", "--json"])
     assert code == 1
     assert "derivative conjecture fails at n=" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_still_binds():
+    # the benchmark's tracer rebinds package names (`_run_jobs` among them)
+    # in place; a run under it must give the untraced stdout, and the
+    # campaign driver's span must still open
+    root = SRC.parent.parent
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = ["verify", "boundary", "--max", "5", "--json"]
+    traced = subprocess.run([sys.executable, "perfbench/tracer.py", "--", *args], cwd=root,
+                            capture_output=True, text=True, timeout=120, env=env)
+    plain = subprocess.run([sys.executable, "-m", "oddball.cli", *args], cwd=root,
+                           capture_output=True, timeout=120, env=env)
+    assert traced.returncode == 0 and plain.returncode == 0, traced.stderr
+    report = json.loads(traced.stdout)
+    assert report["exit"] == 0
+    assert report["sha256"] == hashlib.sha256(plain.stdout).hexdigest()
+    assert "driver.run_jobs" in report["layers"]["spans"]

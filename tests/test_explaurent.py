@@ -57,7 +57,7 @@ class TestLaplacian:
     def test_closure(self):
         out = K2.laplacian(7)
         assert isinstance(out, ExpLaurent)
-        assert out.min_exp() >= K2.min_exp() - 2
+        assert min(out.terms) >= min(K2.terms) - 2
 
 
 class TestAlgebra:

@@ -1,7 +1,7 @@
 """Magnitude routes, their cross-checks, the bordered-determinant engine
 against a Bareiss of the built matrix, the campaign pool, the observation
-and derivative campaigns, the determinantal identity, and the
-quadrature-backed integral check."""
+and derivative campaigns, the determinantal identity through the equality
+campaign, and the quadrature-backed integral check."""
 
 import concurrent.futures
 import math
@@ -32,7 +32,6 @@ from oddball.magnitude import (
     border_polys,
     boundary_value_at,
     derivative_conjecture_rhs,
-    determinantal_identity_check,
     magnitude_boundary,
     magnitude_det,
     magnitude_explicit,
@@ -279,28 +278,29 @@ class TestEqualityCampaign:
 
 
 class TestCampaignOrder:
-    def test_largest_n_first_entries_sorted(self, monkeypatch):
+    def test_ascending_each_n_once(self, monkeypatch):
         import oddball.magnitude as mag
         seen = []
         real = mag._derivative_job
         monkeypatch.setattr(mag, "_derivative_job", lambda n: seen.append(n) or real(n))
         report = mag.verify_derivative_conjecture(9, jobs=1)
-        assert seen == [9, 7, 5, 3, 1]
+        assert seen == [1, 3, 5, 7, 9]
         assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
 
     @pytest.mark.usefixtures("pooled")
-    def test_pool_gets_largest_n_first_entries_sorted(self, monkeypatch):
+    def test_pool_campaign_runs_ascending_each_n_once(self, monkeypatch):
         import oddball.magnitude as mag
-        submitted = []
-        real = mag._run_jobs
+        submitted, seen = [], []
+        real_run, real_job = mag._run_jobs, mag._equality_job
 
         def recording(worker, ns):
             submitted.append(list(ns))
-            return real(worker, ns)
+            return real_run(worker, ns)
 
         monkeypatch.setattr(mag, "_run_jobs", recording)
+        monkeypatch.setattr(mag, "_equality_job", lambda n: seen.append(n) or real_job(n))
         report = mag.verify_formula_equality(9, jobs=2)
-        assert submitted == [[9, 7, 5, 3, 1]]
+        assert submitted == [[1, 3, 5, 7, 9]] and seen == [1, 3, 5, 7, 9]
         assert [e.n for e in report.entries] == [1, 3, 5, 7, 9]
 
 
@@ -578,7 +578,7 @@ class TestDerivativeConjecture:
         # squared limit derivative, by plain RatFunc arithmetic
         for n in range(1, 16, 2):
             limit = boundary_limit_derivative(n)
-            scale = RatFunc(IntPoly.monomial(n - 1), IntPoly.const(math.factorial(n - 1)))
+            scale = RatFunc(IntPoly.one().shift(n - 1), IntPoly.const(math.factorial(n - 1)))
             assert derivative_conjecture_rhs(n) == scale * limit * limit, n
 
 
@@ -603,9 +603,12 @@ class TestSquareTimes:
 
 
 class TestDeterminantalIdentity:
+    # (-1)^p det(bordered) = det[B_{i+j+2}] for every p' <= p, as the
+    # equality campaign checks it up to n = 2p + 1
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 10])
     def test_holds(self, p):
-        assert determinantal_identity_check(p)
+        report = verify_formula_equality(2 * p + 1)
+        assert [e.n for e in report.entries] == list(range(1, 2 * p + 2, 2))
 
 
 class TestDisagreementPath:

@@ -4,7 +4,7 @@ of the kernels' edge cases against independent oracles: evaluation for
 products on both sides of the Kronecker cutoff, sympy for the gcd's
 pseudo-remainder fallback."""
 
-import pickle
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -80,8 +80,11 @@ class TestIntPoly:
             IntPoly([1, 1]).divexact(IntPoly([0, 2]))
 
     def test_pow(self):
-        assert IntPoly([1, 1]) ** 2 == IntPoly([1, 2, 1])
-        assert CHI2 ** 0 == IntPoly.one()
+        # no ** on IntPoly: a power is a repeated product, and R^k is
+        # IntPoly.one().shift(k)
+        assert R * R * R == IntPoly.one().shift(3)
+        with pytest.raises(TypeError):
+            CHI2 ** 2
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(20260808)
@@ -136,8 +139,8 @@ def _denominators(draw):
     c = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
     if draw(st.integers(0, 4)) == 0:
         return IntPoly.const(c)
-    factor = _polys(2, 4, bits=12).filter(lambda q: q.constant_term != 0)
-    den = (c * draw(factor) ** draw(st.integers(2, 3))).shift(draw(st.integers(0, 4)))
+    factor = _polys(2, 4, bits=12).filter(lambda q: q(0) != 0)
+    den = (c * math.prod([draw(factor)] * draw(st.integers(2, 3)))).shift(draw(st.integers(0, 4)))
     return den * draw(factor | st.just(IntPoly.one()))
 _KRONECKER = _polys(33, 60)  # at least 1089
 
@@ -167,10 +170,10 @@ class TestProperties:
         k = data.draw(st.integers(0, b.degree - 1))
         delta = data.draw(st.integers(-2 ** 40, 2 ** 40).filter(bool))
         with pytest.raises(InexactDivision):
-            (ab + IntPoly.monomial(k) * delta).divexact(b)
+            (ab + IntPoly.one().shift(k) * delta).divexact(b)
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(_polys(2, 6, bits=20).filter(lambda g: g.constant_term != 0),
+    @given(_polys(2, 6, bits=20).filter(lambda g: g(0) != 0),
            _polys(1, 8, bits=20), _polys(1, 8, bits=20))
     def test_gcd_matches_sympy_through_the_prs(self, g, u, w):
         # g has degree >= 1 and no factor R, so it survives the stripped
@@ -207,7 +210,7 @@ class TestProperties:
 class TestRatFunc:
     def test_reduce_worked_example(self):
         # -R^2 (R^3+6R^2+12R+6) over -6 R^2 reduces to the printed form
-        f = RatFunc(-(R ** 2 * MAG3_NUM), IntPoly.const(-6) * R * R)
+        f = RatFunc(-(R * R * MAG3_NUM), IntPoly.const(-6) * R * R)
         assert f == RatFunc(MAG3_NUM, IntPoly.const(6))
 
     def test_reduce_trivial(self):
@@ -289,20 +292,6 @@ class TestRatFunc:
         f = RatFunc(MAG3_NUM, IntPoly.const(6))
         assert RatFunc.from_dict(f.as_dict()) == f
         assert f.as_dict() == {"num": ["6", "12", "6", "1"], "den": ["6"]}
-
-    def test_pickle_round_trip(self):
-        # both rebuild by value through pickle, immutable as they are
-        high = IntPoly([(-1) ** k * 3 ** (5 * k) for k in range(60)])
-        polys = [IntPoly.zero(), IntPoly.const(7), IntPoly([-24, -27, -9, -1]), high]
-        funcs = [RatFunc(IntPoly.zero()), RatFunc.const(-5), RatFunc(MAG3_NUM, IntPoly.const(6)),
-                 RatFunc(-high, high * R + IntPoly.one())]
-        for x in polys + funcs:
-            y = pickle.loads(pickle.dumps(x))
-            assert type(y) is type(x) and y == x
-        for f in funcs:
-            # rebuilt without re-reduction, still equal and hashing alike
-            g = pickle.loads(pickle.dumps(f))
-            assert g == f and hash(g) == hash(f)
 
 
 class TestFormatting:

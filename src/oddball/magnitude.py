@@ -29,12 +29,12 @@ process, in one pass over the integer points: each point gives every offset
 the campaign names by one Desnanot-Jacobi recurrence, and the bordered
 determinants and unit-RHS numerators it names by one Heine recurrence.
 With `jobs` above 1 and a pass of at least `_POOL_MIN_POINTS` points, a pool
-of up to `jobs` workers that start with nothing shares the points; a smaller
+of up to `jobs` workers, sent no tables, shares the points; a smaller
 pass gains nothing from a second process, so it runs here and never imports
 the pool module.  The interpolation and the jobs run in the calling process.
-The equality and triple-route jobs put every route over n! R H^(0)_{p+1},
-the boundary route's numerator times R, so they compare numerators and
-reduce once, the value kept.  No table is computed twice.
+Every route's numerator is over `_route_den(p)` = n! R H^(0)_{p+1}, so the
+equality and triple-route jobs compare numerators and reduce once, the
+value kept.  No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -170,12 +170,12 @@ def boundary_value_at(n: int, radius) -> Fraction:
 def magnitude_boundary(n: int) -> RatFunc:
     """|B^n_R| via the boundary route, as one exact rational function: see
     `_boundary_numerator`."""
-    p = odd_dimension(n)
-    return RatFunc(_boundary_numerator(n), math.factorial(n) * hankel_det(p + 1, 0))
+    return RatFunc(_boundary_numerator(n), _route_den(odd_dimension(n)))
 
 
 def _boundary_numerator(n: int) -> IntPoly:
-    """The boundary route's numerator over n! H^(0)_{p+1}, unreduced.
+    """The boundary route's numerator over `_route_den(p)` = n! R H^(0)_{p+1},
+    unreduced.
 
     The exterior potential is sum_i a_i R^(2i) k_i, with k_i = e^(-r)
     r^(-2i) B_i(r) and a_i the unit-RHS solution.  The boundary sum is
@@ -193,7 +193,8 @@ def _boundary_numerator(n: int) -> IntPoly:
 
     and no Laplacian runs.  Over H_0 = hankel_det(p+1, 0), a_i H_0 = y_i,
     the certified Cramer numerators `unit_numerators(p)`, and |B| =
-    (R^n H_0 + n sum_i y_i Lambda_i) / (n! H_0); this returns the numerator.
+    R (R^n H_0 + n sum_i y_i Lambda_i) / (n! R H_0); this returns the
+    numerator.
     """
     p = odd_dimension(n)
     sigma = [sum((-1) ** j * math.comb(p + 1, j) * math.comb(j - 1, t)
@@ -206,7 +207,7 @@ def _boundary_numerator(n: int) -> IntPoly:
         for t in range(p - i + 1):
             lam = lam - ((-2) ** t * math.perm(p - i, t) * sigma[t] * theta[i + t]).shift(2 * (p - t))
         total = total + y * lam
-    return h0.shift(n) + n * total
+    return (h0.shift(n) + n * total).shift(1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +279,9 @@ def _derivative_job(n: int) -> dict:
 
 
 def _triple_job(n: int) -> dict:
-    """{boundary, det, hankel}, the routes compared by numerator, the
-    boundary route's times R."""
+    """{boundary, det, hankel}, the routes compared by numerator."""
     p = odd_dimension(n)
-    return _reduced(n, {"boundary": _boundary_numerator(n).shift(1),
+    return _reduced(n, {"boundary": _boundary_numerator(n),
                         "det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
 
 

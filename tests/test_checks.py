@@ -105,6 +105,31 @@ def test_deferred_imports_skip_a_small_pass(flags):
     assert out == "14 []"
 
 
+def _reached_modules(module: str) -> set:
+    """`module` and the package modules it reaches through top-level
+    relative imports, read from the sources."""
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.parse((SRC / f"{name}.py").read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [alias.name for alias in node.names]
+    return reached
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")
+                                          if path.stem != "__init__"))
+def test_import_loads_only_its_own_modules(module):
+    # the package exports nothing, so a module's import loads the package
+    # modules it imports and no other
+    out = _fresh_python([], f"import oddball.{module}\n"
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'oddball'))")
+    assert out == repr(sorted(["oddball", *(f"oddball.{m}" for m in _reached_modules(module))]))
+
+
 def _fresh_python(flags: list, code: str) -> str:
     """stdout of `code` run by a new interpreter, with `sys` imported and
     MODULES naming the deferred modules and dataclasses."""

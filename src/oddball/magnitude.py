@@ -34,7 +34,16 @@ pass gains nothing from a second process, so it runs here and never imports
 the pool module.  The interpolation and the jobs run in the calling process.
 Every route's numerator is over `_route_den(p)` = n! R H^(0)_{p+1}, so the
 equality and triple-route jobs compare numerators and reduce once, the
-value kept.  No table is computed twice.
+value kept.  The derivative job reduces once too.  With H^(s)_{p+1} =
+c_s R^(v_s) h_s, c_s the content, h_s primitive and the valuations v_0 = p
+and v_1 = v_2 = p + 1, |B| = c_2 h_2 / (n! c_0 h_0) and the conjectured
+derivative is c_1^2 h_1^2 / ((2p)! c_0^2 h_0^2).  The job reduces
+H^(1) / (R H^(0)) and squares it into the printed U/V; once the reduced
+denominator's primitive part is h_0, V = lambda h_0^2 with lambda V's
+content, and U n! c_0 = lambda c_2 (h_0 h_2' - h_2 h_0') is the conjecture
+(`_derivative_job`).  Only if that identity fails is d/dR of the hankel
+route computed, by the quotient rule, for `_sweep` to compare and report.
+No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
@@ -214,6 +223,17 @@ def _boundary_numerator(n: int) -> IntPoly:
 # derivative conjecture
 # ---------------------------------------------------------------------------
 
+def _strip_poly(poly: IntPoly) -> tuple:
+    """Factor poly as content * R^v * primitive-with-positive-lead."""
+    v = poly.valuation()
+    shifted = poly.shift_down(v)
+    c = shifted.content()
+    prim = shifted.primitive()
+    if prim.leading < 0:
+        return -prim, v, -c
+    return prim, v, c
+
+
 def _square_times(f: RatFunc, divisor: int) -> RatFunc:
     """f^2 / divisor, reduced, for a reduced f and divisor > 0, without a
     polynomial gcd.  Coprime a, b in Z[R] have coprime squares (Gauss's
@@ -226,6 +246,13 @@ def _square_times(f: RatFunc, divisor: int) -> RatFunc:
                         (divisor // g) * (f.den * f.den))
 
 
+def _conjecture_rhs(p: int) -> tuple:
+    """(H^(1)_{p+1} / (R H^(0)_{p+1}) reduced, its square over (2p)! by
+    `_square_times`): the root and value of `derivative_conjecture_rhs`."""
+    root = RatFunc(hankel_det(p + 1, 1), hankel_det(p + 1, 0).shift(1))
+    return root, _square_times(root, math.factorial(2 * p))
+
+
 def derivative_conjecture_rhs(n: int) -> RatFunc:
     """Conjectured d|B^n_R|/dR: squared offset-1 Hankel determinant over
     (2p)! R^2 times the squared offset-0 one, squared from the reduced
@@ -233,9 +260,7 @@ def derivative_conjecture_rhs(n: int) -> RatFunc:
     R^(n-1)/(n-1)! times the squared boundary limit derivative, which reads
     the same two determinants; tests/test_magnitude.py checks that form.
     """
-    p = odd_dimension(n)
-    return _square_times(RatFunc(hankel_det(p + 1, 1), hankel_det(p + 1, 0).shift(1)),
-                         math.factorial(2 * p))
+    return _conjecture_rhs(odd_dimension(n))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +298,40 @@ def _equality_job(n: int) -> dict:
 
 
 def _derivative_job(n: int) -> dict:
-    """{conjectured right-hand side, d/dR of the hankel route}."""
-    lhs = magnitude_hankel(n).derivative()
-    return {"rhs": derivative_conjecture_rhs(n), "d/dR": lhs}
+    """{conjectured right-hand side}, checked against d/dR of the hankel
+    route by one polynomial identity on primitive parts; only when that
+    identity fails, {rhs, d/dR of the hankel route}, the latter by
+    `RatFunc.derivative`, so that `_sweep` compares the reduced values.
+
+    Write H_s = H^(s)_{p+1} = c_s R^(v_s) h_s, with h_s primitive with a
+    positive lead and c_s the content, signed (`_strip_poly`).  When
+    v_2 = v_0 + 1, as for the valuations v_0 = p and v_1 = v_2 = p + 1 of
+    the `hankel` docstring, the hankel route is
+    |B| = H_2 / (n! R H_0) = c_2 h_2 / (n! c_0 h_0), so
+
+        d|B|/dR = c_2 (h_0 h_2' - h_2 h_0') / (n! c_0 h_0^2).
+
+    The printed value U/V = f^2 / (2p)!, reduced, squares the reduced
+    f = H_1 / (R H_0) = a/b (`_conjecture_rhs`), so V = m b^2 for an
+    integer m.  If b's primitive part is h_0, b = beta h_0 and V = m beta^2
+    h_0^2 = lambda h_0^2, lambda the content of V (h_0^2 is primitive by
+    Gauss's lemma).  Then U/V = d|B|/dR if and only if
+
+        U n! c_0 = lambda c_2 (h_0 h_2' - h_2 h_0'),
+
+    and U/V is reduced, so it is then the reduced d|B|/dR, coefficient for
+    coefficient: one gcd (f's) and four products (a^2, b^2, h_0 h_2' and
+    h_2 h_0') per n.
+    """
+    p = odd_dimension(n)
+    h0, v0, c0 = _strip_poly(hankel_det(p + 1, 0))
+    h2, v2, c2 = _strip_poly(hankel_det(p + 1, 2))
+    root, rhs = _conjecture_rhs(p)
+    if (v2 == v0 + 1 and root.den.primitive() == h0
+            and rhs.num * (math.factorial(n) * c0)
+            == rhs.den.content() * c2 * (h0 * h2.derivative() - h2 * h0.derivative())):
+        return {"rhs": rhs}
+    return {"rhs": rhs, "d/dR": magnitude_hankel(n).derivative()}
 
 
 def _triple_job(n: int) -> dict:
@@ -370,17 +426,6 @@ def verify_triple_route(max_n: int) -> CampaignReport:
 # ---------------------------------------------------------------------------
 # numerator proportionality observation
 # ---------------------------------------------------------------------------
-
-def _strip_poly(poly: IntPoly) -> tuple:
-    """Factor poly as content * R^v * primitive-with-positive-lead."""
-    v = poly.valuation()
-    shifted = poly.shift_down(v)
-    c = shifted.content()
-    prim = shifted.primitive()
-    if prim.leading < 0:
-        return -prim, v, -c
-    return prim, v, c
-
 
 class ObservationEntry(NamedTuple):
     """num(|B^n|) = constant * R^power_shift * num(first coeff at n+2)."""

@@ -2,9 +2,10 @@
 
 Default bounds are desk scale; set ODDBALL_EXTENDED=1 to run the extended
 sweeps (equality to n=39, derivative conjecture to n=57, boundary route to
-n=33).  With it the whole module took 68 s on 2 vCPUs with CPython 3.11.7:
-17.9 s for the derivative sweep, under 2 s for each other sweep, and 40.5 s
-for criterion 6's oracle pairs, which run at every setting.
+n=33).  With it the whole module took 67 s on 2 vCPUs with CPython 3.11.7:
+18.0 s for the derivative sweep (12.7-14.3 s when run alone), under 2.2 s
+for each other sweep, and 38.3 s for criterion 6's oracle pairs, which run
+at every setting.
 Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 """
 

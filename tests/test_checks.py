@@ -15,7 +15,7 @@ import pytest
 from oddball import bessel, cli, errors, golden, hankel, magnitude
 from oddball.errors import GoldenMismatch, InputError
 from oddball.explaurent import ExpLaurent
-from oddball.poly import RatFunc
+from oddball.poly import IntPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddball"
 
@@ -215,10 +215,16 @@ def test_fixture_not_in_lowest_terms_is_refused():
 
 
 def test_conjecture_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(magnitude, "derivative_conjecture_rhs", lambda n: RatFunc.const(2))
+    # one coefficient of each H^(1)_k entry, the right-hand side, changed,
+    # the coefficient of R^(k+1): its valuation R^k is kept
+    real = magnitude.hankel_det
+    monkeypatch.setattr(magnitude, "hankel_det",
+                        lambda k, s: real(k, s) + IntPoly.one().shift(k + 1) if s == 1 else real(k, s))
     code = cli.main(["verify", "derivative", "--max", "3", "--jobs", "1", "--json"])
     assert code == 1
-    assert "derivative conjecture fails at n=" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("derivative conjecture fails at n=") == 1
+    assert "Traceback" not in err
 
 
 def test_benchmark_tracer_still_binds():

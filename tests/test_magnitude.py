@@ -568,10 +568,33 @@ class TestDerivativeConjecture:
         par = verify_derivative_conjecture(9, jobs=2)
         assert [(e.n, e.value) for e in seq.entries] == [(e.n, e.value) for e in par.entries]
 
-    def test_derivative_equals_rhs_small(self):
-        report = verify_derivative_conjecture(9)
+    def test_derivative_equals_rhs_small(self, monkeypatch):
+        # each job confirms the conjecture by its identity on primitive
+        # parts: one gcd, and no quotient-rule derivative, per n
+        import oddball.poly as poly
+        calls = []
+        real_job, real_gcd, real_derivative = mag._derivative_job, poly.poly_gcd, RatFunc.derivative
+
+        def job(n):
+            calls.append({"gcd": 0, "derivative": 0})
+            return real_job(n)
+
+        def gcd(a, b):
+            calls[-1]["gcd"] += 1
+            return real_gcd(a, b)
+
+        def derivative(self):
+            calls[-1]["derivative"] += 1
+            return real_derivative(self)
+
+        monkeypatch.setattr(mag, "_derivative_job", job)
+        monkeypatch.setattr(poly, "poly_gcd", gcd)
+        monkeypatch.setattr(RatFunc, "derivative", derivative)
+        report = verify_derivative_conjecture(25)
+        monkeypatch.undo()
+        assert calls == [{"gcd": 1, "derivative": 0}] * 13
         for entry in report.entries:
-            assert magnitude_hankel(entry.n).derivative() == entry.value
+            assert magnitude_hankel(entry.n).derivative() == entry.value, entry.n
 
     def test_both_rhs_forms_agree(self):
         # the squared-determinant form versus R^(n-1)/(n-1)! times the
@@ -643,11 +666,18 @@ class TestDisagreementPath:
         import oddball.magnitude as mag
         from oddball.errors import ConjectureFails
 
-        real = mag.magnitude_hankel
-        monkeypatch.setattr(mag, "magnitude_hankel", lambda n: real(n) * RatFunc.const(2))
+        # one coefficient of each H^(2)_k entry, the d/dR side, changed, the
+        # coefficient of R^(k+1): its valuation R^k is kept
+        real = mag.hankel_det
+        monkeypatch.setattr(mag, "hankel_det",
+                            lambda k, s: real(k, s) + IntPoly.one().shift(k + 1) if s == 2 else real(k, s))
         with pytest.raises(ConjectureFails) as exc:
             mag.verify_derivative_conjecture(3, jobs=1)
         assert exc.value.n == 1
+        # the message names both reduced values, d/dR by the quotient rule
+        lhs = RatFunc(real(1, 2) + IntPoly.one().shift(2), mag._route_den(0)).derivative()
+        assert str(exc.value).endswith(f"rhs={derivative_conjecture_rhs(1).as_dict()} "
+                                       f"d/dR={lhs.as_dict()}")
 
 
 class TestBoundaryClosedForm:

@@ -48,7 +48,13 @@ The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
 of the closed-form integral lemma, done at 128-bit precision, and it checks
-the very polynomial the det route's border row is built from.
+the very polynomial the det route's border row is built from.  Times e^R
+and with r = R + u, the lemma's integral is int_0^inf e^(-u) P(u) du for a
+polynomial P whose coefficients c_j are exact nonnegative rationals, so by
+linearity it is sum_j c_j M_j over the moments M_j = int_0^inf e^(-u) u^j
+du.  Each moment is integrated by quadrature once per process, with its
+own truncation width, its tail at most 1e-40 of it and its error estimate
+at most 1e-34; with no c_j negative, the sum keeps both bounds.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import potential
@@ -462,54 +468,102 @@ def verify_observation(max_n: int) -> CampaignReport:
 # closed-form integral identity, quadrature cross-check
 # ---------------------------------------------------------------------------
 
-def verify_integral_lemma(i: int, b: int, radius) -> bool:
-    """Check int_R^inf e^(-r) B_i(r) r^(2b) dr against its closed form.
+_QUAD_PREC = DEFAULT_PRECISION + 64  # 64 guard bits
+# a tanh-sinh node u, by its mpf tuple -> (k, e^(-u) u^k) for the last
+# moment k integrated there, at _QUAD_PREC
+_node_terms: dict = {}
 
-    Left side: adaptive quadrature on [R, R + 180] at DEFAULT_PRECISION bits
-    and a guard; the discarded tail is bounded analytically and must be
-    negligible.
-    Right side: e^(-R) _lemma_tail(i, b)(R) / R, the rational part
-    evaluated exactly and converted once.
-    It imports mpmath on its first call, so that no other command loads it.
+
+@lru_cache(maxsize=None)
+def _moment(j: int) -> tuple:
+    """(M_j, its error estimate): M_j = int_0^W e^(-u) u^j du by tanh-sinh
+    quadrature on [0, 2, 8, 24, 64, W] at _QUAD_PREC bits, whatever the
+    caller's precision, once per j per process.  The moments share the
+    nodes below W: each node's e^(-u) u^k is kept, so e^(-u) is computed
+    once per node while the moments run in ascending j, and moment j
+    multiplies the last term by u^(j-k).
+
+    W doubles from 180 until W >= j + 1 and the discarded tail
+    int_W^inf e^(-u) u^j du = e^(-W) sum_{k<=j} j!/k! W^k is at most 1e-40
+    of e^(-j-1) j^j <= int_j^(j+1) e^(-u) u^j du <= M_j.  The error
+    estimate must be at most 1e-34 of M_j, retried once at maxdegree=10.
+    """
+    import mpmath
+
+    with mpmath.workprec(_QUAD_PREC):
+        low = mpmath.mpf(j ** j) * mpmath.exp(-(j + 1))
+        width = 180
+        while width < j + 1 or (mpmath.exp(-width) * sum(math.perm(j, j - k) * width ** k
+                                                         for k in range(j + 1))
+                                > mpmath.mpf(10) ** (-40) * low):
+            width *= 2
+
+        def integrand(u):
+            k, term = _node_terms.get(u._mpf_, (None, None))
+            if k is None or k > j:
+                k, term = 0, mpmath.exp(-u)
+            if k < j:
+                term *= u ** (j - k)
+            _node_terms[u._mpf_] = (j, term)
+            return term
+
+        points = [0, 2, 8, 24, 64, width]
+        val, err = mpmath.quad(integrand, points, error=True)
+        if err > val * mpmath.mpf(10) ** (-34):
+            val, err = mpmath.quad(integrand, points, error=True, maxdegree=10)
+            if err > val * mpmath.mpf(10) ** (-34):
+                raise QuadratureNonconvergence(f"moment {j}: estimated error {err} too large")
+        return val, err
+
+
+def _lemma_integral(i: int, b: int, radius: Fraction) -> tuple:
+    """(e^R int_R^inf e^(-r) B_i(r) r^(2b) dr, its error estimate) at
+    _QUAD_PREC: sum_j c_j M_j, with B_i(R + u) (R + u)^(2b) = sum_j c_j u^j
+    expanded exactly and the moments M_j from `_moment`.  B_i has
+    nonnegative coefficients, so every c_j >= 0."""
+    import mpmath
+
+    a = reverse_bessel(i).poly(i).shift(2 * b).coeffs
+    with mpmath.workprec(_QUAD_PREC):
+        val = err = mpmath.mpf(0)
+        for j in range(len(a)):
+            c = sum(a[m] * math.comb(m, j) * radius ** (m - j) for m in range(j, len(a)))
+            c = mpmath.mpf(c.numerator) / c.denominator
+            moment, moment_err = _moment(j)
+            val += c * moment
+            err += c * moment_err
+    return val, err
+
+
+def verify_integral_lemma(i: int, b: int, radius) -> bool:
+    """Check int_R^inf e^(-r) B_i(r) r^(2b) dr against its closed form
+    e^(-R) _lemma_tail(i, b)(R) / R, both sides times e^R, so that no
+    rounded e^(-R) enters.
+
+    Left side: r = R + u turns e^R times the integral into
+    int_0^inf e^(-u) P(u) du with P(u) = B_i(R + u) (R + u)^(2b) =
+    sum_j c_j u^j, each c_j an exact nonnegative rational; by linearity it
+    is sum_j c_j M_j, with the moments M_j = int_0^inf e^(-u) u^j du
+    (`_lemma_integral`).  Each moment is integrated by quadrature once per
+    process (`_moment`), never taken from a closed form; its truncation
+    tail is at most 1e-40 of it and its error estimate at most 1e-34.  No
+    c_j is negative, so nothing cancels and the sum's tail and error
+    estimate are within the same bounds of the sum; the error estimate is
+    checked again there.
+    Right side: _lemma_tail(i, b)(R) / R, exact, converted once.
+    They must agree to 1e-30, relative, at DEFAULT_PRECISION bits and a
+    64-bit guard.  It imports mpmath on its first call, so that no other
+    command loads it.
     """
     import mpmath
 
     at_least("i", i, 0)
     at_least("b", b, 0)
     radius = positive_radius(radius)
-    rhs_rational = _lemma_tail(i, b)(radius) / radius
-
-    integrand_coeffs = reverse_bessel(i).poly(i).shift(2 * b).coeffs  # all nonnegative
-    guard = 64
-    with mpmath.workprec(DEFAULT_PRECISION + guard):
-        rv = mpmath.mpf(radius.numerator) / radius.denominator
-        rhs = mpmath.exp(-rv) * mpmath.mpf(rhs_rational.numerator) / rhs_rational.denominator
-
-        def integrand(r):
-            acc = mpmath.mpf(0)
-            for c in reversed(integrand_coeffs):
-                acc = acc * r + c
-            return mpmath.exp(-r) * acc
-
-        cutoff = rv + 180
-        # analytic bound on the discarded tail: sum_m a_m e^(-T) sum_{k<=m} m!/k! T^k
-        tail = mpmath.mpf(0)
-        for m, a in enumerate(integrand_coeffs):
-            if a:
-                s = mpmath.mpf(0)
-                for k in range(m + 1):
-                    s += mpmath.mpf(math.factorial(m) // math.factorial(k)) * cutoff ** k
-                tail += a * s
-        tail *= mpmath.exp(-cutoff)
-        if tail > rhs * mpmath.mpf(10) ** (-40):
-            raise QuadratureNonconvergence("truncation tail too large for the tolerance")
-
-        points = [rv, rv + 2, rv + 8, rv + 24, rv + 64, cutoff]
-        val, err = mpmath.quad(integrand, points, error=True)
-        if err > abs(val) * mpmath.mpf(10) ** (-34):
-            val, err = mpmath.quad(integrand, points, error=True, maxdegree=10)
-            if err > abs(val) * mpmath.mpf(10) ** (-34):
-                raise QuadratureNonconvergence(f"estimated error {err} too large")
-
+    closed = _lemma_tail(i, b)(radius) / radius
+    with mpmath.workprec(_QUAD_PREC):
+        val, err = _lemma_integral(i, b, radius)
+        if err > val * mpmath.mpf(10) ** (-34):
+            raise QuadratureNonconvergence(f"estimated error {err} too large")
+        rhs = mpmath.mpf(closed.numerator) / closed.denominator
         return abs(val - rhs) <= mpmath.mpf(10) ** (-30) * abs(rhs)
-

@@ -4,6 +4,7 @@ and derivative campaigns, the determinantal identity through the equality
 campaign, and the quadrature-backed integral check."""
 
 import concurrent.futures
+import itertools
 import math
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -734,6 +736,72 @@ class TestIntegralLemma:
             verify_integral_lemma(0, 0, 0)
         with pytest.raises(ValueError):
             verify_integral_lemma(-1, 0, 1)
+
+    # degree 4: B_2(r) r^2 on [3/2, inf)
+    CASE = (2, 1, Fraction(3, 2))
+
+    @staticmethod
+    def _change_closed_form(monkeypatch, change):
+        """Make the check read change(tail) for its closed-form polynomial."""
+        tail = mag._lemma_tail
+        monkeypatch.setattr(mag, "_lemma_tail", lambda i, b: change(tail(i, b)))
+
+    @pytest.mark.parametrize("scale, agree", [
+        (Fraction(10 ** 28 + 1, 10 ** 28), False),
+        (Fraction(10 ** 32 + 1, 10 ** 32), True),
+    ], ids=["1e-28", "1e-32"])
+    def test_scaled_closed_form(self, monkeypatch, scale, agree):
+        # the tolerance is 1e-30: a closed form off by 1e-28 fails, one off
+        # by 1e-32 passes
+        self._change_closed_form(monkeypatch, lambda tail: lambda r: scale * tail(r))
+        assert verify_integral_lemma(*self.CASE) is agree
+
+    def test_changed_coefficient_fails(self, monkeypatch):
+        def bump(tail):
+            c = list(tail.coeffs)
+            c[1] += 1
+            return IntPoly(c)
+
+        self._change_closed_form(monkeypatch, bump)
+        assert verify_integral_lemma(*self.CASE) is False
+
+    @pytest.mark.parametrize("i, b, radius", [
+        (0, 0, Fraction(1)), (2, 1, Fraction(3, 2)), (4, 3, Fraction(3)),
+    ])
+    def test_moment_sum_matches_direct_quadrature(self, i, b, radius):
+        # the oracle: one quadrature of e^(-r) B_i(r) r^(2b) over
+        # [R, R + 180], at the check's precision; (4, 3, 3) has criterion
+        # 7's highest degree, 10
+        coeffs = reverse_bessel(i).poly(i).shift(2 * b).coeffs[::-1]
+        with mpmath.workprec(mag._QUAD_PREC):
+            rv = mpmath.mpf(radius.numerator) / radius.denominator
+            direct = mpmath.quad(lambda r: mpmath.exp(-r) * mpmath.polyval(coeffs, r),
+                                 [rv, rv + 2, rv + 8, rv + 24, rv + 64, rv + 180])
+            assembled, _ = mag._lemma_integral(i, b, radius)
+            assert abs(direct * mpmath.exp(rv) - assembled) <= mpmath.mpf(10) ** (-30) * assembled
+
+    def test_moments_keep_their_precision(self, monkeypatch):
+        # moments first computed under a 53-bit context are still exact
+        # enough to catch a 1e-28 fault, and no call leaves its precision
+        monkeypatch.setattr(mag, "_node_terms", {})
+        mag._moment.cache_clear()
+        prec = mpmath.mp.prec
+        with mpmath.workprec(53):
+            for j in range(5):
+                mag._moment(j)
+            assert mpmath.mp.prec == 53
+        assert mpmath.mp.prec == prec
+        assert verify_integral_lemma(*self.CASE)
+        scale = Fraction(10 ** 28 + 1, 10 ** 28)
+        self._change_closed_form(monkeypatch, lambda tail: lambda r: scale * tail(r))
+        assert verify_integral_lemma(*self.CASE) is False
+        assert mpmath.mp.prec == prec
+
+    def test_degree_36_sample(self):
+        # sample 514 of `verify integral`, B_0 r^36 on [1, inf): its high
+        # moments need more than the first width of 180
+        assert next(itertools.islice(cli._integral_grid(), 513, None)) == (0, 18, 1)
+        assert verify_integral_lemma(0, 18, 1)
 
 
 class TestStructuralFacts:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import golden
 from .bessel import reverse_bessel
 from .errors import (
+    EvenDimension,
     GoldenMismatch,
     InputError,
     OddballError,
@@ -122,7 +123,7 @@ def _record(n, route, func, millis, agree=True, **extra):
 # ---------------------------------------------------------------------------
 
 def _cmd_chi(args) -> int:
-    table = reverse_bessel(args.max_index)
+    table = reverse_bessel(at_least("--max", args.max_index, 0))
     if args.fmt == "json":
         print(_dump({"max_index": table.max_index,
                      "polys": [p.coeff_strings() for p in table.polys]}))
@@ -133,7 +134,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    d = hankel_det(at_least("--p", args.p, 0) + 1, args.offset)
+    d = hankel_det(at_least("--p", args.p, 0) + 1, at_least("--offset", args.offset, 0))
     if args.fmt == "json":
         print(_dump({"p": args.p, "offset": args.offset, "det": d.coeff_strings()}))
     else:
@@ -190,6 +191,13 @@ def _cmd_magnitude(args) -> int:
     return 0 if agree else 1
 
 
+def _odd_max(max_n: int) -> int:
+    """max_n, the largest n of a campaign, if odd and >= 1; else the error names --max."""
+    if max_n < 1 or max_n % 2 == 0:
+        raise EvenDimension(f"--max must be odd and >= 1, got {max_n}")
+    return max_n
+
+
 def _cmd_verify_sweep(args) -> int:
     """A route-comparison campaign; the parser sets its function, its route
     label and its default and --extended bounds."""
@@ -198,7 +206,7 @@ def _cmd_verify_sweep(args) -> int:
     else:
         max_n = args.extended_max if args.extended else args.default_max
     kwargs = {"jobs": at_least("--jobs", args.jobs, 1)} if "jobs" in args else {}
-    report = args.campaign(max_n, **kwargs)
+    report = args.campaign(_odd_max(max_n), **kwargs)
     records = [_record(e.n, args.route, e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
     return 0
@@ -206,7 +214,7 @@ def _cmd_verify_sweep(args) -> int:
 
 def _cmd_verify_observation(args) -> int:
     max_n = args.max_n if args.max_n is not None else 25
-    report = verify_observation(max_n)
+    report = verify_observation(_odd_max(max_n))
     if args.fmt == "json":
         print(_dump([
             {"n": e.n, "route": "observation", "power": e.power_shift,

@@ -7,10 +7,9 @@ radial Laplacian f'' + ((n-1)/r) f' in any dimension n.  That closure is what
 lets every identity in this package be checked by exact coefficient
 arithmetic: the exponential factor is part of the type, never a number.
 
-Numeric evaluation (the only place floating point appears) goes through
-mpmath at DEFAULT_PRECISION, 128 mantissa bits.  Only that oracle needs
-mpmath, so `eval` imports it on first call: a process that never evaluates
-numerically never loads it.
+Numeric evaluation is an oracle, `oracles.explaurent_value`, by mpmath at
+DEFAULT_PRECISION, 128 mantissa bits, the precision the quadrature check
+of the integral lemma also starts from.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import odd_dimension, positive_radius
+from .errors import odd_dimension
 
 DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
@@ -43,11 +42,6 @@ class ExpLaurent:
     @classmethod
     def zero(cls) -> "ExpLaurent":
         return cls()
-
-    @classmethod
-    def exponential(cls) -> "ExpLaurent":
-        """The bare e^(-r), i.e. coefficient 1 on r^0."""
-        return cls({0: Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -111,18 +105,6 @@ class ExpLaurent:
         for k, c in self.terms.items():
             total += c * x ** k
         return total
-
-    def eval(self, at) -> mpmath.mpf:
-        """Numeric value e^(-at) * sum c_k at^k at DEFAULT_PRECISION bits."""
-        import mpmath
-
-        at = positive_radius(at)
-        with mpmath.workprec(DEFAULT_PRECISION):
-            x = mpmath.mpf(at.numerator) / at.denominator
-            total = mpmath.mpf(0)
-            for k, c in self.terms.items():
-                total += (mpmath.mpf(c.numerator) / c.denominator) * x ** k
-            return mpmath.exp(-x) * total
 
     # -- comparison / display ---------------------------------------------------
 

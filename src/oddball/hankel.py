@@ -9,7 +9,7 @@ Every determinant table is filled by kind, and held in one store,
   lone `hankel_det` fills the one-offset set;
 * "bordered": F_0 .. F_{K-1}, with F_p the determinant of the rows
   B_{i+j+1} (i < p, j <= p) over the border row xi_{p,j} of the det route
-  (`magnitude.border_polys`), read through `magnitude._bordered_det(p)`;
+  (`oracles.border_polys`), read through `magnitude._bordered_det(p)`;
 * "unit": y^(0) .. y^(K-1), with y^(p) = (y_0 .. y_p) the numerators of
   [B_{i+j}]_{i,j<=p} y = e_0 by Cramer's rule, read through
   `unit_numerators(p)`, and through `unit_solution(p)` over
@@ -131,9 +131,9 @@ Desnanot-Jacobi's and Heine's.  `_eliminate`, checked fraction-free
 elimination with row swaps over Z[R], is the one polynomial elimination,
 and only the tests' oracles run it: `det_bareiss`, for `hankel_det` and
 the bordered determinants, and `solve_unit_rhs`, for `unit_solution`,
-which eliminates [m | e_0] and back-substitutes in O(dim^3).  A memoized
-cofactor expansion is the oracle for `det_bareiss`.  `PolyMatrix` and
-`build_hankel` build their input.
+which eliminates [m | e_0] and back-substitutes in O(dim^3).
+`PolyMatrix` and `build_hankel` build their input.  The block waits here
+for ROADMAP item 1, as the `oracles` docstring says.
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ from operator import mul
 
 from .bessel import BesselTable, reverse_bessel
 from .errors import (
-    DimensionTooLarge,
     InexactDivision,
     InputError,
     RouteMismatch,
@@ -152,8 +151,6 @@ from .errors import (
     at_least,
 )
 from .poly import IntPoly, RatFunc
-
-_MINOR_EXPANSION_LIMIT = 13
 
 
 class PolyMatrix:
@@ -224,41 +221,6 @@ def det_bareiss(m: PolyMatrix) -> IntPoly:
     a = [list(row) for row in m.rows]
     sign = _eliminate(a, m.dim)
     return sign * a[-1][-1]  # zero when a column had no pivot
-
-
-def det_minor_expansion(m: PolyMatrix) -> IntPoly:
-    """Cofactor expansion with column-mask memoization; oracle for Bareiss.
-
-    Cost grows as 2^dim, hence the hard dimension guard.
-    """
-    n = m.dim
-    if n > _MINOR_EXPANSION_LIMIT:
-        raise DimensionTooLarge(f"cofactor expansion capped at {_MINOR_EXPANSION_LIMIT}, got {n}")
-    rows = m.rows
-    memo = {0: IntPoly.one()}
-
-    # minors are built over the leading rows so that the heavily shared
-    # small minors carry the lowest-degree entries
-    def minor_det(mask: int) -> IntPoly:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        k = mask.bit_count()
-        row = rows[k - 1]
-        acc = IntPoly.zero()
-        sign = 1 if k % 2 == 1 else -1  # cofactor sign at (k-1, first column)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            term = row[j] * minor_det(mask ^ low)
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-            rest ^= low
-        memo[mask] = acc
-        return acc
-
-    return minor_det((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ Routes to |B^n_R| as a reduced rational function of the radius:
   combination of reverse Bessel polynomials; weighted by the unit-RHS
   solution over its common Hankel denominator, they sum to one exact
   rational function, reduced once.  boundary_value_at runs the Laplacian
-  chains symbolically on the potential built at one radius: the oracle.
+  chains symbolically on the potential built at one radius: the oracle,
+  which waits here for ROADMAP item 1; the others are in `oracles`.
 
 The det = hankel, boundary = det = hankel and derivative campaigns share one
 comparison loop: a job per odd n, n ascending, computes the values that must
@@ -78,33 +79,25 @@ from .errors import (
     positive_radius,
 )
 from .explaurent import DEFAULT_PRECISION, ExpLaurent
-from .hankel import _entry, _hold, hankel_det, unit_numerators, unit_solution
+from .hankel import _entry, _hold, hankel_det, unit_numerators
 from .poly import IntPoly, RatFunc
 
 
 # ---------------------------------------------------------------------------
-# border row and determinant routes
+# the integral lemma's polynomial and the determinant routes
 # ---------------------------------------------------------------------------
 
 def _lemma_tail(i: int, b: int) -> IntPoly:
     """sum_{j=0}^{b} 2^j b!/(b-j)! R^(2(b-j)) B_{i+j+1}, the polynomial of the
     integral lemma: int_R^inf e^(-r) B_i(r) r^(2b) dr = e^(-R) tail(R) / R.
-    The border row, the explicit formula and the quadrature check share it."""
+    The quadrature check reads it, and so do the oracles `border_polys` and
+    `magnitude_explicit`."""
     tb = reverse_bessel(i + b + 1)
     tail, w = IntPoly.zero(), 1
     for j in range(b + 1):
         tail = tail + (w * tb.poly(i + j + 1)).shift(2 * (b - j))
         w *= 2 * (b - j)
     return tail
-
-
-def border_polys(p: int) -> tuple:
-    """Border-row polynomials xi_{p,0..p}, with n = 2p + 1:
-    xi_{p,i} = R^(2p+2) B_i + n R^(2i) _lemma_tail(i, p-i); every coefficient
-    is an integer by construction."""
-    tb = reverse_bessel(at_least("p", p, 0) + 1)
-    return tuple(tb.poly(i).shift(2 * p + 2) + ((2 * p + 1) * _lemma_tail(i, p - i)).shift(2 * i)
-                 for i in range(p + 1))
 
 
 def _bordered_det(p: int) -> IntPoly:
@@ -134,20 +127,6 @@ def magnitude_hankel(n: int) -> RatFunc:
     """|B^n_R| via the ratio of offset-2 and offset-0 Hankel determinants."""
     p = odd_dimension(n)
     return RatFunc(hankel_det(p + 1, 2), _route_den(p))
-
-
-def magnitude_explicit(n: int, radius) -> Fraction:
-    """|B^n_R| at one rational radius, from the solved coefficients directly:
-    (1/n!) { R^n + n sum_i a_i R^(2i-1) _lemma_tail(i, p-i)(R) }, where a_i
-    solve the unit-RHS Hankel system at this radius.  The power R^(2i-1) is
-    R^-1 at i = 0; exact rationals handle it.
-    """
-    p = odd_dimension(n)
-    radius = positive_radius(radius)
-    total = radius ** n
-    for i, a in enumerate(unit_solution(p)):
-        total += n * a(radius) * radius ** (2 * i - 1) * _lemma_tail(i, p - i)(radius)
-    return total / math.factorial(n)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,10 @@ Two performance notes, because the determinant kernels lean on this module:
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InexactDivision, ParseError, ZeroDenominator, at_least
+from .errors import InexactDivision, ZeroDenominator, at_least
 
 _KRONECKER_CUTOFF = 1024  # schoolbook below this many coefficient products
 
@@ -254,11 +253,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(coeffs)
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", tuple(c[:n]))
+        object.__setattr__(self, "coeffs", _strip(list(coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -397,7 +392,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# display / parsing
+# display
 # ---------------------------------------------------------------------------
 
 def format_poly(p: IntPoly) -> str:
@@ -421,48 +416,6 @@ def format_poly(p: IntPoly) -> str:
         else:
             parts.append(f"{sign} {body}")
     return " ".join(parts)
-
-
-# one term of parse_poly, signs stripped: digits, then R or R^k, k >= 0
-_TERM = re.compile(r"(\d*)(R(?:\^(\d+))?)?")
-
-
-def parse_poly(text: str) -> IntPoly:
-    """Inverse of format_poly; accepts any signed sum of c*R^k terms."""
-    s = text.replace("*", "").replace(" ", "")
-    if not s:
-        raise ParseError("empty polynomial")
-    if s == "0":
-        return IntPoly.zero()
-    # split into signed terms
-    terms = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-^":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    coeffs: dict = {}
-    for t in terms:
-        sign = 1
-        while t and t[0] in "+-":
-            if t[0] == "-":
-                sign = -sign
-            t = t[1:]
-        if not t:
-            raise ParseError(f"dangling sign in {text!r}")
-        term = _TERM.fullmatch(t)
-        if term is None:
-            raise ParseError(f"bad term {t!r} in {text!r}")
-        head, r, power = term.groups()
-        power = int(power) if power else (1 if r else 0)
-        coeffs[power] = coeffs.get(power, 0) + sign * (int(head) if head else 1)
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return IntPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -526,34 +479,10 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDenominator("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
     def derivative(self) -> "RatFunc":
-        """Exact d/dR by the quotient rule, (a'b - ab') / b^2 for a/b,
-        reduced through g = gcd(b, b') rather than a gcd with b^2.
-
-        If q^e exactly divides b (q irreducible, e >= 1), then b = q^e c and
-        a'b - ab' = q^(e-1) (a'qc - a(e q'c + qc')).  The bracket is
-        -e a q' c mod q, nonzero since q divides none of a (a/b is
-        reduced), q' (characteristic 0) and c; likewise q^(e-1) exactly
-        divides b'.  So over Q[R] the gcd of a'b - ab' and b^2 is gcd(b,
-        b'), and after dividing both by its primitive part g, checked
-        exact, they are coprime over Q[R]: by Gauss's lemma only the gcd
-        of their contents is left to cancel."""
+        """Exact d/dR by the quotient rule, (a'b - ab') / b^2 for a/b, reduced."""
         a, b = self.num, self.den
-        num = a.derivative() * b - a * b.derivative()
-        if num.is_zero:
-            return RatFunc._raw(num, IntPoly.one())
-        g = poly_gcd(b, b.derivative()).primitive()
-        num, den = num.divexact(g), b.divexact(g) * b
-        c = math.gcd(num.content(), den.content())
-        if c > 1:
-            num = IntPoly._raw(tuple(x // c for x in num.coeffs))
-            den = IntPoly._raw(tuple(x // c for x in den.coeffs))
-        return RatFunc._raw(num, den)
+        return RatFunc(a.derivative() * b - a * b.derivative(), b * b)
 
     def __call__(self, x) -> Fraction:
         d = self.den(x)

@@ -12,8 +12,9 @@ Exponential bookkeeping: the true exterior is e^(radius) times the stored
 ExpLaurent (one global constant, never evaluated).  Boundary values at
 r = radius see that constant cancel against e^(-radius), and identities with
 a zero right-hand side are scale-free, so every check below reduces to
-rational-coefficient arithmetic.  Numeric evaluation multiplies the constant
-back in at working precision.
+rational-coefficient arithmetic.  The numeric oracle,
+`oracles.potential_value`, multiplies the constant back in at working
+precision.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bessel import kernel_table, reverse_bessel
-from .errors import RouteMismatch, SingularMatrix, at_least, odd_dimension, positive_radius
-from .explaurent import DEFAULT_PRECISION, ExpLaurent
+from .bessel import reverse_bessel
+from .errors import SingularMatrix, odd_dimension, positive_radius
+from .explaurent import ExpLaurent
 from .hankel import hankel_det, unit_solution
 from .poly import RatFunc
 
@@ -42,17 +43,6 @@ class Potential(NamedTuple):
     coeff_funcs: tuple
     coeffs: tuple
     exterior: ExpLaurent
-
-    def value_at(self, r) -> mpmath.mpf:
-        """Numeric h(r) for r >= radius."""
-        import mpmath
-
-        r = positive_radius(r)
-        if r < self.radius:
-            return mpmath.mpf(1)
-        with mpmath.workprec(DEFAULT_PRECISION):
-            scale = mpmath.exp(mpmath.mpf(self.radius.numerator) / self.radius.denominator)
-            return scale * self.exterior.eval(r)
 
 
 def build_potential(n: int, radius) -> Potential:
@@ -91,27 +81,6 @@ def verify_annihilation(pot: Potential) -> bool:
     for _ in range(pot.p + 1):
         g = g - g.laplacian(pot.n)
     return g.is_zero
-
-
-def h_sequence(pot: Potential, j: int) -> ExpLaurent:
-    """The j-th function in the chain h_{j+1} = -(1/r) h_j', two ways.
-
-    Route one iterates the operator on the exterior; route two shifts the
-    kernel expansion index by j.  Both are computed and compared; any
-    difference is an arithmetic bug, reported as RouteMismatch.
-    """
-    at_least("j", j, 0)
-    via_operator = pot.exterior
-    for _ in range(j):
-        via_operator = via_operator.diff().mul_rpow(-1).scale(-1)
-    kernels = kernel_table(pot.p + j)
-    via_shift = ExpLaurent.zero()
-    for i, c in enumerate(pot.coeffs):
-        scalar = c * pot.radius ** (2 * i)
-        via_shift = via_shift + kernels.funcs[i + j].scale(scalar)
-    if via_operator != via_shift:
-        raise RouteMismatch(f"h-sequence routes disagree at j={j} (n={pot.n}, R={pot.radius})")
-    return via_operator
 
 
 def boundary_limit_derivative(n: int) -> RatFunc:

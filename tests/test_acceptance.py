@@ -17,28 +17,21 @@ from fractions import Fraction
 import pytest
 
 from oddball import cli, golden
-from oddball.bessel import (
-    bessel_by_recurrence,
-    bessel_from_kernels,
-    deriv_coeff,
-    deriv_triangle,
-    kernel_table,
-    reverse_bessel,
-)
-from oddball.hankel import (
-    build_hankel,
-    det_bareiss,
-    det_minor_expansion,
-    hankel_det,
-    solve_unit_rhs,
-    unit_solution,
-)
+from oddball.bessel import bessel_by_recurrence, reverse_bessel
+from oddball.hankel import build_hankel, det_bareiss, hankel_det, solve_unit_rhs, unit_solution
 from oddball.magnitude import (
     verify_derivative_conjecture,
     verify_formula_equality,
     verify_integral_lemma,
     verify_observation,
     verify_triple_route,
+)
+from oddball.oracles import (
+    bessel_from_kernels,
+    deriv_coeff,
+    deriv_triangle,
+    det_minor_expansion,
+    kernel_table,
 )
 from oddball.potential import (
     build_potential,

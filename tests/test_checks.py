@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oddball import bessel, cli, errors, golden, hankel, magnitude
+from oddball import bessel, cli, errors, golden, hankel, magnitude, oracles
 from oddball.errors import GoldenMismatch, InputError
 from oddball.explaurent import ExpLaurent
 from oddball.poly import IntPoly
@@ -36,7 +36,9 @@ def test_no_assert_statements_in_package():
 # commands need it, so deferring it keeps it out of every other process's
 # start.  The costs are `python -X importtime` on CPython 3.11, 2 vCPUs.
 _DEFERRED_IMPORTS = {
-    "mpmath",  # 30-43 ms; only `verify integral` and the numeric oracles use it
+    # 30-43 ms; only `verify integral` uses it.  `oracles` imports it at top
+    # level, as no command imports `oracles`
+    "mpmath",
     # 27-34 ms with multiprocessing; only a table pass of 2 jobs or more and
     # at least `magnitude._POOL_MIN_POINTS` points
     "concurrent.futures",
@@ -64,6 +66,21 @@ def test_no_function_local_imports_in_package():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in _imported_names(node)
         if name not in _DEFERRED_IMPORTS
+    ]
+    assert found == []
+
+
+def test_no_package_module_imports_the_oracles():
+    # the oracles are the tests' reference routes: a production module that
+    # imported them, relative or absolute, would run one as a production path
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "oracles"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "oracles" in {part for name in [getattr(node, "module", None) or "",
+                                            *(alias.name for alias in node.names)]
+                          for part in name.split(".")}
     ]
     assert found == []
 
@@ -193,11 +210,11 @@ _BAD_LIBRARY_CALLS = {
     "bool-table-bound": lambda: bessel.reverse_bessel(True),
     "bool-size": lambda: hankel.hankel_det(True, 0),
     "bool-dimension-route": lambda: magnitude.magnitude_hankel(True),
-    "laplacian-minus-one": lambda: ExpLaurent.exponential().laplacian(-1),
-    "laplacian-minus-three": lambda: ExpLaurent.exponential().laplacian(-3),
-    "laplacian-float-dimension": lambda: ExpLaurent.exponential().laplacian(3.0),
-    "float-deriv-coeff": lambda: bessel.deriv_coeff(2.0, 1),
-    "float-triangle-value": lambda: bessel.deriv_triangle(3).value(2.0, 1),
+    "laplacian-minus-one": lambda: ExpLaurent({0: 1}).laplacian(-1),
+    "laplacian-minus-three": lambda: ExpLaurent({0: 1}).laplacian(-3),
+    "laplacian-float-dimension": lambda: ExpLaurent({0: 1}).laplacian(3.0),
+    "float-deriv-coeff": lambda: oracles.deriv_coeff(2.0, 1),
+    "float-triangle-value": lambda: oracles.deriv_triangle(3).value(2.0, 1),
 }
 
 

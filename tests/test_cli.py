@@ -19,7 +19,8 @@ from oddball.errors import (
     RouteMismatch,
     ZeroDenominator,
 )
-from oddball.poly import IntPoly, RatFunc, format_poly, parse_poly
+from oddball.oracles import parse_poly
+from oddball.poly import IntPoly, RatFunc, format_poly
 
 
 class TestParseRational:
@@ -224,12 +225,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, name", [
         (["det", "--p", "-1"], "--p"),
-        (["det", "--p", "2", "--offset", "-1"], "offset"),
-        (["chi", "--max", "-1"], "max_index"),
+        (["det", "--p", "2", "--offset", "-1"], "--offset"),
+        (["chi", "--max", "-1"], "--max"),
         (["verify", "integral", "--samples", "-3"], "--samples"),
         (["verify", "equality", "--max", "3", "--jobs", "0"], "--jobs"),
         (["magnitude", "--n", "4"], "dimension"),
         (["potential", "--n", "3", "--radius", "1/0"], "denominator"),
+        (["verify", "equality", "--max", "4"], "--max"),
     ])
     def test_bad_argument_exits_two(self, capsys, argv, name):
         code, out, err = _run(capsys, *argv)

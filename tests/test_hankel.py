@@ -26,12 +26,11 @@ from oddball.hankel import (
     build_hankel,
     clear_hankel_cache,
     det_bareiss,
-    det_minor_expansion,
     hankel_det,
     solve_unit_rhs,
     unit_solution,
 )
-from oddball.magnitude import border_polys
+from oddball.oracles import border_polys, det_minor_expansion
 from oddball.poly import IntPoly, RatFunc
 
 TB = reverse_bessel(40)

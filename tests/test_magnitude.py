@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oddball.magnitude as mag
 from oddball import cli, hankel
-from oddball.bessel import kernel_table, reverse_bessel
+from oddball.bessel import reverse_bessel
 from oddball.errors import (
     EvenDimension,
     InexactDivision,
@@ -31,12 +31,10 @@ from oddball.explaurent import ExpLaurent
 from oddball.golden import MAGNITUDE, MAGNITUDE_DERIVATIVE, NUM10_LOW_ASC, NUM10_TOP_DESC
 from oddball.hankel import PolyMatrix, clear_hankel_cache, det_bareiss
 from oddball.magnitude import (
-    border_polys,
     boundary_value_at,
     derivative_conjecture_rhs,
     magnitude_boundary,
     magnitude_det,
-    magnitude_explicit,
     magnitude_hankel,
     verify_derivative_conjecture,
     verify_formula_equality,
@@ -44,6 +42,7 @@ from oddball.magnitude import (
     verify_observation,
     verify_triple_route,
 )
+from oddball.oracles import border_polys, kernel_table, magnitude_explicit
 from oddball.poly import IntPoly, RatFunc
 from oddball.potential import boundary_limit_derivative
 

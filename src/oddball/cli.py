@@ -144,7 +144,7 @@ def _cmd_det(args) -> int:
 
 def _cmd_potential(args) -> int:
     radius = parse_rational(args.radius)
-    pot = build_potential(args.n, radius)
+    pot = build_potential(_odd("--n", args.n), radius)
     payload = {
         "n": args.n,
         "radius": str(radius),
@@ -173,6 +173,7 @@ def _cmd_potential(args) -> int:
 
 def _cmd_magnitude(args) -> int:
     radius = None if args.radius is None else positive_radius(parse_rational(args.radius))
+    _odd("--n", args.n)
     routes = ("det", "hankel", "boundary") if args.route == "all" else (args.route,)
     route_fns = {"det": magnitude_det, "hankel": magnitude_hankel, "boundary": magnitude_boundary}
     values, millis = {}, {}
@@ -191,11 +192,12 @@ def _cmd_magnitude(args) -> int:
     return 0 if agree else 1
 
 
-def _odd_max(max_n: int) -> int:
-    """max_n, the largest n of a campaign, if odd and >= 1; else the error names --max."""
-    if max_n < 1 or max_n % 2 == 0:
-        raise EvenDimension(f"--max must be odd and >= 1, got {max_n}")
-    return max_n
+def _odd(flag: str, n: int) -> int:
+    """n, a dimension or a campaign's largest one, if odd and >= 1; else the
+    error names its flag."""
+    if n < 1 or n % 2 == 0:
+        raise EvenDimension(f"{flag} must be odd and >= 1, got {n}")
+    return n
 
 
 def _cmd_verify_sweep(args) -> int:
@@ -206,7 +208,7 @@ def _cmd_verify_sweep(args) -> int:
     else:
         max_n = args.extended_max if args.extended else args.default_max
     kwargs = {"jobs": at_least("--jobs", args.jobs, 1)} if "jobs" in args else {}
-    report = args.campaign(_odd_max(max_n), **kwargs)
+    report = args.campaign(_odd("--max", max_n), **kwargs)
     records = [_record(e.n, args.route, e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
     return 0
@@ -214,7 +216,7 @@ def _cmd_verify_sweep(args) -> int:
 
 def _cmd_verify_observation(args) -> int:
     max_n = args.max_n if args.max_n is not None else 25
-    report = verify_observation(_odd_max(max_n))
+    report = verify_observation(_odd("--max", max_n))
     if args.fmt == "json":
         print(_dump([
             {"n": e.n, "route": "observation", "power": e.power_shift,

@@ -40,24 +40,12 @@ class NonpositiveRadius(InputError):
     """A radius (or evaluation point) that must be positive was not."""
 
 
-class NonpolynomialResidue(OddballError):
-    """Clearing the exponential/Laurent factors left negative powers behind."""
-
-
 class TableTooSmall(InputError):
     """A polynomial table does not cover the indices an operation needs."""
 
 
-class DimensionTooLarge(OddballError):
-    """Cost guard: the cofactor-expansion determinant refuses big matrices."""
-
-
 class SingularMatrix(OddballError):
     """A linear solve hit a zero determinant."""
-
-
-class IndexOutOfTriangle(InputError):
-    """Coefficient request outside the valid (j, k) triangle."""
 
 
 class RouteMismatch(OddballError):

@@ -5,7 +5,8 @@ the reverse Bessel polynomials, the derivative-conversion triangle by
 recurrence and by closed form, a cofactor expansion for `det_bareiss`, the
 det route's border row as polynomials, the explicit formula at a radius, a
 potential's h-chain two ways, numeric values by mpmath (no command loads it
-through this module), and the parser that inverts `poly.format_poly`.
+through this module), and the parser that inverts `poly.format_poly`.  The
+errors that only these routes raise are defined here too.
 
 Waiting for ROADMAP item 1: `perfbench/tracer.py` binds these by module
 attribute, so they stay in their modules until it reads counters instead:
@@ -28,10 +29,9 @@ import mpmath
 
 from .bessel import BesselTable, reverse_bessel
 from .errors import (
-    DimensionTooLarge,
-    IndexOutOfTriangle,
     InexactDivision,
-    NonpolynomialResidue,
+    InputError,
+    OddballError,
     ParseError,
     RouteMismatch,
     at_least,
@@ -43,6 +43,18 @@ from .hankel import PolyMatrix, unit_solution
 from .magnitude import _lemma_tail
 from .poly import IntPoly
 from .potential import Potential
+
+
+class NonpolynomialResidue(OddballError):
+    """Clearing the exponential/Laurent factors left negative powers behind."""
+
+
+class DimensionTooLarge(OddballError):
+    """Cost guard: the cofactor-expansion determinant refuses big matrices."""
+
+
+class IndexOutOfTriangle(InputError):
+    """Coefficient request outside the valid (j, k) triangle."""
 
 
 class KernelTable(NamedTuple):

@@ -19,11 +19,18 @@ Two performance notes, because the determinant kernels lean on this module:
   into one huge integer, multiply once, unpack) above a small size cutoff.
   CPython's big-integer multiply is subquadratic, which beats the schoolbook
   double loop by a wide margin on the dense high-degree operands produced by
-  fraction-free elimination.
-* The gcd first strips any common power of R, then tries to prove the
-  remaining gcd trivial with a single Euclid run modulo a large prime (valid
-  whenever the prime divides neither leading coefficient).  Only when that
-  fails does it fall back to a primitive pseudo-remainder sequence.
+  fraction-free elimination.  Signs are split into two halves; an empty half
+  is never packed, and a square packs once.
+* The gcd strips any common power of R and the contents, then tries to prove
+  the primitive parts a, b coprime at one point; only when that fails does
+  it run a primitive pseudo-remainder sequence.  The proof: with n = deg a
+  >= 1 and a(0) != 0, pick y = 2^(e-1) (e = 64, doubled as needed) with
+  |a_n| y^n > sum_{i<n} |a_i| y^i.  Then |a(z)| > 0 for |z| >= y, so every
+  root of a has |alpha| < y.  At x = 2^e + 1 = 2y + 1, a common factor G in
+  Z[R] of degree m >= 1 has |G(x)| >= prod |x - alpha| > (y + 1)^m > y, and
+  G(x) divides g = gcd(a(x), b(x)), which is > 0 as a(x) != 0.  So g <= y
+  proves the gcd is 1.  x is odd because at x = 2^e, low coefficients that
+  share a power of 2 would make the values share it too.
 """
 
 from __future__ import annotations
@@ -74,23 +81,31 @@ def _unpack(value: int, width: int, count: int) -> list:
     return [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(count)]
 
 
+def _halves(coeffs: tuple, width: int) -> tuple:
+    """(positive half, negative half) of coeffs, packed; an empty one is 0."""
+    if min(coeffs) >= 0:
+        return _pack(coeffs, width), 0
+    neg = _pack([-c if c < 0 else 0 for c in coeffs], width)
+    if max(coeffs) <= 0:
+        return 0, neg
+    return _pack([c if c > 0 else 0 for c in coeffs], width), neg
+
+
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
-    bound = amax * bmax * min(len(a), len(b))
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 2
     n = len(a) + len(b) - 1
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    app, anp = _pack(ap, width), _pack(an, width)
-    bpp, bnp = _pack(bp, width), _pack(bn, width)
-    pos1 = _unpack(app * bpp, width, n)
-    pos2 = _unpack(anp * bnp, width, n)
-    neg1 = _unpack(app * bnp, width, n)
-    neg2 = _unpack(anp * bpp, width, n)
-    return _strip([pos1[k] + pos2[k] - neg1[k] - neg2[k] for k in range(n)])
+    # a slot k of pos or neg sums some |a_i b_j| with i + j = k: it fits width
+    ap, an = _halves(a, width)
+    if b is a:
+        pos, neg = ap * ap + an * an, (ap * an) << 1
+    else:
+        bp, bn = _halves(b, width)
+        pos, neg = ap * bp + an * bn, ap * bn + an * bp
+    out = _unpack(pos, width, n)
+    if neg:
+        out = [p - q for p, q in zip(out, _unpack(neg, width, n))]
+    return _strip(out)
 
 
 def _mul_c(a: tuple, b: tuple) -> tuple:
@@ -175,41 +190,23 @@ def _pseudo_rem_c(a: tuple, b: tuple) -> tuple:
     return tuple(r)
 
 
-_GCD_PRIMES = (2305843009213693951, 2147483647)  # 2^61-1, 2^31-1
-
-
-def _polymod_p(a: list, b: list, p: int) -> list:
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        top = r[-1] * inv % p
-        if top:
-            shift = len(r) - 1 - db
-            for j, bj in enumerate(b):
-                r[shift + j] = (r[shift + j] - top * bj) % p
-        del r[-1]
-        while r and r[-1] == 0:
-            del r[-1]
-    return r
-
-
-def _gcd_trivial_mod_p(a: tuple, b: tuple) -> bool:
-    """True when gcd(a, b) is provably constant.
-
-    Modulo a prime dividing neither leading coefficient, the degree of the
-    gcd can only go up, so a constant image certifies a constant gcd.  A
-    False answer proves nothing; callers must fall back to the exact PRS.
-    """
-    for p in _GCD_PRIMES:
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        fa = [c % p for c in a]
-        fb = [c % p for c in b]
-        while fb:
-            fa, fb = fb, _polymod_p(fa, fb, p)
-        return len(fa) == 1
-    return False
+def _gcd_trivial_at_point(a: tuple, b: tuple) -> bool:
+    """True when primitive a, b (degree >= 1, a(0) != 0) are proven coprime
+    as the module docstring shows; False proves nothing (run the PRS)."""
+    e = 64
+    while True:  # until every root of a lies in |z| < 2^(e-1)
+        tail = 0
+        for c in reversed(a[:-1]):
+            tail = (tail << (e - 1)) + abs(c)
+        if abs(a[-1]) << (e - 1) * (len(a) - 1) > tail:
+            break
+        e *= 2
+    va = vb = 0
+    for c in reversed(a):
+        va = (va << e) + va + c
+    for c in reversed(b):
+        vb = (vb << e) + vb + c
+    return math.gcd(va, vb) <= 1 << (e - 1)
 
 
 def _gcd_c(a: tuple, b: tuple) -> tuple:
@@ -225,7 +222,7 @@ def _gcd_c(a: tuple, b: tuple) -> tuple:
     c = math.gcd(ca, cb)
     aa = tuple(x // ca for x in a)
     bb = tuple(x // cb for x in b)
-    if len(aa) == 1 or len(bb) == 1 or _gcd_trivial_mod_p(aa, bb):
+    if len(aa) == 1 or len(bb) == 1 or _gcd_trivial_at_point(aa, bb):
         g: tuple = (c,)
     else:
         if len(aa) < len(bb):

@@ -8,15 +8,12 @@ import pytest
 
 from oddball import oracles
 from oddball.bessel import bessel_by_recurrence, reverse_bessel
-from oddball.errors import (
-    IndexOutOfTriangle,
-    InexactDivision,
-    NonpolynomialResidue,
-    TableTooSmall,
-)
+from oddball.errors import InexactDivision, TableTooSmall
 from oddball.explaurent import ExpLaurent
 from oddball.oracles import (
+    IndexOutOfTriangle,
     KernelTable,
+    NonpolynomialResidue,
     bessel_from_kernels,
     deriv_coeff,
     deriv_triangle,

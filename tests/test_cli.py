@@ -229,9 +229,10 @@ class TestExitCodes:
         (["chi", "--max", "-1"], "--max"),
         (["verify", "integral", "--samples", "-3"], "--samples"),
         (["verify", "equality", "--max", "3", "--jobs", "0"], "--jobs"),
-        (["magnitude", "--n", "4"], "dimension"),
+        (["magnitude", "--n", "4"], "--n"),
         (["potential", "--n", "3", "--radius", "1/0"], "denominator"),
         (["verify", "equality", "--max", "4"], "--max"),
+        (["potential", "--n", "4", "--radius", "1"], "--n"),
     ])
     def test_bad_argument_exits_two(self, capsys, argv, name):
         code, out, err = _run(capsys, *argv)
@@ -286,6 +287,18 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert b"Traceback" not in err, err.decode()
+
+
+def test_package_runs_as_the_cli():
+    # `python -m oddball` prints what `python -m oddball.cli` prints
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = ["verify", "equality", "--max", "7", "--json"]
+    package, cli_module = (subprocess.run([sys.executable, "-m", module, *args], env=env,
+                                          capture_output=True, timeout=120)
+                           for module in ("oddball", "oddball.cli"))
+    assert package.returncode == cli_module.returncode == 0
+    assert package.stdout == cli_module.stdout and package.stdout.startswith(b"[{")
 
 
 class PolynomialEliminationRan(Exception):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from oddball import hankel
 from oddball.bessel import reverse_bessel
 from oddball.errors import (
-    DimensionTooLarge,
     InputError,
     OddballError,
     RouteMismatch,
@@ -30,7 +29,7 @@ from oddball.hankel import (
     solve_unit_rhs,
     unit_solution,
 )
-from oddball.oracles import border_polys, det_minor_expansion
+from oddball.oracles import DimensionTooLarge, border_polys, det_minor_expansion
 from oddball.poly import IntPoly, RatFunc
 
 TB = reverse_bessel(40)

@@ -1,8 +1,9 @@
 """Polynomial and rational-function arithmetic: spec examples, ring axioms,
 reduction canonicity, and the numeric derivative cross-check; property tests
 of the kernels' edge cases against independent oracles: evaluation for
-products on both sides of the Kronecker cutoff, sympy for the gcd's
-pseudo-remainder fallback."""
+products on both sides of the Kronecker cutoff and the schoolbook loop for
+its sign halves, sympy for the gcd's certificate and its pseudo-remainder
+fallback."""
 
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddball import poly
+from oddball import magnitude, poly
 from oddball.errors import InexactDivision, InputError, ParseError, ZeroDenominator
 from oddball.oracles import parse_poly
 from oddball.poly import (
@@ -30,6 +31,14 @@ CHI2 = IntPoly([0, 1, 1])
 CHI3 = IntPoly([0, 3, 3, 1])
 CHI4 = IntPoly([0, 15, 15, 6, 1])
 MAG3_NUM = IntPoly([6, 12, 6, 1])
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
 
 
 def _random_poly(rng, max_deg=30, bound=2**64):
@@ -101,11 +110,26 @@ class TestIntPoly:
         rng = random.Random(7)
         a = [rng.randint(-2**70, 2**70) for _ in range(90)]
         b = [rng.randint(-2**70, 2**70) for _ in range(65)]
-        expect = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                expect[i + j] += ai * bj
-        assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(expect)
+        assert (IntPoly(a) * IntPoly(b)).coeffs == _schoolbook(a, b)
+
+    @pytest.mark.parametrize("signs", ["mixed", "negative", "positive"])
+    def test_kronecker_square_matches_schoolbook(self, signs):
+        rng = random.Random(11)
+        low, high = {"mixed": (-2**70, 2**70), "negative": (-2**70, -1),
+                     "positive": (1, 2**70)}[signs]
+        a = IntPoly([rng.randint(low, high) for _ in range(50)])
+        assert len(a.coeffs) ** 2 > poly._KRONECKER_CUTOFF
+        assert (a * a).coeffs == _schoolbook(a.coeffs, a.coeffs)
+
+    @pytest.mark.parametrize("one_signed", [(0, 2**70), (-2**70, 0)], ids=["positive", "negative"])
+    def test_kronecker_with_one_empty_half_matches_schoolbook(self, one_signed):
+        # one operand has an empty sign half, the other has both halves
+        rng = random.Random(13)
+        a = [rng.randint(*one_signed) for _ in range(40)] + [one_signed[0] or one_signed[1]]
+        b = [rng.randint(-2**70, 2**70) for _ in range(35)] + [1]
+        assert len(a) * len(b) > poly._KRONECKER_CUTOFF
+        assert (IntPoly(a) * IntPoly(b)).coeffs == _schoolbook(a, b)
+        assert (IntPoly(b) * IntPoly(a)).coeffs == _schoolbook(b, a)
 
     def test_gcd(self):
         a = CHI3 * IntPoly([2, 2])
@@ -166,20 +190,60 @@ class TestProperties:
            _polys(1, 8, bits=20), _polys(1, 8, bits=20))
     def test_gcd_matches_sympy_through_the_prs(self, g, u, w):
         # g has degree >= 1 and no factor R, so it survives the stripped
-        # powers of R and no prime can certify the gcd constant
+        # powers of R and contents, and g(x) is too large at the point for
+        # the certificate to prove the gcd constant
         a, b = g * u, g * w
-        x = sympy.Symbol("x")
-        want = sympy.Poly(list(reversed(a.coeffs)), x, domain="ZZ").gcd(
-            sympy.Poly(list(reversed(b.coeffs)), x, domain="ZZ"))
+        assert not poly._gcd_trivial_at_point(_prepared(a), _prepared(b))
         with mock.patch.object(poly, "_pseudo_rem_c", wraps=poly._pseudo_rem_c) as prs:
             got = poly_gcd(a, b)
-        assert got.coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
-        assert prs.called  # the common factor g defeats the modular fast path
+        assert got == _sympy_gcd(a, b)
+        assert prs.called  # the common factor g defeats the fast path
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_polys(1, 4, bits=6), _polys(1, 9, bits=30), _polys(1, 9, bits=30))
+    def test_gcd_certificate_is_sound(self, g, u, w):
+        # small shared factors make common roots likely; a True answer must
+        # mean that sympy finds the gcd constant
+        a, b = _prepared(g * u), _prepared(g * w)
+        if len(a) > 1 and len(b) > 1 and poly._gcd_trivial_at_point(a, b):
+            assert _sympy_gcd(IntPoly(a), IntPoly(b)).degree == 0
+
+    def test_gcd_certificate_gives_up_on_a_coprime_pair(self):
+        # R + 12 and R + 12 + q are coprime, but at x = 2^64 + 1 both values
+        # are multiples of q = x + 12 = 2^64 + 13, a prime above 2^63
+        q = 2 ** 64 + 13
+        a, b = IntPoly([12, 1]), IntPoly([12 + q, 1])
+        assert not poly._gcd_trivial_at_point(a.coeffs, b.coeffs)
+        with mock.patch.object(poly, "_pseudo_rem_c", wraps=poly._pseudo_rem_c) as prs:
+            assert poly_gcd(a, b) == IntPoly.one()
+        assert prs.called
+
+    @pytest.mark.parametrize("campaign", ["verify_derivative_conjecture",
+                                          "verify_formula_equality"])
+    def test_campaign_gcds_take_the_fast_path(self, campaign):
+        with mock.patch.object(poly, "_pseudo_rem_c", wraps=poly._pseudo_rem_c) as prs, \
+                mock.patch.object(poly, "_gcd_trivial_at_point",
+                                  wraps=poly._gcd_trivial_at_point) as certificate:
+            getattr(magnitude, campaign)(27, 1)
+        assert certificate.called and not prs.called
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(_polys(1, 12, bits=70) | st.just(IntPoly.zero()))
     def test_format_parse_round_trip(self, p):
         assert parse_poly(format_poly(p)) == p
+
+
+def _prepared(p):
+    """p as `_gcd_c` hands it to the certificate: R powers and content out."""
+    content = p.content()
+    return tuple(x // content for x in p.coeffs[p.valuation():])
+
+
+def _sympy_gcd(a, b):
+    x = sympy.Symbol("x")
+    want = sympy.Poly(list(reversed(a.coeffs)), x, domain="ZZ").gcd(
+        sympy.Poly(list(reversed(b.coeffs)), x, domain="ZZ"))
+    return IntPoly(int(c) for c in reversed(want.all_coeffs()))
 
 
 class TestRatFunc:

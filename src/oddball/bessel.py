@@ -30,8 +30,14 @@ class BesselTable(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def bessel_by_recurrence(max_index: int) -> BesselTable:
-    """B_0 = 1, B_1 = R, B_{i+2} = (2i+1) B_{i+1} + R^2 B_i."""
+def reverse_bessel(max_index: int) -> BesselTable:
+    """Shared table of reverse Bessel polynomials covering 0..max_index:
+    B_0 = 1, B_1 = R, B_{i+2} = (2i+1) B_{i+1} + R^2 B_i.
+
+    Tables are cached per index bound, so repeated callers share one
+    immutable instance; `oracles.bessel_from_kernels` re-derives the same
+    table in the test suite.
+    """
     at_least("max_index", max_index, 0)
     polys = [IntPoly.one()]
     if max_index >= 1:
@@ -41,12 +47,6 @@ def bessel_by_recurrence(max_index: int) -> BesselTable:
     return BesselTable(max_index, tuple(polys))
 
 
-def reverse_bessel(max_index: int) -> BesselTable:
-    """Shared table of reverse Bessel polynomials covering 0..max_index.
-
-    The recurrence route backs this; `oracles.bessel_from_kernels`
-    re-derives the same table in the test suite.  Tables are cached per
-    index bound, so repeated callers share one immutable instance.
-    """
-    return bessel_by_recurrence(max_index)
-
+# the same cached function under the name whose `cache_info()` the
+# benchmark's tracer reads
+bessel_by_recurrence = reverse_bessel

@@ -8,9 +8,11 @@ and the equality, derivative and boundary campaigns only), or a pretty
 rendering in descending powers.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (argparse's, or any InputError).
 
-Radii are always exact rationals written as P or P/Q; there is no floating
-point radius path.  The quadrature check runs at DEFAULT_PRECISION mantissa
-bits.
+The CLI defines no check of its own: every argument goes through the
+library's `errors.at_least`, `odd_dimension` or `positive_radius`, given the
+flag's name for its message.  Radii are exact rationals written as P or
+P/Q; there is no floating point radius path.  The quadrature check runs at
+DEFAULT_PRECISION mantissa bits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import difflib
 import itertools
 import json
 import os
-import re
 import sys
 import time
 from fractions import Fraction
@@ -28,14 +29,12 @@ from fractions import Fraction
 from . import golden
 from .bessel import reverse_bessel
 from .errors import (
-    EvenDimension,
     GoldenMismatch,
     InputError,
     OddballError,
-    ParseError,
     QuadratureNonconvergence,
-    ZeroDenominator,
     at_least,
+    odd_dimension,
     positive_radius,
 )
 from .hankel import hankel_det
@@ -56,21 +55,6 @@ from .potential import (
     verify_boundary_conditions,
     verify_limit_derivative,
 )
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'P' or 'P/Q' into a reduced fraction."""
-    if not _RATIONAL_RE.match(text.strip()):
-        raise ParseError(f"not a rational number: {text!r}")
-    head, _, tail = text.strip().partition("/")
-    num = int(head)
-    den = int(tail) if tail else 1
-    if den == 0:
-        raise ZeroDenominator(f"zero denominator in {text!r}")
-    return Fraction(num, den)
-
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -143,8 +127,9 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    radius = parse_rational(args.radius)
-    pot = build_potential(_odd("--n", args.n), radius)
+    radius = positive_radius(args.radius, "--radius")
+    odd_dimension(args.n, "--n")
+    pot = build_potential(args.n, radius)
     payload = {
         "n": args.n,
         "radius": str(radius),
@@ -172,8 +157,8 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_magnitude(args) -> int:
-    radius = None if args.radius is None else positive_radius(parse_rational(args.radius))
-    _odd("--n", args.n)
+    radius = None if args.radius is None else positive_radius(args.radius, "--radius")
+    odd_dimension(args.n, "--n")
     routes = ("det", "hankel", "boundary") if args.route == "all" else (args.route,)
     route_fns = {"det": magnitude_det, "hankel": magnitude_hankel, "boundary": magnitude_boundary}
     values, millis = {}, {}
@@ -192,14 +177,6 @@ def _cmd_magnitude(args) -> int:
     return 0 if agree else 1
 
 
-def _odd(flag: str, n: int) -> int:
-    """n, a dimension or a campaign's largest one, if odd and >= 1; else the
-    error names its flag."""
-    if n < 1 or n % 2 == 0:
-        raise EvenDimension(f"{flag} must be odd and >= 1, got {n}")
-    return n
-
-
 def _cmd_verify_sweep(args) -> int:
     """A route-comparison campaign; the parser sets its function, its route
     label and its default and --extended bounds."""
@@ -208,7 +185,8 @@ def _cmd_verify_sweep(args) -> int:
     else:
         max_n = args.extended_max if args.extended else args.default_max
     kwargs = {"jobs": at_least("--jobs", args.jobs, 1)} if "jobs" in args else {}
-    report = args.campaign(_odd("--max", max_n), **kwargs)
+    odd_dimension(max_n, "--max")
+    report = args.campaign(max_n, **kwargs)
     records = [_record(e.n, args.route, e.value, e.millis) for e in report.entries]
     _emit_records(records, args.fmt)
     return 0
@@ -216,7 +194,8 @@ def _cmd_verify_sweep(args) -> int:
 
 def _cmd_verify_observation(args) -> int:
     max_n = args.max_n if args.max_n is not None else 25
-    report = verify_observation(_odd("--max", max_n))
+    odd_dimension(max_n, "--max")
+    report = verify_observation(max_n)
     if args.fmt == "json":
         print(_dump([
             {"n": e.n, "route": "observation", "power": e.power_shift,

@@ -1,13 +1,17 @@
-"""Exception types shared across the package, and the input checks that
-raise them: every n must be odd and >= 1, every radius a positive rational,
-every other integer argument at least its least value (`at_least`).  Every
-bad argument raises an `InputError`, which the CLI reports with exit 2;
+"""Exception types shared across the package, and the one check of each
+kind of argument, for the library and the CLI alike: `odd_dimension` for
+every n (odd and >= 1), `positive_radius` for every radius (a positive
+rational, given as an int, a Fraction or the text P or P/Q; never a float),
+and `at_least` for every other integer argument.  Each check takes the
+argument's name, which only labels its message: the CLI passes its flag.
+Every bad argument raises an `InputError`, which the CLI reports with exit 2;
 every other `OddballError` is a failed check, which it reports with exit 1:
 a campaign raises `Disagreement` when two routes differ (a failed
 determinantal identity is the equality campaign's), `ConjectureFails` or
 `ObservationFails`.  The checks live here, beside their errors, so that
 every module can import them without an import cycle."""
 
+import re
 from fractions import Fraction
 
 
@@ -103,20 +107,36 @@ def at_least(name: str, value: int, least: int) -> int:
     return value
 
 
-def odd_dimension(n: int) -> int:
+def odd_dimension(n: int, name: str = "dimension") -> int:
     """p = (n - 1) / 2 for an odd int n >= 1, not a bool; EvenDimension
-    otherwise."""
+    naming the argument otherwise."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n % 2 == 0:
-        raise EvenDimension(f"dimension must be odd and >= 1, got {n!r}")
+        raise EvenDimension(f"{name} must be odd and >= 1, got {n!r}")
     return (n - 1) // 2
 
 
-def positive_radius(r) -> Fraction:
-    """r as an exact Fraction: InputError unless r is rational, NonpositiveRadius unless r > 0."""
-    try:
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def positive_radius(r, name: str = "radius") -> Fraction:
+    """r as an exact Fraction, if it is an int (not a bool), a Fraction, or
+    the text P or P/Q with blanks around it allowed; otherwise InputError
+    naming the argument, and NonpositiveRadius unless r > 0.  A float is
+    refused: its binary value is not the rational its digits spell."""
+    if isinstance(r, str):
+        text = r.strip()
+        if not _RATIONAL_RE.match(text):
+            raise ParseError(f"{name} is not a rational number: {r!r}")
+        try:
+            r = Fraction(text)
+        except ZeroDivisionError:
+            raise ZeroDenominator(f"zero denominator in {name} {r!r}") from None
+        except ValueError as exc:  # more digits than int() may convert
+            raise ParseError(f"{name} is not a rational number: {r!r}") from exc
+    elif isinstance(r, (int, Fraction)) and not isinstance(r, bool):
         r = Fraction(r)
-    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"radius must be a rational number, got {r!r}") from exc
+    else:
+        raise InputError(f"{name} must be an int, a Fraction or P/Q text, got {r!r}")
     if r <= 0:
-        raise NonpositiveRadius(f"radius must be positive, got {r}")
+        raise NonpositiveRadius(f"{name} must be positive, got {r}")
     return r

@@ -378,6 +378,7 @@ def _sweep(max_n: int, job, failure, jobs: int, tables: tuple) -> CampaignReport
     the integer points, which `_pool_map` splits among `jobs` workers when
     the pass has enough points to pay for a pool.  The jobs then read the
     held tables, a reduction or two each, in this process."""
+    at_least("jobs", jobs, 1)
     _hold(tables, odd_dimension(max_n) + 1, partial(_pool_map, jobs=jobs))
     entries = []
     for n, values, millis in _run_jobs(job, range(1, max_n + 1, 2)):

@@ -13,8 +13,9 @@ attribute, so they stay in their modules until it reads counters instead:
 `hankel`'s elimination block, kept together (`PolyMatrix`, `build_hankel`,
 `_eliminate`, `det_bareiss`, `solve_unit_rhs`); `magnitude`'s
 `boundary_value_at` with its `_boundary_sum`; and
-`magnitude.derivative_conjecture_rhs`, `RatFunc.from_dict`,
-`bessel.reverse_bessel` and `bessel.bessel_by_recurrence`.
+`magnitude.derivative_conjecture_rhs` and `RatFunc.from_dict`.  It also
+reads `bessel.bessel_by_recurrence`, which is a second name for
+the cached `bessel.reverse_bessel`.
 """
 
 from __future__ import annotations

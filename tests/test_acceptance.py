@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from oddball import cli, golden
-from oddball.bessel import bessel_by_recurrence, reverse_bessel
+from oddball.bessel import reverse_bessel
 from oddball.hankel import build_hankel, det_bareiss, hankel_det, solve_unit_rhs, unit_solution
 from oddball.magnitude import (
     verify_derivative_conjecture,
@@ -102,7 +102,7 @@ def test_criterion_5_potential_verification():
 
 def test_criterion_6_oracle_pairs():
     with _criterion("criterion 6 oracle pairs (generation, triangle, dets, residuals)"):
-        assert bessel_from_kernels(kernel_table(40)).polys == bessel_by_recurrence(40).polys
+        assert bessel_from_kernels(kernel_table(40)).polys == reverse_bessel(40).polys
         tri = deriv_triangle(40)
         for j in range(1, 41):
             for k in range(1, j + 1):

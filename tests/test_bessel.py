@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from oddball import oracles
-from oddball.bessel import bessel_by_recurrence, reverse_bessel
+from oddball.bessel import reverse_bessel
 from oddball.errors import InexactDivision, TableTooSmall
 from oddball.explaurent import ExpLaurent
 from oddball.oracles import (
@@ -60,18 +60,18 @@ class TestKernels:
 class TestBesselTables:
     def test_printed_table_both_routes(self):
         from_kernels = bessel_from_kernels(kernel_table(4))
-        by_recurrence = bessel_by_recurrence(4)
+        by_recurrence = reverse_bessel(4)
         for i, want in enumerate(PRINTED_POLYS):
             assert from_kernels.polys[i].coeffs == want
             assert by_recurrence.polys[i].coeffs == want
 
     def test_recurrence_steps(self):
-        t = bessel_by_recurrence(3)
+        t = reverse_bessel(3)
         assert t.polys[2] == IntPoly([0, 1, 1])          # 1*B_1 + R^2*B_0
         assert t.polys[3] == IntPoly([0, 3, 3, 1])       # 3*B_2 + R^2*B_1
 
     def test_routes_agree_to_forty(self):
-        assert bessel_from_kernels(kernel_table(40)).polys == bessel_by_recurrence(40).polys
+        assert bessel_from_kernels(kernel_table(40)).polys == reverse_bessel(40).polys
 
     def test_structural_invariants(self):
         t = reverse_bessel(40)

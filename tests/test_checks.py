@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from oddball import bessel, cli, errors, golden, hankel, magnitude, oracles
+from oddball import bessel, cli, errors, golden, hankel, magnitude, oracles, potential
 from oddball.errors import GoldenMismatch, InputError
 from oddball.explaurent import ExpLaurent
 from oddball.poly import IntPoly
@@ -199,6 +200,14 @@ _BAD_LIBRARY_CALLS = {
     "radius-minus-inf": lambda: errors.positive_radius(float("-inf")),
     "radius-none": lambda: errors.positive_radius(None),
     "radius-zero-denominator": lambda: errors.positive_radius("1/0"),
+    # a radius is exact: no float, Decimal, bool or decimal-point text
+    "radius-float": lambda: errors.positive_radius(0.1),
+    "radius-bool": lambda: errors.positive_radius(True),
+    "radius-decimal": lambda: errors.positive_radius(Decimal("0.5")),
+    "radius-decimal-text": lambda: errors.positive_radius("1.5"),
+    "radius-exponent-text": lambda: errors.positive_radius("1e-3"),
+    "float-radius-potential": lambda: potential.build_potential(3, 0.5),
+    "float-radius-integral": lambda: magnitude.verify_integral_lemma(0, 0, 1.5),
     "oracle-radius-text": lambda: magnitude.boundary_value_at(3, "abc"),
     "oracle-radius-inf": lambda: magnitude.boundary_value_at(3, float("inf")),
     "float-dimension": lambda: errors.odd_dimension(3.0),
@@ -212,6 +221,8 @@ _BAD_LIBRARY_CALLS = {
     "bool-table-bound": lambda: bessel.reverse_bessel(True),
     "bool-size": lambda: hankel.hankel_det(True, 0),
     "bool-dimension-route": lambda: magnitude.magnitude_hankel(True),
+    "zero-jobs": lambda: magnitude.verify_formula_equality(7, jobs=0),
+    "bool-jobs": lambda: magnitude.verify_derivative_conjecture(7, jobs=True),
     "laplacian-minus-one": lambda: ExpLaurent({0: 1}).laplacian(-1),
     "laplacian-minus-three": lambda: ExpLaurent({0: 1}).laplacian(-3),
     "laplacian-float-dimension": lambda: ExpLaurent({0: 1}).laplacian(3.0),

@@ -10,34 +10,52 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oddball import cli, golden, hankel
 from oddball.errors import (
     InputError,
+    NonpositiveRadius,
     ParseError,
     QuadratureNonconvergence,
     RouteMismatch,
     ZeroDenominator,
+    positive_radius,
 )
 from oddball.oracles import parse_poly
 from oddball.poly import IntPoly, RatFunc, format_poly
 
 
 class TestParseRational:
+    # `--radius` text goes through the library's one radius check
     def test_basic(self):
-        assert cli.parse_rational("7/3") == Fraction(7, 3)
-        assert cli.parse_rational("4/2") == Fraction(2)
-        assert cli.parse_rational("0/5") == Fraction(0)
-        assert cli.parse_rational("-3/6") == Fraction(-1, 2)
-        assert cli.parse_rational("12") == Fraction(12)
+        assert positive_radius("7/3") == Fraction(7, 3)
+        assert positive_radius("4/2") == Fraction(2)
+        assert positive_radius("+3/6") == Fraction(1, 2)
+        assert positive_radius(" 12\n") == Fraction(12)
 
     def test_errors(self):
         with pytest.raises(ParseError):
-            cli.parse_rational("abc")
+            positive_radius("abc")
         with pytest.raises(ParseError):
-            cli.parse_rational("1.5")
+            positive_radius("1.5")
         with pytest.raises(ZeroDenominator):
-            cli.parse_rational("3/0")
+            positive_radius("3/0")
+        with pytest.raises(NonpositiveRadius):
+            positive_radius("0/5")
+        with pytest.raises(NonpositiveRadius):
+            positive_radius("-3/6")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() converts any number of digits")
+    def test_more_digits_than_int_converts(self):
+        with pytest.raises(ParseError):
+            positive_radius("1/" + "1" * (sys.get_int_max_str_digits() + 1))
+
+    @given(st.integers(min_value=1), st.integers(min_value=1), st.sampled_from(["", " ", "\t "]))
+    def test_text_is_the_fraction(self, p, q, blank):
+        assert positive_radius(f"{blank}{p}/{q}{blank}") == Fraction(p, q)
 
 
 def _run(capsys, *argv):
@@ -161,6 +179,14 @@ class TestSubcommands:
         assert code == 1
         assert "FAIL" in out
         assert "expected/magnitude/n=3" in err
+
+    def test_reproduce_checks_both_magnitude_routes(self, monkeypatch):
+        # a wrong hankel route fails the row, which reports the det route's value
+        real = golden.magnitude_hankel
+        monkeypatch.setattr(golden, "magnitude_hankel",
+                            lambda n: real(n).derivative() if n == 3 else real(n))
+        (row,) = [r for r in golden.check_all() if (r.table, r.n) == ("magnitude", 3)]
+        assert not row.ok and row.got == row.expected == golden.MAGNITUDE[3].as_dict()
 
 
 class TestExitCodes:

@@ -2,8 +2,10 @@
 kind of argument, for the library and the CLI alike: `odd_dimension` for
 every n (odd and >= 1), `positive_radius` for every radius (a positive
 rational, given as an int, a Fraction or the text P or P/Q; never a float),
-and `at_least` for every other integer argument.  Each check takes the
-argument's name, which only labels its message: the CLI passes its flag.
+`exact` for every evaluation point, coefficient and scale (an int or a
+Fraction of any sign) and every exponent (an int), and `at_least` for every
+other integer argument.  Each check takes the argument's name, which only
+labels its message: the CLI passes its flag.
 Every bad argument raises an `InputError`, which the CLI reports with exit 2;
 every other `OddballError` is a failed check, which it reports with exit 1:
 a campaign raises `Disagreement` when two routes differ (a failed
@@ -97,12 +99,19 @@ class ParseError(InputError):
     """Malformed textual input (rational number or polynomial)."""
 
 
+def exact(x, name: str, kinds: str = "an int or a Fraction", types=(int, Fraction)):
+    """x, if it is one of types but not a bool (never a float or a Decimal);
+    otherwise InputError naming the argument and the kinds it takes.  Zero
+    and negative values pass: a point, coefficient or exponent may be either."""
+    if isinstance(x, types) and not isinstance(x, bool):
+        return x
+    raise InputError(f"{name} must be {kinds}, got {x!r}")
+
+
 def at_least(name: str, value: int, least: int) -> int:
     """value, if it is an int (not a bool) >= least; else InputError naming
     the argument."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if exact(value, name, "an integer", int) < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
     return value
 
@@ -133,10 +142,8 @@ def positive_radius(r, name: str = "radius") -> Fraction:
             raise ZeroDenominator(f"zero denominator in {name} {r!r}") from None
         except ValueError as exc:  # more digits than int() may convert
             raise ParseError(f"{name} is not a rational number: {r!r}") from exc
-    elif isinstance(r, (int, Fraction)) and not isinstance(r, bool):
-        r = Fraction(r)
     else:
-        raise InputError(f"{name} must be an int, a Fraction or P/Q text, got {r!r}")
+        r = Fraction(exact(r, name, "an int, a Fraction or P/Q text"))
     if r <= 0:
         raise NonpositiveRadius(f"{name} must be positive, got {r}")
     return r

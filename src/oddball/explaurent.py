@@ -1,11 +1,13 @@
 """The algebra of e^(-r) times Laurent polynomials with rational coefficients.
 
 An element is e^(-r) * sum_k c_k r^k with finitely many nonzero c_k in Q and
-k ranging over (possibly negative) integers.  The algebra is closed under
-d/dr, under multiplication by any integer power of r, and therefore under the
-radial Laplacian f'' + ((n-1)/r) f' in any dimension n.  That closure is what
-lets every identity in this package be checked by exact coefficient
-arithmetic: the exponential factor is part of the type, never a number.
+k ranging over (possibly negative) integers.  A coefficient, scale or point
+is an int or a Fraction and an exponent an int, or InputError is raised.
+The algebra is closed under d/dr, under multiplication by any integer power
+of r, and therefore under the radial Laplacian f'' + ((n-1)/r) f' in any
+dimension n.  That closure is what lets every identity in this package be
+checked by exact coefficient arithmetic: the exponential factor is part of
+the type, never a number.
 
 Numeric evaluation is an oracle, `oracles.explaurent_value`, by mpmath at
 DEFAULT_PRECISION, 128 mantissa bits, the precision the quadrature check
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import odd_dimension
+from .errors import exact, odd_dimension
 
 DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
@@ -30,10 +32,15 @@ class ExpLaurent:
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         clean = {}
         if terms:
+            # every operation builds an ExpLaurent, so the common kinds
+            # pass by one type test each and skip the checks
             for k, c in terms.items():
-                c = Fraction(c)
+                if type(k) is not int:
+                    exact(k, "exponent", "an int", int)
+                if type(c) is not Fraction:
+                    c = Fraction(c if type(c) is int else exact(c, "coefficient"))
                 if c:
-                    clean[int(k)] = c
+                    clean[k] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -65,14 +72,14 @@ class ExpLaurent:
         return ExpLaurent({k: -c for k, c in self.terms.items()})
 
     def scale(self, s) -> "ExpLaurent":
-        s = Fraction(s)
+        s = Fraction(exact(s, "scale"))
         if not s:
             return ExpLaurent.zero()
         return ExpLaurent({k: s * c for k, c in self.terms.items()})
 
     def mul_rpow(self, j: int) -> "ExpLaurent":
         """Multiply by r^j (j may be negative)."""
-        if j == 0:
+        if exact(j, "exponent", "an int", int) == 0:
             return self
         return ExpLaurent({k + j: c for k, c in self.terms.items()})
 
@@ -100,7 +107,7 @@ class ExpLaurent:
 
     def laurent_at(self, x: Fraction) -> Fraction:
         """The Laurent part sum_k c_k x^k, exactly (x must be nonzero)."""
-        x = Fraction(x)
+        x = Fraction(exact(x, "point"))
         total = Fraction(0)
         for k, c in self.terms.items():
             total += c * x ** k

@@ -5,13 +5,14 @@ ascending powers of R: index k holds the coefficient of R^k.  The zero
 polynomial is the empty tuple; nonzero polynomials never carry a trailing
 zero, so equal values always have equal representations.
 
-A rational function is a reduced pair of such polynomials: the gcd (content
-included) of numerator and denominator is 1 and the denominator has a
-positive leading coefficient.  Reduction happens eagerly at construction so
-that equality is plain tuple comparison.
+A rational function is a reduced value, not an algebra: a pair of such
+polynomials with gcd 1 (content included) and a denominator of positive
+leading coefficient, reduced at construction so that equality is tuple
+comparison.  It is compared, hashed, evaluated, differentiated and
+serialised; sums and products are formed on its polynomials.
 
-Everything here is immutable and pure; scalars are Python ints and
-fractions.Fraction.
+Everything here is immutable and pure; scalars are ints, and an evaluation
+point is an int or a fractions.Fraction (anything else raises InputError).
 
 Two performance notes, because the determinant kernels lean on this module:
 
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InexactDivision, ZeroDenominator, at_least
+from .errors import InexactDivision, ZeroDenominator, at_least, exact
 
 _KRONECKER_CUTOFF = 1024  # schoolbook below this many coefficient products
 
@@ -249,7 +250,7 @@ class IntPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __init__(self, coeffs: Iterable[int]):
         object.__setattr__(self, "coeffs", _strip(list(coeffs)))
 
     def __setattr__(self, name, value):
@@ -270,10 +271,6 @@ class IntPoly:
     @classmethod
     def one(cls) -> "IntPoly":
         return cls._raw((1,))
-
-    @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls._raw((c,) if c else ())
 
     @classmethod
     def variable(cls) -> "IntPoly":
@@ -348,7 +345,8 @@ class IntPoly:
         return IntPoly._raw(_strip([k * c for k, c in enumerate(self.coeffs)][1:]))
 
     def __call__(self, x):
-        """Horner evaluation; exact for int or Fraction arguments."""
+        """Horner evaluation, exactly, at an int or a Fraction x."""
+        exact(x, "point")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -428,9 +426,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: IntPoly, den: IntPoly | None = None):
-        if den is None:
-            den = IntPoly.one()
+    def __init__(self, num: IntPoly, den: IntPoly):
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero:
@@ -456,25 +452,9 @@ class RatFunc:
         object.__setattr__(self, "den", den)
         return self
 
-    @classmethod
-    def const(cls, c: int) -> "RatFunc":
-        return cls(IntPoly.const(c))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc._raw(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
 
     def derivative(self) -> "RatFunc":
         """Exact d/dR by the quotient rule, (a'b - ab') / b^2 for a/b, reduced."""

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,19 @@ _BAD_LIBRARY_CALLS = {
     "laplacian-float-dimension": lambda: ExpLaurent({0: 1}).laplacian(3.0),
     "float-deriv-coeff": lambda: oracles.deriv_coeff(2.0, 1),
     "float-triangle-value": lambda: oracles.deriv_triangle(3).value(2.0, 1),
+    # an evaluation point, a coefficient or a scale is an int or a Fraction,
+    # an exponent an int: a float's binary value is not its digits
+    "float-point-ratfunc": lambda: magnitude.magnitude_hankel(3)(0.1),
+    "bool-point-ratfunc": lambda: magnitude.magnitude_hankel(3)(True),
+    "float-point-intpoly": lambda: hankel.hankel_det(2, 0)(0.5),
+    "decimal-point-intpoly": lambda: hankel.hankel_det(2, 0)(Decimal("0.5")),
+    "float-point-laurent": lambda: ExpLaurent({0: 1, 1: 1}).laurent_at(0.1),
+    "float-scale": lambda: ExpLaurent({0: 1}).scale(0.1),
+    "float-coefficient": lambda: ExpLaurent({0: 0.1}),
+    "float-exponent": lambda: ExpLaurent({1.5: 1}),
+    "bool-exponent": lambda: ExpLaurent({True: 1}),
+    "float-rpow": lambda: ExpLaurent({0: 1}).mul_rpow(0.5),
+    "bool-rpow": lambda: ExpLaurent({0: 1}).mul_rpow(True),
 }
 
 
@@ -237,6 +251,18 @@ def test_bad_library_argument_raises_input_error(call):
     # OverflowError, TypeError or ZeroDivisionError of the conversion
     with pytest.raises(InputError):
         call()
+
+
+def test_evaluation_at_zero_and_negative_points():
+    # an evaluation point may be 0 or negative, unlike a radius
+    h, f = hankel.hankel_det(3, 1), magnitude.magnitude_hankel(5)
+    e = ExpLaurent({-2: Fraction(1, 3), 0: 2, 3: -1})
+    assert (h(0), f(0), ExpLaurent({0: 2, 3: -1}).laurent_at(0)) == (0, 1, 2)
+    assert [(h(x), f(x), e.laurent_at(x)) for x in (-1, Fraction(-1, 2), Fraction(-7, 3))] == [
+        (-10, Fraction(-47, 240), Fraction(10, 3)),
+        (Fraction(-101, 32), Fraction(413, 3840), Fraction(83, 24)),
+        (Fraction(50078, 729), Fraction(-22859, 58320), Fraction(19534, 1323)),
+    ]
 
 
 def test_fixture_not_in_lowest_terms_is_refused():

@@ -115,7 +115,12 @@ class TestSubcommands:
 
     def test_magnitude_all_routes_disagree(self, capsys, monkeypatch):
         real = cli.magnitude_boundary
-        monkeypatch.setattr(cli, "magnitude_boundary", lambda n: real(n) + RatFunc.const(1))
+
+        def crooked(n):
+            f = real(n)  # the real value plus one
+            return RatFunc(f.num + f.den, f.den)
+
+        monkeypatch.setattr(cli, "magnitude_boundary", crooked)
         code, out, _ = _run(capsys, "magnitude", "--n", "5", "--route", "all", "--json")
         recs = json.loads(out)
         assert code == 1
@@ -173,7 +178,7 @@ class TestSubcommands:
 
     def test_reproduce_detects_mismatch(self, capsys, monkeypatch):
         crooked = dict(golden.MAGNITUDE)
-        crooked[3] = RatFunc(IntPoly([7, 12, 6, 1]), IntPoly.const(6))
+        crooked[3] = RatFunc(IntPoly([7, 12, 6, 1]), IntPoly([6]))
         monkeypatch.setattr(golden, "MAGNITUDE", crooked)
         code, out, err = _run(capsys, "reproduce")
         assert code == 1

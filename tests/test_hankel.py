@@ -132,7 +132,7 @@ class TestDeterminants:
             values = [TB.poly(i)(1) if i <= 40 else reverse_bessel(2 * p).poly(i)(1)
                       for i in range(2 * size - 1)]
             m = PolyMatrix([
-                [IntPoly.const(values[i + j]) for j in range(size)]
+                [IntPoly([values[i + j]]) for j in range(size)]
                 for i in range(size)
             ])
             assert not det_bareiss(m).is_zero, p
@@ -422,10 +422,10 @@ class TestInterpolation:
 
 class TestSolve:
     def test_printed_solutions(self):
-        assert unit_solution(0) == (RatFunc.const(1),)
+        assert unit_solution(0) == (RatFunc(IntPoly.one(), IntPoly.one()),)
         sol = unit_solution(1)
-        assert sol[0] == RatFunc(IntPoly([1, 1]))
-        assert sol[1] == RatFunc.const(-1)
+        assert sol[0] == RatFunc(IntPoly([1, 1]), IntPoly.one())
+        assert sol[1] == RatFunc(IntPoly([-1]), IntPoly.one())
         sol = unit_solution(2)
         assert sol[0] == RatFunc(IntPoly([6, 12, 6, 1]), IntPoly([6, 2]))
 
@@ -471,7 +471,7 @@ class TestSolve:
     def test_zero_leading_pivot_swaps_rows(self):
         r = IntPoly([0, 1])
         sol = solve_unit_rhs(PolyMatrix([[IntPoly.zero(), r], [r, IntPoly.one()]]))
-        assert sol == (RatFunc(IntPoly.const(-1), IntPoly([0, 0, 1])), RatFunc(IntPoly.one(), r))
+        assert sol == (RatFunc(IntPoly([-1]), IntPoly([0, 0, 1])), RatFunc(IntPoly.one(), r))
 
     def test_matches_cramer_on_general_matrices(self):
         rng = random.Random(2024)
@@ -486,7 +486,7 @@ class TestSolve:
             cramer = []
             for i in range(dim):
                 replaced = PolyMatrix(
-                    [IntPoly.const(int(r == 0)) if j == i else m.rows[r][j]
+                    [IntPoly([int(r == 0)]) if j == i else m.rows[r][j]
                      for j in range(dim)]
                     for r in range(dim)
                 )

@@ -269,7 +269,7 @@ class TestEqualityCampaign:
 
     def test_single(self):
         report = verify_formula_equality(1)
-        assert report.entries[0].value == RatFunc(IntPoly([1, 1]))
+        assert report.entries[0].value == RatFunc(IntPoly([1, 1]), IntPoly.one())
 
     @pytest.mark.usefixtures("pooled")
     def test_parallel_jobs_match_sequential(self):
@@ -559,8 +559,8 @@ class TestObservation:
 
 class TestDerivativeConjecture:
     def test_printed_rhs(self):
-        assert derivative_conjecture_rhs(1) == RatFunc.const(1)
-        assert derivative_conjecture_rhs(3) == RatFunc(IntPoly([4, 4, 1]), IntPoly.const(2))
+        assert derivative_conjecture_rhs(1) == RatFunc(IntPoly.one(), IntPoly.one())
+        assert derivative_conjecture_rhs(3) == RatFunc(IntPoly([4, 4, 1]), IntPoly([2]))
         assert derivative_conjecture_rhs(7) == MAGNITUDE_DERIVATIVE[7]
 
     @pytest.mark.usefixtures("pooled")
@@ -599,11 +599,12 @@ class TestDerivativeConjecture:
 
     def test_both_rhs_forms_agree(self):
         # the squared-determinant form versus R^(n-1)/(n-1)! times the
-        # squared limit derivative, by plain RatFunc arithmetic
+        # squared limit derivative, by plain IntPoly arithmetic
         for n in range(1, 16, 2):
             limit = boundary_limit_derivative(n)
-            scale = RatFunc(IntPoly.one().shift(n - 1), IntPoly.const(math.factorial(n - 1)))
-            assert derivative_conjecture_rhs(n) == scale * limit * limit, n
+            want = RatFunc(limit.num.shift(n - 1) * limit.num,
+                           math.factorial(n - 1) * (limit.den * limit.den))
+            assert derivative_conjecture_rhs(n) == want, n
 
 
 _small_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=8).map(IntPoly)

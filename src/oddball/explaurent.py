@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import exact, odd_dimension
+from .errors import ZeroDenominator, exact, odd_dimension
 
 DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
@@ -63,18 +63,13 @@ class ExpLaurent:
         return ExpLaurent(out)
 
     def __sub__(self, other: "ExpLaurent") -> "ExpLaurent":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return ExpLaurent(out)
+        return self + -other
 
     def __neg__(self) -> "ExpLaurent":
         return ExpLaurent({k: -c for k, c in self.terms.items()})
 
     def scale(self, s) -> "ExpLaurent":
         s = Fraction(exact(s, "scale"))
-        if not s:
-            return ExpLaurent.zero()
         return ExpLaurent({k: s * c for k, c in self.terms.items()})
 
     def mul_rpow(self, j: int) -> "ExpLaurent":
@@ -106,8 +101,10 @@ class ExpLaurent:
     # -- evaluation -------------------------------------------------------------
 
     def laurent_at(self, x: Fraction) -> Fraction:
-        """The Laurent part sum_k c_k x^k, exactly (x must be nonzero)."""
+        """The Laurent part sum_k c_k x^k, exactly (ZeroDenominator at a pole)."""
         x = Fraction(exact(x, "point"))
+        if not x and min(self.terms, default=0) < 0:
+            raise ZeroDenominator(f"a negative power of r has a pole at {x}")
         total = Fraction(0)
         for k, c in self.terms.items():
             total += c * x ** k

@@ -398,10 +398,9 @@ def hankel_det(size: int, offset: int) -> IntPoly:
 
 
 def clear_hankel_cache() -> None:
-    """Forget every cached determinant, of every kind, and every unit solution."""
+    """Forget every held table, of every kind, unit numerators included, and
+    `hankel_det`'s cache."""
     hankel_det.cache_clear()
-    unit_numerators.cache_clear()
-    unit_solution.cache_clear()
     _TABLES.clear()
 
 
@@ -445,7 +444,6 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
     return tuple(RatFunc(num, d) for num in nums)
 
 
-@lru_cache(maxsize=None)
 def unit_numerators(p: int) -> tuple:
     """The numerators y^(p) of [B_{i+j}]_{i,j<=p} y = H^(0)_{p+1} e_0 by
     Cramer's rule, entry p of the held "unit" table, with the residual
@@ -456,7 +454,6 @@ def unit_numerators(p: int) -> tuple:
     return nums
 
 
-@lru_cache(maxsize=None)
 def unit_solution(p: int) -> tuple:
     """The solution of [B_{i+j}]_{i,j<=p} y = e_0: the certified
     `unit_numerators(p)` over hankel_det(p+1, 0), each reduced."""

@@ -48,8 +48,9 @@ No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
 exact; the only numerical check in the package is the quadrature cross-check
-of the closed-form integral lemma, done at 128-bit precision, and it checks
-the very polynomial the det route's border row is built from.  Times e^R
+of the closed-form integral lemma, done at 128-bit precision, on `_lemma_tail`,
+from which `oracles.border_polys` builds the border row; the tests hold that
+row equal to the det route's sum at points (`hankel._border_sum`).  Times e^R
 and with r = R + u, the lemma's integral is int_0^inf e^(-u) P(u) du for a
 polynomial P whose coefficients c_j are exact nonnegative rationals, so by
 linearity it is sum_j c_j M_j over the moments M_j = int_0^inf e^(-u) u^j
@@ -223,8 +224,6 @@ def _square_times(f: RatFunc, divisor: int) -> RatFunc:
     """f^2 / divisor, reduced, for a reduced f and divisor > 0, without a
     polynomial gcd.  Coprime a, b in Z[R] have coprime squares (Gauss's
     lemma), so only an integer can cancel, from the content of a^2."""
-    if f.is_zero:
-        return f
     num = f.num * f.num
     g = math.gcd(num.content(), divisor)
     return RatFunc._raw(IntPoly._raw(tuple(c // g for c in num.coeffs)),

@@ -11,8 +11,9 @@ leading coefficient, reduced at construction so that equality is tuple
 comparison.  It is compared, hashed, evaluated, differentiated and
 serialised; sums and products are formed on its polynomials.
 
-Everything here is immutable and pure; scalars are ints, and an evaluation
-point is an int or a fractions.Fraction (anything else raises InputError).
+Everything here is immutable and pure; scalars are ints, a coefficient is an
+int (not a bool) and an evaluation point an int or a fractions.Fraction
+(anything else raises InputError).
 
 Two performance notes, because the determinant kernels lean on this module:
 
@@ -155,16 +156,6 @@ def _divexact_c(a: tuple, b: tuple) -> tuple:
     return _strip(q)
 
 
-def _content_c(a: tuple) -> int:
-    g = 0
-    for c in a:
-        if c:
-            g = math.gcd(g, c)
-            if g == 1:
-                return 1
-    return g
-
-
 def _valuation_c(a: tuple) -> int:
     for i, c in enumerate(a):
         if c:
@@ -219,7 +210,7 @@ def _gcd_c(a: tuple, b: tuple) -> tuple:
     va, vb = _valuation_c(a), _valuation_c(b)
     v = min(va, vb)
     a, b = a[va:], b[vb:]  # strip R powers; common R^v restored at the end
-    ca, cb = _content_c(a), _content_c(b)
+    ca, cb = math.gcd(*a), math.gcd(*b)
     c = math.gcd(ca, cb)
     aa = tuple(x // ca for x in a)
     bb = tuple(x // cb for x in b)
@@ -233,7 +224,7 @@ def _gcd_c(a: tuple, b: tuple) -> tuple:
             aa = bb
             if not rem:
                 break
-            cr = _content_c(rem)
+            cr = math.gcd(*rem)
             bb = tuple(x // cr for x in rem)
         if aa[-1] < 0:
             aa = tuple(-x for x in aa)
@@ -251,7 +242,8 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", _strip(list(coeffs)))
+        coeffs = [c if type(c) is int else exact(c, "coefficient", "an int", int) for c in coeffs]
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -298,7 +290,7 @@ class IntPoly:
 
     def content(self) -> int:
         """Gcd of the absolute coefficient values (0 for the zero poly)."""
-        return _content_c(self.coeffs)
+        return math.gcd(*self.coeffs)
 
     # -- ring operations ---------------------------------------------------
 

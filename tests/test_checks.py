@@ -17,7 +17,7 @@ import pytest
 from oddball import bessel, cli, errors, golden, hankel, magnitude, oracles, potential
 from oddball.errors import GoldenMismatch, InputError
 from oddball.explaurent import ExpLaurent
-from oddball.poly import IntPoly
+from oddball.poly import IntPoly, RatFunc
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddball"
 
@@ -242,6 +242,13 @@ _BAD_LIBRARY_CALLS = {
     "bool-exponent": lambda: ExpLaurent({True: 1}),
     "float-rpow": lambda: ExpLaurent({0: 1}).mul_rpow(0.5),
     "bool-rpow": lambda: ExpLaurent({0: 1}).mul_rpow(True),
+    # a polynomial coefficient is an int, never a bool
+    "float-intpoly-coefficient": lambda: IntPoly([0.5]),
+    "bool-intpoly-coefficient": lambda: IntPoly([True]),
+    "fraction-intpoly-coefficient": lambda: IntPoly([Fraction(1, 2)]),
+    "float-ratfunc-coefficient": lambda: RatFunc(IntPoly([1.5]), IntPoly([3])),
+    # a negative power of r has a pole at 0
+    "pole-laurent-at-zero": lambda: ExpLaurent({-1: 1}).laurent_at(0),
 }
 
 

@@ -5,12 +5,14 @@ solve_unit_rhs; unit-RHS solves and their first and last components as
 Hankel-determinant ratios."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddball import hankel
+from oddball import hankel, magnitude
 from oddball.bessel import reverse_bessel
 from oddball.errors import (
     InputError,
@@ -29,8 +31,10 @@ from oddball.hankel import (
     solve_unit_rhs,
     unit_solution,
 )
+from oddball.magnitude import verify_triple_route
 from oddball.oracles import DimensionTooLarge, border_polys, det_minor_expansion
 from oddball.poly import IntPoly, RatFunc
+from oddball.potential import build_potential
 
 TB = reverse_bessel(40)
 
@@ -438,9 +442,24 @@ class TestSolve:
         unit_solution(3)
         assert "unit" in hankel._TABLES
         clear_hankel_cache()
-        assert unit_solution.cache_info().currsize == 0
-        assert hankel.unit_numerators.cache_info().currsize == 0
         assert "unit" not in hankel._TABLES
+
+    @pytest.mark.parametrize("run", [lambda: verify_triple_route(15),
+                                     lambda: build_potential(9, Fraction(1, 2))],
+                                    ids=["triple-route", "potential"])
+    def test_each_unit_entry_read_once(self, monkeypatch, run):
+        # unit_numerators keeps no memo (the "unit" table is held), and each
+        # read checks the residual again: no command may read one p twice
+        real, reads = hankel.unit_numerators, Counter()
+
+        def counted(p):
+            reads[p] += 1
+            return real(p)
+
+        monkeypatch.setattr(hankel, "unit_numerators", counted)
+        monkeypatch.setattr(magnitude, "unit_numerators", counted)
+        run()
+        assert reads and max(reads.values()) == 1
 
     def test_corrupted_unit_value_is_fatal(self, monkeypatch):
         # a wrong numerator that is still a polynomial passes the

@@ -5,6 +5,8 @@ products on both sides of the Kronecker cutoff and the schoolbook loop for
 its sign halves, sympy for the gcd's certificate and its pseudo-remainder
 fallback."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -12,7 +14,7 @@ from unittest import mock
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddball import magnitude, poly
@@ -231,6 +233,21 @@ class TestProperties:
     @given(_polys(1, 12, bits=70) | st.just(IntPoly.zero()))
     def test_format_parse_round_trip(self, p):
         assert parse_poly(format_poly(p)) == p
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(st.integers(1, 2 ** 70),
+           st.lists(st.integers(-2 ** 80, 2 ** 80) | st.just(0), max_size=12))
+    @example(1, [])
+    @example(1, [0, 0])
+    @example(3, [-2 ** 65, 0, 2 ** 66])
+    def test_content_is_the_gcd_of_the_coefficients(self, scale, coeffs):
+        # a common factor makes the content exceed 1 in most examples
+        coeffs = [scale * c for c in coeffs]
+        p = IntPoly(coeffs)
+        assert p.content() == functools.reduce(math.gcd, coeffs, 0)
+        prim = p.primitive()
+        assert prim * p.content() == p
+        assert (prim.leading > 0) == (p.leading > 0) and prim.content() in (0, 1)
 
 
 def _prepared(p):

@@ -37,7 +37,7 @@ from .errors import (
     odd_dimension,
     positive_radius,
 )
-from .hankel import hankel_det
+from .hankel import _usable_cpus, hankel_det
 from .magnitude import (
     magnitude_boundary,
     magnitude_det,
@@ -262,14 +262,6 @@ def _cmd_reproduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _default_jobs() -> int:
-    """The CPUs this process may run on, where the platform says, else the
-    host's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oddball",
@@ -313,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         c = versub.add_parser(name, help=helptext)
         c.add_argument("--max", dest="max_n", type=int, default=None)
         if with_jobs:
-            c.add_argument("--jobs", type=int, default=_default_jobs())
+            c.add_argument("--jobs", type=int, default=_usable_cpus())
         if "extended_max" in defaults:
             c.add_argument("--extended", action="store_true")
         _add_format_flags(c, csv="extended_max" in defaults)

@@ -25,7 +25,10 @@ table held shorter, entries 0..count-1, in one pass over the points.
 At each x, `_point_values` computes theta(x) once and runs the two
 recurrences below on it, Desnanot-Jacobi for the offsets and Heine for
 "bordered" and "unit".  The points are independent, so a pool of workers
-that hold nothing can share them; the interpolation runs in the caller.
+that hold nothing can share them (`_pool_map`): up to `jobs` workers, at
+most one per usable CPU, once a pass has `_POOL_MIN_POINTS` points.  A
+smaller pass gains nothing from a second process, so it runs in the caller
+and never imports the pool module.  The interpolation runs in the caller.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -138,6 +141,7 @@ for ROADMAP item 1, as the `oracles` docstring says.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache, partial
 from operator import mul
 
@@ -148,6 +152,7 @@ from .errors import (
     RouteMismatch,
     SingularMatrix,
     TableTooSmall,
+    WorkerDied,
     at_least,
 )
 from .poly import IntPoly, RatFunc
@@ -350,24 +355,63 @@ def _point_values(kind: tuple, count: int, x: int) -> dict:
     return values
 
 
+# The least table pass that starts a pool.  Importing the pool module and
+# starting two workers costs 33-48 ms, about a third of a 119-point pass.
+# Two workers against one process, on 2 vCPUs with CPython 3.11.7, in
+# interleaved fresh-process pairs: `verify equality` lost at 135 and 152
+# points (--max 29 and 31), tied at 170 and 189, and won from 209 (--max 37)
+# on; `verify derivative`, whose points carry no Heine recurrence, lost or
+# tied up to 232 (--max 41).
+_POOL_MIN_POINTS = 200
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says, else the
+    host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], by a pool of up to `jobs` workers, at
+    most one per usable CPU, when that is two or more and there are at
+    least `_POOL_MIN_POINTS` items; else, or when no pool starts, here.
+    Each worker is sent fn and about four chunks of the items, nothing
+    else, so fn must be module level and need only its arguments.  A worker
+    that dies raises WorkerDied: nothing is computed again here."""
+    workers = min(jobs, len(items), _usable_cpus())
+    if workers > 1 and len(items) >= _POOL_MIN_POINTS:
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+        except BrokenExecutor as exc:
+            raise WorkerDied(f"a pool worker died in the table pass ({exc})") from exc
+        except (OSError, NotImplementedError):  # no pool on this platform
+            pass
+    return list(map(fn, items))
+
+
 # key, an offset, "bordered" or "unit" -> entries 0..K-1 of that table, for
 # the largest K computed
 _TABLES: dict = {}
 
 
-def _hold(keys, count: int, run=map) -> None:
+def _hold(keys, count: int, jobs: int = 1) -> None:
     """Hold the tables `keys` names, each an offset, "bordered" or "unit",
     with at least `count` entries.  Those held shorter are filled together:
-    run(at, points) maps `_point_values` over every point x = 1 .. N that
-    one of their entries needs, and each entry is interpolated here from
-    the values at its own points."""
+    `_point_values` is mapped over every point x = 1 .. N that one of their
+    entries needs, by `_pool_map` with up to `jobs` workers, and each entry
+    is interpolated here from the values at its own points."""
     kind = tuple(key for key in keys if len(_TABLES.get(key, ())) < count)
     if not kind:
         return
     needs = {key: [_valuation_and_points(key, k) for k in range(count)] for key in kind}
     values = {key: [[] for _ in range(count)] for key in kind}
     points = range(1, max(need[-1][1] for need in needs.values()) + 1)
-    for at in run(partial(_point_values, kind, count), points):
+    for at in _pool_map(partial(_point_values, kind, count), points, jobs):
         for key, entries in at.items():
             for vals, value in zip(values[key][count - len(entries):], entries):
                 vals.append(value)

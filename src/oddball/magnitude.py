@@ -21,18 +21,12 @@ Routes to |B^n_R| as a reduced rational function of the radius:
   chains symbolically on the potential built at one radius: the oracle,
   which waits here for ROADMAP item 1; the others are in `oracles`.
 
-The det = hankel, boundary = det = hankel and derivative campaigns share one
-comparison loop: a job per odd n, n ascending, computes the values that must
-be equal, and the loop compares them.  `_run_jobs` runs and times the per-n
-work of every campaign, the observation's too.  First `hankel._hold`
-computes the determinant tables the jobs read once, held by the calling
-process, in one pass over the integer points: each point gives every offset
-the campaign names by one Desnanot-Jacobi recurrence, and the bordered
-determinants and unit-RHS numerators it names by one Heine recurrence.
-With `jobs` above 1 and a pass of at least `_POOL_MIN_POINTS` points, a pool
-of up to `jobs` workers, sent no tables, shares the points; a smaller
-pass gains nothing from a second process, so it runs here and never imports
-the pool module.  The interpolation and the jobs run in the calling process.
+The det = hankel, boundary = det = hankel and derivative campaigns are each
+one table pass and one timed loop (`_sweep`).  `hankel._hold` computes the
+tables the jobs read once, in one pass over the integer points, held by the
+calling process.  Then `_run_jobs`, the one timer of per-n work, the
+observation's too, runs a job per odd n, ascending, in this process; each
+returns its checked value or raises its own failure.
 Every route's numerator is over `_route_den(p)` = n! R H^(0)_{p+1}, so the
 equality and triple-route jobs compare numerators and reduce once, the
 value kept.  The derivative job reduces once too.  With H^(s)_{p+1} =
@@ -43,7 +37,7 @@ H^(1) / (R H^(0)) and squares it into the printed U/V; once the reduced
 denominator's primitive part is h_0, V = lambda h_0^2 with lambda V's
 content, and U n! c_0 = lambda c_2 (h_0 h_2' - h_2 h_0') is the conjecture
 (`_derivative_job`).  Only if that identity fails is d/dR of the hankel
-route computed, by the quotient rule, for `_sweep` to compare and report.
+route computed, by the quotient rule, and compared.
 No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
@@ -64,7 +58,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import potential
@@ -74,7 +68,6 @@ from .errors import (
     Disagreement,
     ObservationFails,
     QuadratureNonconvergence,
-    WorkerDied,
     at_least,
     odd_dimension,
     positive_radius,
@@ -210,14 +203,14 @@ def _boundary_numerator(n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 def _strip_poly(poly: IntPoly) -> tuple:
-    """Factor poly as content * R^v * primitive-with-positive-lead."""
+    """Factor a nonzero poly as c * R^v * prim, prim primitive with a
+    positive lead and c its content, signed: one content scan."""
     v = poly.valuation()
     shifted = poly.shift_down(v)
     c = shifted.content()
-    prim = shifted.primitive()
-    if prim.leading < 0:
-        return -prim, v, -c
-    return prim, v, c
+    if shifted.leading < 0:
+        c = -c
+    return (shifted if c == 1 else IntPoly._raw(tuple(x // c for x in shifted.coeffs))), v, c
 
 
 def _square_times(f: RatFunc, divisor: int) -> RatFunc:
@@ -263,29 +256,34 @@ class CampaignReport(NamedTuple):
     entries: tuple
 
 
-def _reduced(n: int, nums: dict) -> dict:
-    """{route: |B^n_R|} from the routes' numerators over their shared
-    denominator D = n! R H^(0)_{p+1}.  a/D = b/D iff a = b, so when the
-    numerators are equal only the hankel route's value is reduced, under the
-    first route's name; otherwise every route's value is, and they differ."""
+def _failure(error, n: int, values: dict):
+    """error(n, ...) naming each of `values`, reduced, by name."""
+    return error(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
+
+
+def _reduced(n: int, nums: dict) -> RatFunc:
+    """|B^n_R| from the routes' numerators over their shared denominator
+    D = n! R H^(0)_{p+1}.  a/D = b/D iff a = b, so when the numerators are
+    equal only the hankel route's value is reduced; otherwise Disagreement
+    names every route's reduced value."""
     first, *rest = nums.values()
     if any(v != first for v in rest):
         den = _route_den(odd_dimension(n))
-        return {name: RatFunc(v, den) for name, v in nums.items()}
-    return {next(iter(nums)): magnitude_hankel(n)}
+        raise _failure(Disagreement, n, {name: RatFunc(v, den) for name, v in nums.items()})
+    return magnitude_hankel(n)
 
 
-def _equality_job(n: int) -> dict:
-    """{det, hankel}, the routes compared by numerator."""
+def _equality_job(n: int) -> RatFunc:
+    """|B^n_R|, the det and hankel routes compared by numerator."""
     p = odd_dimension(n)
     return _reduced(n, {"det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
 
 
-def _derivative_job(n: int) -> dict:
-    """{conjectured right-hand side}, checked against d/dR of the hankel
-    route by one polynomial identity on primitive parts; only when that
-    identity fails, {rhs, d/dR of the hankel route}, the latter by
-    `RatFunc.derivative`, so that `_sweep` compares the reduced values.
+def _derivative_job(n: int) -> RatFunc:
+    """The conjectured right-hand side, checked against d/dR of the hankel
+    route by one polynomial identity on primitive parts.  Only when that
+    identity fails is d/dR taken by `RatFunc.derivative`, and if the two
+    reduced values then differ, ConjectureFails names both.
 
     Write H_s = H^(s)_{p+1} = c_s R^(v_s) h_s, with h_s primitive with a
     positive lead and c_s the content, signed (`_strip_poly`).  When
@@ -314,48 +312,18 @@ def _derivative_job(n: int) -> dict:
     if (v2 == v0 + 1 and root.den.primitive() == h0
             and rhs.num * (math.factorial(n) * c0)
             == rhs.den.content() * c2 * (h0 * h2.derivative() - h2 * h0.derivative())):
-        return {"rhs": rhs}
-    return {"rhs": rhs, "d/dR": magnitude_hankel(n).derivative()}
+        return rhs
+    lhs = magnitude_hankel(n).derivative()
+    if lhs != rhs:
+        raise _failure(ConjectureFails, n, {"rhs": rhs, "d/dR": lhs})
+    return rhs
 
 
-def _triple_job(n: int) -> dict:
-    """{boundary, det, hankel}, the routes compared by numerator."""
+def _triple_job(n: int) -> RatFunc:
+    """|B^n_R|, the boundary, det and hankel routes compared by numerator."""
     p = odd_dimension(n)
     return _reduced(n, {"boundary": _boundary_numerator(n),
                         "det": _det_numerator(p), "hankel": hankel_det(p + 1, 2)})
-
-
-# The least table pass that starts a pool.  Importing the pool module and
-# starting two workers costs 33-48 ms, about a third of a 119-point pass.
-# Two workers against one process, on 2 vCPUs with CPython 3.11.7, in
-# interleaved fresh-process pairs: `verify equality` lost at 135 and 152
-# points (--max 29 and 31), tied at 170 and 189, and won from 209 (--max 37)
-# on; `verify derivative`, whose points carry no Heine recurrence, lost or
-# tied up to 232 (--max 41).
-_POOL_MIN_POINTS = 200
-
-
-def _pool_map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], by a pool of up to `jobs` workers when
-    jobs > 1 and there are at least `_POOL_MIN_POINTS` items, else (or when
-    no pool starts) here.  The items go to the workers in about four chunks
-    each.  The workers are given nothing else, so fn must be module level
-    and need only its arguments.  A worker that dies raises WorkerDied:
-    nothing is computed again here.  The pool module (with
-    `multiprocessing`) is imported only when a pool starts, so a smaller
-    pass, like a `--jobs 1` process, never loads it."""
-    if jobs > 1 and len(items) >= _POOL_MIN_POINTS:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        workers = min(jobs, len(items))
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
-        except BrokenExecutor as exc:
-            raise WorkerDied(f"a pool worker died in the table pass ({exc})") from exc
-        except (OSError, NotImplementedError):  # no pool on this platform
-            pass
-    return list(map(fn, items))
 
 
 def _run_jobs(worker, ns) -> list:
@@ -369,43 +337,34 @@ def _run_jobs(worker, ns) -> list:
     return records
 
 
-def _sweep(max_n: int, job, failure, jobs: int, tables: tuple) -> CampaignReport:
-    """Run job on every odd n <= max_n, ascending, and raise failure(n, ...)
-    unless all the values it returns are equal; each entry keeps the first
-    value.  First `hankel._hold` fills the determinant tables that the jobs
-    read, named by key (an offset, "bordered" or "unit"), in one pass over
-    the integer points, which `_pool_map` splits among `jobs` workers when
-    the pass has enough points to pay for a pool.  The jobs then read the
-    held tables, a reduction or two each, in this process."""
+def _sweep(max_n: int, job, jobs: int, tables: tuple) -> CampaignReport:
+    """Run job on every odd n <= max_n, ascending; each job returns its
+    checked value or raises its own failure.  The determinant tables the
+    jobs read, named by key (an offset, "bordered" or "unit"), are held
+    first, in one pass (`hankel._hold`) that up to `jobs` workers share."""
     at_least("jobs", jobs, 1)
-    _hold(tables, odd_dimension(max_n) + 1, partial(_pool_map, jobs=jobs))
-    entries = []
-    for n, values, millis in _run_jobs(job, range(1, max_n + 1, 2)):
-        first, *rest = values.values()
-        if any(v != first for v in rest):
-            raise failure(n, " ".join(f"{name}={v.as_dict()}" for name, v in values.items()))
-        entries.append(CampaignEntry(n, first, millis))
-    return CampaignReport(tuple(entries))
+    _hold(tables, odd_dimension(max_n) + 1, jobs)
+    return CampaignReport(tuple(CampaignEntry(*r) for r in _run_jobs(job, range(1, max_n + 1, 2))))
 
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check det route == hankel route for every odd n <= max_n; up to
-    `jobs` workers share the points of the table pass, when it has at least
-    `_POOL_MIN_POINTS` (from --max 37 on)."""
-    return _sweep(max_n, _equality_job, Disagreement, jobs, ("bordered", 2, 0))
+    `jobs` workers share the table pass from --max 37 on
+    (`hankel._POOL_MIN_POINTS`)."""
+    return _sweep(max_n, _equality_job, jobs, ("bordered", 2, 0))
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check d/dR of the hankel-route magnitude equals the conjectured form
-    for every odd n <= max_n; up to `jobs` workers share the points of the
-    table pass, when it has at least `_POOL_MIN_POINTS` (from --max 39 on)."""
-    return _sweep(max_n, _derivative_job, ConjectureFails, jobs, (2, 1, 0))
+    for every odd n <= max_n; up to `jobs` workers share the table pass
+    from --max 39 on (`hankel._POOL_MIN_POINTS`)."""
+    return _sweep(max_n, _derivative_job, jobs, (2, 1, 0))
 
 
 def verify_triple_route(max_n: int) -> CampaignReport:
     """Check boundary route == det route == hankel route, as rational
     functions, for every odd n <= max_n."""
-    return _sweep(max_n, _triple_job, Disagreement, 1, ("bordered", "unit", 2, 0))
+    return _sweep(max_n, _triple_job, 1, ("bordered", "unit", 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ _DEFERRED_IMPORTS = {
     # level, as no command imports `oracles`
     "mpmath",
     # 27-34 ms with multiprocessing; only a table pass of 2 jobs or more and
-    # at least `magnitude._POOL_MIN_POINTS` points
+    # at least `hankel._POOL_MIN_POINTS` points
     "concurrent.futures",
 }
 
@@ -101,16 +101,34 @@ def test_deferred_imports_run_on_first_use():
     # module; the pool, started however few the points, fills its tables
     # afresh
     out = _fresh_python([], (
-        "from oddball import magnitude\n"
+        "from oddball import hankel\n"
         "from oddball.hankel import clear_hankel_cache\n"
         "from oddball.magnitude import verify_formula_equality, verify_integral_lemma\n"
-        "magnitude._POOL_MIN_POINTS = 1\n"
+        "hankel._POOL_MIN_POINTS = 1\n"
         "pairs = lambda jobs: [(e.n, e.value) for e in verify_formula_equality(7, jobs).entries]\n"
         "want = pairs(1)\n"
         "clear_hankel_cache()\n"
         "ok = verify_integral_lemma(0, 0, 1) is True and pairs(2) == want\n"
         "print(ok, sorted(m for m in MODULES if m in sys.modules))"))
     assert out == "True ['concurrent.futures', 'mpmath']"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_pool_under_spawn(flags):
+    # macOS's start method, on any platform: each spawned worker imports
+    # `hankel` afresh and is sent only the per-point function and its points
+    out = _fresh_python(flags, (
+        "import multiprocessing\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from oddball import hankel\n"
+        "from oddball.magnitude import verify_derivative_conjecture, verify_formula_equality\n"
+        "hankel._POOL_MIN_POINTS = 1\n"
+        "def pairs(campaign, jobs):\n"
+        "    hankel.clear_hankel_cache()\n"
+        "    return [(e.n, e.value) for e in campaign(7, jobs).entries]\n"
+        "print([pairs(c, 2) == pairs(c, 1)\n"
+        "       for c in (verify_formula_equality, verify_derivative_conjecture)])"))
+    assert out == "[True, True]"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])

@@ -51,7 +51,7 @@ from oddball.potential import boundary_limit_derivative
 def pooled(monkeypatch):
     """Every table pass with jobs > 1 starts a pool, however few its points,
     so that a small campaign reaches the pool."""
-    monkeypatch.setattr(mag, "_POOL_MIN_POINTS", 1)
+    monkeypatch.setattr(hankel, "_POOL_MIN_POINTS", 1)
 
 
 def _bordered_oracle(p):
@@ -356,7 +356,7 @@ class TestCampaignPool:
         # the pool gets the per-point function and the points, and its
         # workers start with nothing: no initializer, no tables
         maps, pools = [], []
-        real_map, real_pool = mag._pool_map, concurrent.futures.ProcessPoolExecutor
+        real_map, real_pool = hankel._pool_map, concurrent.futures.ProcessPoolExecutor
 
         def mapping(fn, items, jobs):
             maps.append((fn.func, fn.args, list(items), jobs))
@@ -366,7 +366,7 @@ class TestCampaignPool:
             pools.append((args, kwargs))
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(mag, "_pool_map", mapping)
+        monkeypatch.setattr(hankel, "_pool_map", mapping)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         campaign(9, jobs=2)
         points = max(hankel._valuation_and_points(kind, 4)[1] for kind in kinds)
@@ -401,8 +401,8 @@ class TestCampaignPool:
             raise AssertionError(f"a held table was filled again: {args} {kwargs}")
 
         monkeypatch.setattr(hankel, "_point_values", refuse)
-        hankel._hold(("bordered", 0, 2), 5, refuse)
-        hankel._hold((2,), 3, refuse)
+        hankel._hold(("bordered", 0, 2), 5)
+        hankel._hold((2,), 3)
 
     @pytest.mark.usefixtures("pooled")
     @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
@@ -468,17 +468,17 @@ class TestCampaignPool:
 
         monkeypatch.setattr(hankel, "_theta_values", dying)
         with pytest.raises(WorkerDied):
-            mag._pool_map(partial(hankel._point_values, (2, 0), 5), range(1, 17), 2)
+            hankel._pool_map(partial(hankel._point_values, (2, 0), 5), range(1, 17), 2)
         code = cli.main(["verify", "equality", "--max", "15", "--jobs", "2", "--json"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("verification failed: a pool worker died")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("points, started", [(-1, []), (0, [{"max_workers": 2}])])
-    def test_pool_starts_at_the_threshold(self, monkeypatch, points, started):
-        # a pass one point short of _POOL_MIN_POINTS runs here; one of that
-        # many starts a pool of all the jobs
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The keyword arguments of every pool that `_pool_map` starts, each
+        a recording pool that starts no process and maps here."""
         pools = []
 
         class Recording:
@@ -495,11 +495,27 @@ class TestCampaignPool:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        items = range(mag._POOL_MIN_POINTS + points)
-        assert mag._pool_map(abs, items, 2) == list(items)
+        return pools
+
+    @pytest.mark.parametrize("points, started", [(-1, []), (0, [{"max_workers": 2}])])
+    def test_pool_starts_at_the_threshold(self, pools, points, started):
+        # a pass one point short of _POOL_MIN_POINTS runs here; one of that
+        # many starts a pool of all the jobs
+        items = range(hankel._POOL_MIN_POINTS + points)
+        assert hankel._pool_map(abs, items, 2) == list(items)
         assert pools == started
-        assert mag._pool_map(abs, items, 1) == list(items)
+        assert hankel._pool_map(abs, items, 1) == list(items)
         assert pools == started
+
+    def test_pool_starts_at_most_one_worker_per_cpu(self, monkeypatch, pools):
+        # a million jobs start one worker per usable CPU, and a process
+        # that may use one CPU runs the pass itself
+        items = range(hankel._POOL_MIN_POINTS)
+        assert hankel._pool_map(abs, items, 10 ** 6) == list(items)
+        assert pools == [{"max_workers": hankel._usable_cpus()}]
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
+        assert hankel._pool_map(abs, items, 10 ** 6) == list(items)
+        assert len(pools) == 1
 
     def test_threshold_splits_the_small_and_extended_passes(self):
         # the benchmark's `verify equality --max 27` (119 points) and the
@@ -512,7 +528,7 @@ class TestCampaignPool:
         equality, derivative = ("bordered", 2, 0), (2, 1, 0)
         assert [points(equality, 27), points(equality, 25)] == [119, 104]
         assert [points(equality, 39), points(derivative, 57)] == [230, 436]
-        assert 119 < mag._POOL_MIN_POINTS <= 230
+        assert 119 < hankel._POOL_MIN_POINTS <= 230
 
 
 class TestObservation:
@@ -625,6 +641,16 @@ class TestSquareTimes:
             h1, h0 = mag.hankel_det(p + 1, 1), mag.hankel_det(p + 1, 0)
             want = RatFunc(h1 * h1, (math.factorial(2 * p) * (h0 * h0)).shift(2))
             assert derivative_conjecture_rhs(n) == want
+
+
+class TestStripPoly:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_small_polys.filter(lambda a: not a.is_zero), st.integers(0, 12))
+    def test_factors_a_nonzero_poly(self, a, v):
+        poly = a.shift(v)
+        prim, valuation, c = mag._strip_poly(poly)
+        assert c * prim.shift(valuation) == poly
+        assert prim.content() == 1 and prim.leading > 0 and prim.coeffs[0] != 0
 
 
 class TestDeterminantalIdentity:

@@ -11,8 +11,8 @@ failure, 2 usage error (argparse's, or any InputError).
 The CLI defines no check of its own: every argument goes through the
 library's `errors.at_least`, `odd_dimension` or `positive_radius`, given the
 flag's name for its message.  Radii are exact rationals written as P or
-P/Q; there is no floating point radius path.  The quadrature check runs at
-DEFAULT_PRECISION mantissa bits.
+P/Q.  No command computes with a float: `verify integral` proves each
+sample of the integral lemma by an exact polynomial identity.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     GoldenMismatch,
     InputError,
     OddballError,
-    QuadratureNonconvergence,
     at_least,
     odd_dimension,
     positive_radius,
@@ -210,6 +209,7 @@ def _cmd_verify_observation(args) -> int:
 
 
 def _integral_grid():
+    # R= and "quadrature" no longer bear on the check; they keep the recorded bytes
     radii = (Fraction(1), Fraction(3, 2), Fraction(3))
     for s in itertools.count():
         for i in range(s + 1):
@@ -222,7 +222,7 @@ def _cmd_verify_integral(args) -> int:
     count = 0
     ok = True
     for i, b, radius in itertools.islice(_integral_grid(), args.samples):
-        ok = verify_integral_lemma(i, b, radius)
+        ok = verify_integral_lemma(i, b)
         count += 1
         if args.fmt != "json":
             print(f"i={i} b={b} R={radius}: {'pass' if ok else 'FAIL'}")
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
               _cmd_verify_sweep, with_jobs=False, campaign=verify_triple_route,
               route="boundary", default_max=15, extended_max=33)
 
-    integ = versub.add_parser("integral", help="quadrature check of the closed-form integral")
+    integ = versub.add_parser("integral", help="exact check of the closed-form integral lemma")
     integ.add_argument("--samples", type=int, default=60)
     _add_format_flags(integ)
     integ.set_defaults(func=_cmd_verify_integral)
@@ -349,9 +349,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureNonconvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OddballError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

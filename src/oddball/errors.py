@@ -63,10 +63,6 @@ class WorkerDied(OddballError):
     returned its points, so the table pass has no result."""
 
 
-class QuadratureNonconvergence(OddballError):
-    """Numerical integration failed to reach the requested accuracy."""
-
-
 class Disagreement(OddballError):
     """Two magnitude formulas produced different rational functions."""
 

@@ -9,9 +9,8 @@ dimension n.  That closure is what lets every identity in this package be
 checked by exact coefficient arithmetic: the exponential factor is part of
 the type, never a number.
 
-Numeric evaluation is an oracle, `oracles.explaurent_value`, by mpmath at
-DEFAULT_PRECISION, 128 mantissa bits, the precision the quadrature check
-of the integral lemma also starts from.
+Numeric evaluation is an oracle, `oracles.explaurent_value`, by mpmath;
+nothing here computes with a float.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ZeroDenominator, exact, odd_dimension
-
-DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
 
 class ExpLaurent:

@@ -41,16 +41,11 @@ route computed, by the quotient rule, and compared.
 No table is computed twice.
 The observation campaign checks the numerator proportionality
 between |B^n| and the leading solve coefficient two dimensions up.  Each is
-exact; the only numerical check in the package is the quadrature cross-check
-of the closed-form integral lemma, done at 128-bit precision, on `_lemma_tail`,
-from which `oracles.border_polys` builds the border row; the tests hold that
-row equal to the det route's sum at points (`hankel._border_sum`).  Times e^R
-and with r = R + u, the lemma's integral is int_0^inf e^(-u) P(u) du for a
-polynomial P whose coefficients c_j are exact nonnegative rationals, so by
-linearity it is sum_j c_j M_j over the moments M_j = int_0^inf e^(-u) u^j
-du.  Each moment is integrated by quadrature once per process, with its
-own truncation width, its tail at most 1e-40 of it and its error estimate
-at most 1e-34; with no c_j negative, the sum keeps both bounds.
+exact, and so is the check of the closed-form integral lemma
+(`verify_integral_lemma`, one polynomial identity per (i, b) that proves it
+at every radius) on `_lemma_tail`, from which `oracles.border_polys` builds
+the border row; the tests hold that row equal to the det route's sum at
+points (`hankel._border_sum`).
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import potential
@@ -67,12 +61,11 @@ from .errors import (
     ConjectureFails,
     Disagreement,
     ObservationFails,
-    QuadratureNonconvergence,
     at_least,
     odd_dimension,
     positive_radius,
 )
-from .explaurent import DEFAULT_PRECISION, ExpLaurent
+from .explaurent import ExpLaurent
 from .hankel import _entry, _hold, hankel_det, unit_numerators
 from .poly import IntPoly, RatFunc
 
@@ -84,8 +77,8 @@ from .poly import IntPoly, RatFunc
 def _lemma_tail(i: int, b: int) -> IntPoly:
     """sum_{j=0}^{b} 2^j b!/(b-j)! R^(2(b-j)) B_{i+j+1}, the polynomial of the
     integral lemma: int_R^inf e^(-r) B_i(r) r^(2b) dr = e^(-R) tail(R) / R.
-    The quadrature check reads it, and so do the oracles `border_polys` and
-    `magnitude_explicit`."""
+    `verify_integral_lemma` proves the lemma from it, and the oracles
+    `border_polys`, `magnitude_explicit` and `quadrature_lemma` read it."""
     tb = reverse_bessel(i + b + 1)
     tail, w = IntPoly.zero(), 1
     for j in range(b + 1):
@@ -403,105 +396,27 @@ def verify_observation(max_n: int) -> CampaignReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form integral identity, quadrature cross-check
+# closed-form integral lemma
 # ---------------------------------------------------------------------------
 
-_QUAD_PREC = DEFAULT_PRECISION + 64  # 64 guard bits
-# a tanh-sinh node u, by its mpf tuple -> (k, e^(-u) u^k) for the last
-# moment k integrated there, at _QUAD_PREC
-_node_terms: dict = {}
+def verify_integral_lemma(i: int, b: int) -> bool:
+    """Check the integral lemma int_R^inf e^(-r) B_i(r) r^(2b) dr =
+    e^(-R) T(R) / R, T = _lemma_tail(i, b), at every R > 0 at once, by one
+    exact polynomial identity:
 
+        R T' - (R + 1) T + R^(2b+2) B_i = 0.
 
-@lru_cache(maxsize=None)
-def _moment(j: int) -> tuple:
-    """(M_j, its error estimate): M_j = int_0^W e^(-u) u^j du by tanh-sinh
-    quadrature on [0, 2, 8, 24, 64, W] at _QUAD_PREC bits, whatever the
-    caller's precision, once per j per process.  The moments share the
-    nodes below W: each node's e^(-u) u^k is kept, so e^(-u) is computed
-    once per node while the moments run in ascending j, and moment j
-    multiplies the last term by u^(j-k).
+    It suffices.  Call the integral F(R) and the closed form G(R).  Then
+    F' = -e^(-R) R^(2b) B_i(R) and G' = e^(-R) (R T' - (R + 1) T) / R^2, so
 
-    W doubles from 180 until W >= j + 1 and the discarded tail
-    int_W^inf e^(-u) u^j du = e^(-W) sum_{k<=j} j!/k! W^k is at most 1e-40
-    of e^(-j-1) j^j <= int_j^(j+1) e^(-u) u^j du <= M_j.  The error
-    estimate must be at most 1e-34 of M_j, retried once at maxdegree=10.
+        G' - F' = e^(-R) (R T' - (R + 1) T + R^(2b+2) B_i) / R^2,
+
+    which the identity makes 0 on R > 0.  So G - F is constant there, and
+    both tend to 0 as R -> inf: F is the tail of a convergent integral and
+    G a polynomial times e^(-R) / R.  The constant is 0, and F = G.  No
+    radius enters; `oracles.quadrature_lemma` checks the lemma at a radius
+    by quadrature.
     """
-    import mpmath
-
-    with mpmath.workprec(_QUAD_PREC):
-        low = mpmath.mpf(j ** j) * mpmath.exp(-(j + 1))
-        width = 180
-        while width < j + 1 or (mpmath.exp(-width) * sum(math.perm(j, j - k) * width ** k
-                                                         for k in range(j + 1))
-                                > mpmath.mpf(10) ** (-40) * low):
-            width *= 2
-
-        def integrand(u):
-            k, term = _node_terms.get(u._mpf_, (None, None))
-            if k is None or k > j:
-                k, term = 0, mpmath.exp(-u)
-            if k < j:
-                term *= u ** (j - k)
-            _node_terms[u._mpf_] = (j, term)
-            return term
-
-        points = [0, 2, 8, 24, 64, width]
-        val, err = mpmath.quad(integrand, points, error=True)
-        if err > val * mpmath.mpf(10) ** (-34):
-            val, err = mpmath.quad(integrand, points, error=True, maxdegree=10)
-            if err > val * mpmath.mpf(10) ** (-34):
-                raise QuadratureNonconvergence(f"moment {j}: estimated error {err} too large")
-        return val, err
-
-
-def _lemma_integral(i: int, b: int, radius: Fraction) -> tuple:
-    """(e^R int_R^inf e^(-r) B_i(r) r^(2b) dr, its error estimate) at
-    _QUAD_PREC: sum_j c_j M_j, with B_i(R + u) (R + u)^(2b) = sum_j c_j u^j
-    expanded exactly and the moments M_j from `_moment`.  B_i has
-    nonnegative coefficients, so every c_j >= 0."""
-    import mpmath
-
-    a = reverse_bessel(i).poly(i).shift(2 * b).coeffs
-    with mpmath.workprec(_QUAD_PREC):
-        val = err = mpmath.mpf(0)
-        for j in range(len(a)):
-            c = sum(a[m] * math.comb(m, j) * radius ** (m - j) for m in range(j, len(a)))
-            c = mpmath.mpf(c.numerator) / c.denominator
-            moment, moment_err = _moment(j)
-            val += c * moment
-            err += c * moment_err
-    return val, err
-
-
-def verify_integral_lemma(i: int, b: int, radius) -> bool:
-    """Check int_R^inf e^(-r) B_i(r) r^(2b) dr against its closed form
-    e^(-R) _lemma_tail(i, b)(R) / R, both sides times e^R, so that no
-    rounded e^(-R) enters.
-
-    Left side: r = R + u turns e^R times the integral into
-    int_0^inf e^(-u) P(u) du with P(u) = B_i(R + u) (R + u)^(2b) =
-    sum_j c_j u^j, each c_j an exact nonnegative rational; by linearity it
-    is sum_j c_j M_j, with the moments M_j = int_0^inf e^(-u) u^j du
-    (`_lemma_integral`).  Each moment is integrated by quadrature once per
-    process (`_moment`), never taken from a closed form; its truncation
-    tail is at most 1e-40 of it and its error estimate at most 1e-34.  No
-    c_j is negative, so nothing cancels and the sum's tail and error
-    estimate are within the same bounds of the sum; the error estimate is
-    checked again there.
-    Right side: _lemma_tail(i, b)(R) / R, exact, converted once.
-    They must agree to 1e-30, relative, at DEFAULT_PRECISION bits and a
-    64-bit guard.  It imports mpmath on its first call, so that no other
-    command loads it.
-    """
-    import mpmath
-
-    at_least("i", i, 0)
-    at_least("b", b, 0)
-    radius = positive_radius(radius)
-    closed = _lemma_tail(i, b)(radius) / radius
-    with mpmath.workprec(_QUAD_PREC):
-        val, err = _lemma_integral(i, b, radius)
-        if err > val * mpmath.mpf(10) ** (-34):
-            raise QuadratureNonconvergence(f"estimated error {err} too large")
-        rhs = mpmath.mpf(closed.numerator) / closed.denominator
-        return abs(val - rhs) <= mpmath.mpf(10) ** (-30) * abs(rhs)
+    tail = _lemma_tail(at_least("i", i, 0), at_least("b", b, 0))
+    return (tail.derivative().shift(1) - tail.shift(1) - tail
+            + reverse_bessel(i).poly(i).shift(2 * b + 2)).is_zero

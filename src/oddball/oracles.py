@@ -4,9 +4,9 @@ package imports this one; only the tests do.  They are the kernel route to
 the reverse Bessel polynomials, the derivative-conversion triangle by
 recurrence and by closed form, a cofactor expansion for `det_bareiss`, the
 det route's border row as polynomials, the explicit formula at a radius, a
-potential's h-chain two ways, numeric values by mpmath (no command loads it
-through this module), and the parser that inverts `poly.format_poly`.  The
-errors that only these routes raise are defined here too.
+potential's h-chain two ways, numeric values and the integral lemma by
+mpmath, which no other module imports, and the parser that inverts
+`poly.format_poly`.  The errors that only these routes raise are here too.
 
 Waiting for ROADMAP item 1: `perfbench/tracer.py` binds these by module
 attribute, so they stay in their modules until it reads counters instead:
@@ -39,7 +39,7 @@ from .errors import (
     odd_dimension,
     positive_radius,
 )
-from .explaurent import DEFAULT_PRECISION, ExpLaurent
+from .explaurent import ExpLaurent
 from .hankel import PolyMatrix, unit_solution
 from .magnitude import _lemma_tail
 from .poly import IntPoly
@@ -56,6 +56,13 @@ class DimensionTooLarge(OddballError):
 
 class IndexOutOfTriangle(InputError):
     """Coefficient request outside the valid (j, k) triangle."""
+
+
+class QuadratureNonconvergence(OddballError):
+    """Numerical integration failed to reach the requested accuracy."""
+
+
+DEFAULT_PRECISION = 128  # mantissa bits for numeric evaluation
 
 
 class KernelTable(NamedTuple):
@@ -236,6 +243,91 @@ def potential_value(pot: Potential, r) -> mpmath.mpf:
     with mpmath.workprec(DEFAULT_PRECISION):
         scale = mpmath.exp(mpmath.mpf(pot.radius.numerator) / pot.radius.denominator)
         return scale * explaurent_value(pot.exterior, r)
+
+
+_QUAD_PREC = DEFAULT_PRECISION + 64  # 64 guard bits
+# a tanh-sinh node u, by its mpf tuple -> (k, e^(-u) u^k) for the last
+# moment k integrated there, at _QUAD_PREC
+_node_terms: dict = {}
+
+
+@lru_cache(maxsize=None)
+def _moment(j: int) -> tuple:
+    """(M_j, its error estimate): M_j = int_0^W e^(-u) u^j du by tanh-sinh
+    quadrature on [0, 2, 8, 24, 64, W] at _QUAD_PREC bits, whatever the
+    caller's precision, once per j per process.  The moments share the
+    nodes below W: each node's e^(-u) u^k is kept, so e^(-u) is computed
+    once per node while the moments run in ascending j, and moment j
+    multiplies the last term by u^(j-k).
+
+    W doubles from 180 until W >= j + 1 and the discarded tail
+    int_W^inf e^(-u) u^j du = e^(-W) sum_{k<=j} j!/k! W^k is at most 1e-40
+    of e^(-j-1) j^j <= int_j^(j+1) e^(-u) u^j du <= M_j.  The error
+    estimate must be at most 1e-34 of M_j, retried once at maxdegree=10.
+    """
+    with mpmath.workprec(_QUAD_PREC):
+        low = mpmath.mpf(j ** j) * mpmath.exp(-(j + 1))
+        width = 180
+        while width < j + 1 or (mpmath.exp(-width) * sum(math.perm(j, j - k) * width ** k
+                                                         for k in range(j + 1))
+                                > mpmath.mpf(10) ** (-40) * low):
+            width *= 2
+
+        def integrand(u):
+            k, term = _node_terms.get(u._mpf_, (None, None))
+            if k is None or k > j:
+                k, term = 0, mpmath.exp(-u)
+            if k < j:
+                term *= u ** (j - k)
+            _node_terms[u._mpf_] = (j, term)
+            return term
+
+        points = [0, 2, 8, 24, 64, width]
+        val, err = mpmath.quad(integrand, points, error=True)
+        if err > val * mpmath.mpf(10) ** (-34):
+            val, err = mpmath.quad(integrand, points, error=True, maxdegree=10)
+            if err > val * mpmath.mpf(10) ** (-34):
+                raise QuadratureNonconvergence(f"moment {j}: estimated error {err} too large")
+        return val, err
+
+
+def _lemma_integral(i: int, b: int, radius: Fraction) -> tuple:
+    """(e^R int_R^inf e^(-r) B_i(r) r^(2b) dr, its error estimate) at
+    _QUAD_PREC: sum_j c_j M_j, with B_i(R + u) (R + u)^(2b) = sum_j c_j u^j
+    expanded exactly and the moments M_j from `_moment`.  B_i has
+    nonnegative coefficients, so every c_j >= 0."""
+    a = reverse_bessel(i).poly(i).shift(2 * b).coeffs
+    with mpmath.workprec(_QUAD_PREC):
+        val = err = mpmath.mpf(0)
+        for j in range(len(a)):
+            c = sum(a[m] * math.comb(m, j) * radius ** (m - j) for m in range(j, len(a)))
+            c = mpmath.mpf(c.numerator) / c.denominator
+            moment, moment_err = _moment(j)
+            val += c * moment
+            err += c * moment_err
+    return val, err
+
+
+def quadrature_lemma(i: int, b: int, radius) -> bool:
+    """Oracle for `magnitude.verify_integral_lemma`: the integral lemma at
+    one radius by quadrature, both sides times e^R, so that no rounded
+    e^(-R) enters.  Left side: e^R int_R^inf e^(-r) B_i(r) r^(2b) dr =
+    sum_j c_j M_j (`_lemma_integral`), each moment M_j by quadrature
+    (`_moment`), never from a closed form.  No c_j is negative, so nothing
+    cancels and the sum keeps each moment's bounds, a tail at most 1e-40
+    and an error estimate at most 1e-34 of it; the estimate is checked
+    again here.  Right side: _lemma_tail(i, b)(R) / R, exact, converted
+    once.  They must agree to 1e-30, relative, at DEFAULT_PRECISION bits
+    and a 64-bit guard.
+    """
+    radius = positive_radius(radius)
+    closed = _lemma_tail(at_least("i", i, 0), at_least("b", b, 0))(radius) / radius
+    with mpmath.workprec(_QUAD_PREC):
+        val, err = _lemma_integral(i, b, radius)
+        if err > val * mpmath.mpf(10) ** (-34):
+            raise QuadratureNonconvergence(f"estimated error {err} too large")
+        rhs = mpmath.mpf(closed.numerator) / closed.denominator
+        return abs(val - rhs) <= mpmath.mpf(10) ** (-30) * abs(rhs)
 
 
 # one term of parse_poly, signs stripped: digits, then R or R^k, k >= 0

@@ -32,6 +32,7 @@ from oddball.oracles import (
     deriv_triangle,
     det_minor_expansion,
     kernel_table,
+    quadrature_lemma,
 )
 from oddball.potential import (
     build_potential,
@@ -120,11 +121,14 @@ def test_criterion_6_oracle_pairs():
 
 
 def test_criterion_7_integral_lemma():
-    with _criterion("criterion 7 integral identity vs quadrature (60 cases, 1e-30)"):
+    # both ways: the exact identity proves each (i, b) at every radius, and
+    # the quadrature oracle agrees at each of the 60 cases to 1e-30
+    with _criterion("criterion 7 integral identity, exact and by quadrature (60 cases, 1e-30)"):
         for i in range(5):
             for b in range(4):
                 for radius in (Fraction(1), Fraction(3, 2), Fraction(3)):
-                    assert verify_integral_lemma(i, b, radius), (i, b, radius)
+                    assert verify_integral_lemma(i, b), (i, b)
+                    assert quadrature_lemma(i, b, radius), (i, b, radius)
 
 
 def test_criterion_8_observation():

@@ -38,9 +38,6 @@ def test_no_assert_statements_in_package():
 # commands need it, so deferring it keeps it out of every other process's
 # start.  The costs are `python -X importtime` on CPython 3.11, 2 vCPUs.
 _DEFERRED_IMPORTS = {
-    # 30-43 ms; only `verify integral` uses it.  `oracles` imports it at top
-    # level, as no command imports `oracles`
-    "mpmath",
     # 27-34 ms with multiprocessing; only a table pass of 2 jobs or more and
     # at least `hankel._POOL_MIN_POINTS` points
     "concurrent.futures",
@@ -97,38 +94,70 @@ def test_import_loads_no_deferred_module(flags):
 
 
 def test_deferred_imports_run_on_first_use():
-    # the quadrature check and a two-job pool, each the first use of its
-    # module; the pool, started however few the points, fills its tables
+    # a two-job pool, the first use of its module, started however few the
+    # points and however few CPUs this process may use, fills its tables
     # afresh
     out = _fresh_python([], (
         "from oddball import hankel\n"
         "from oddball.hankel import clear_hankel_cache\n"
-        "from oddball.magnitude import verify_formula_equality, verify_integral_lemma\n"
+        "from oddball.magnitude import verify_formula_equality\n"
         "hankel._POOL_MIN_POINTS = 1\n"
+        "hankel._usable_cpus = lambda: 2\n"
         "pairs = lambda jobs: [(e.n, e.value) for e in verify_formula_equality(7, jobs).entries]\n"
         "want = pairs(1)\n"
         "clear_hankel_cache()\n"
-        "ok = verify_integral_lemma(0, 0, 1) is True and pairs(2) == want\n"
+        "ok = pairs(2) == want\n"
         "print(ok, sorted(m for m in MODULES if m in sys.modules))"))
-    assert out == "True ['concurrent.futures', 'mpmath']"
+    assert out == "True ['concurrent.futures']"
+
+
+def test_no_package_module_but_the_oracles_imports_mpmath():
+    # no production path computes with a float: mpmath serves only the
+    # oracles, at top level or in a function
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "oracles"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_names(node)
+        if name.split(".")[0] == "mpmath"
+    ]
+    assert found == []
+
+
+def test_verify_integral_loads_no_mpmath():
+    # the whole default campaign of `python -m oddball verify integral`
+    out = _fresh_python([], (
+        "import contextlib, io, runpy\n"
+        "sys.argv = ['oddball', 'verify', 'integral', '--samples', '60', '--json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as printed:\n"
+        "    try:\n"
+        "        runpy.run_module('oddball', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, printed.getvalue().strip(), 'mpmath' in sys.modules)"))
+    assert out == '0 {"agree":true,"samples":60} False'
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
 def test_pool_under_spawn(flags):
-    # macOS's start method, on any platform: each spawned worker imports
-    # `hankel` afresh and is sent only the per-point function and its points
+    # macOS's start method, on any platform, however few CPUs this process
+    # may use: each spawned worker imports `hankel` afresh and is sent only
+    # the per-point function and its points
     out = _fresh_python(flags, (
         "import multiprocessing\n"
         "multiprocessing.set_start_method('spawn')\n"
         "from oddball import hankel\n"
         "from oddball.magnitude import verify_derivative_conjecture, verify_formula_equality\n"
         "hankel._POOL_MIN_POINTS = 1\n"
+        "hankel._usable_cpus = lambda: 2\n"
         "def pairs(campaign, jobs):\n"
         "    hankel.clear_hankel_cache()\n"
         "    return [(e.n, e.value) for e in campaign(7, jobs).entries]\n"
         "print([pairs(c, 2) == pairs(c, 1)\n"
-        "       for c in (verify_formula_equality, verify_derivative_conjecture)])"))
-    assert out == "[True, True]"
+        "       for c in (verify_formula_equality, verify_derivative_conjecture)],\n"
+        "      'concurrent.futures' in sys.modules)"))
+    assert out == "[True, True] True"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
@@ -226,7 +255,7 @@ _BAD_LIBRARY_CALLS = {
     "radius-decimal-text": lambda: errors.positive_radius("1.5"),
     "radius-exponent-text": lambda: errors.positive_radius("1e-3"),
     "float-radius-potential": lambda: potential.build_potential(3, 0.5),
-    "float-radius-integral": lambda: magnitude.verify_integral_lemma(0, 0, 1.5),
+    "float-radius-integral": lambda: oracles.quadrature_lemma(0, 0, 1.5),
     "oracle-radius-text": lambda: magnitude.boundary_value_at(3, "abc"),
     "oracle-radius-inf": lambda: magnitude.boundary_value_at(3, float("inf")),
     "float-dimension": lambda: errors.odd_dimension(3.0),

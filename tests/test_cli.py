@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oddball import cli, golden, hankel
+from oddball import cli, golden, hankel, magnitude
 from oddball.errors import (
     InputError,
     NonpositiveRadius,
     ParseError,
-    QuadratureNonconvergence,
     RouteMismatch,
     ZeroDenominator,
     positive_radius,
@@ -224,6 +223,20 @@ class TestExitCodes:
         assert code == 1
         assert out == '{"agree":false,"samples":1}\n'
 
+    @pytest.mark.parametrize("change", [
+        lambda c: [c[0] + 1, *c[1:]],
+        lambda c: [Fraction(10 ** 32 + 1, 10 ** 32) * x for x in c],
+    ], ids=["coefficient-plus-one", "scaled-1e-32"])
+    def test_changed_lemma_tail_fails_the_first_sample(self, capsys, monkeypatch, change):
+        # the check is exact: a tail off by one coefficient, or by a factor
+        # of 1 + 1e-32, fails the first sample
+        tail = magnitude._lemma_tail
+        monkeypatch.setattr(magnitude, "_lemma_tail",
+                            lambda i, b: IntPoly._raw(tuple(change(tail(i, b).coeffs))))
+        code, out, _ = _run(capsys, "verify", "integral", "--json")
+        assert code == 1
+        assert out == '{"agree":false,"samples":1}\n'
+
     def test_precision_is_not_read_from_the_environment(self, capsys, monkeypatch):
         argv = ("verify", "integral", "--samples", "1", "--json")
         monkeypatch.delenv("ODDBALL_PRECISION", raising=False)
@@ -286,7 +299,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error, code, prefix", [
         (InputError("size must be >= 1, got 0"), 2, "error: "),
-        (QuadratureNonconvergence("no convergence"), 1, "error: "),
         (RouteMismatch("routes differ"), 1, "verification failed: "),
     ])
     def test_error_classes_map_to_exit_codes(self, capsys, monkeypatch, error, code, prefix):

@@ -1,7 +1,8 @@
 """Magnitude routes, their cross-checks, the bordered-determinant engine
 against a Bareiss of the built matrix, the campaign pool, the observation
 and derivative campaigns, the determinantal identity through the equality
-campaign, and the quadrature-backed integral check."""
+campaign, and the exact integral-lemma check against its quadrature
+oracle."""
 
 import concurrent.futures
 import itertools
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddball.magnitude as mag
-from oddball import cli, hankel
+from oddball import cli, hankel, oracles
 from oddball.bessel import reverse_bessel
 from oddball.errors import (
     EvenDimension,
@@ -49,9 +50,11 @@ from oddball.potential import boundary_limit_derivative
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Every table pass with jobs > 1 starts a pool, however few its points,
-    so that a small campaign reaches the pool."""
+    """Every table pass with jobs > 1 starts a pool, however few its points
+    and however few CPUs this process may use, so that a small campaign
+    reaches the pool of two workers on a one-CPU host too."""
     monkeypatch.setattr(hankel, "_POOL_MIN_POINTS", 1)
+    monkeypatch.setattr(hankel, "_usable_cpus", lambda: 2)
 
 
 def _bordered_oracle(p):
@@ -478,8 +481,10 @@ class TestCampaignPool:
     @pytest.fixture
     def pools(self, monkeypatch):
         """The keyword arguments of every pool that `_pool_map` starts, each
-        a recording pool that starts no process and maps here."""
+        a recording pool that starts no process and maps here, in a process
+        that may use two CPUs."""
         pools = []
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 2)
 
         class Recording:
             def __init__(self, **kwargs):
@@ -748,39 +753,48 @@ class TestBoundaryClosedForm:
 class TestIntegralLemma:
     def test_elementary_case(self):
         # integral of e^-r over [1, inf) equals e^-1 on both sides
-        assert verify_integral_lemma(0, 0, 1)
+        assert verify_integral_lemma(0, 0)
+        assert oracles.quadrature_lemma(0, 0, 1)
 
     def test_linear_case(self):
         # integral of r e^-r over [1, inf) is 2/e; closed form gives B_2(1) e^-1
-        assert verify_integral_lemma(1, 0, 1)
+        assert verify_integral_lemma(1, 0)
+        assert oracles.quadrature_lemma(1, 0, 1)
 
     def test_general_case(self):
-        assert verify_integral_lemma(2, 1, Fraction(3, 2))
+        assert verify_integral_lemma(2, 1)
+        assert oracles.quadrature_lemma(2, 1, Fraction(3, 2))
 
     def test_bad_inputs(self):
         with pytest.raises(NonpositiveRadius):
-            verify_integral_lemma(0, 0, 0)
+            oracles.quadrature_lemma(0, 0, 0)
         with pytest.raises(ValueError):
-            verify_integral_lemma(-1, 0, 1)
+            verify_integral_lemma(-1, 0)
+        with pytest.raises(ValueError):
+            oracles.quadrature_lemma(-1, 0, 1)
 
     # degree 4: B_2(r) r^2 on [3/2, inf)
     CASE = (2, 1, Fraction(3, 2))
 
     @staticmethod
     def _change_closed_form(monkeypatch, change):
-        """Make the check read change(tail) for its closed-form polynomial."""
+        """Make the check and its oracle read change(tail) for the
+        closed-form polynomial."""
         tail = mag._lemma_tail
         monkeypatch.setattr(mag, "_lemma_tail", lambda i, b: change(tail(i, b)))
+        monkeypatch.setattr(oracles, "_lemma_tail", lambda i, b: change(tail(i, b)))
 
     @pytest.mark.parametrize("scale, agree", [
         (Fraction(10 ** 28 + 1, 10 ** 28), False),
         (Fraction(10 ** 32 + 1, 10 ** 32), True),
     ], ids=["1e-28", "1e-32"])
     def test_scaled_closed_form(self, monkeypatch, scale, agree):
-        # the tolerance is 1e-30: a closed form off by 1e-28 fails, one off
-        # by 1e-32 passes
-        self._change_closed_form(monkeypatch, lambda tail: lambda r: scale * tail(r))
-        assert verify_integral_lemma(*self.CASE) is agree
+        # the oracle's tolerance is 1e-30: a closed form off by 1e-28 fails,
+        # one off by 1e-32 passes; the exact identity fails both
+        self._change_closed_form(
+            monkeypatch, lambda tail: IntPoly._raw(tuple(scale * c for c in tail.coeffs)))
+        assert oracles.quadrature_lemma(*self.CASE) is agree
+        assert verify_integral_lemma(*self.CASE[:2]) is False
 
     def test_changed_coefficient_fails(self, monkeypatch):
         def bump(tail):
@@ -789,7 +803,13 @@ class TestIntegralLemma:
             return IntPoly(c)
 
         self._change_closed_form(monkeypatch, bump)
-        assert verify_integral_lemma(*self.CASE) is False
+        assert verify_integral_lemma(*self.CASE[:2]) is False
+        assert oracles.quadrature_lemma(*self.CASE) is False
+
+    def test_identity_holds_far_past_the_campaign(self):
+        # the 600 identities of i < 30, b < 20, each proving the lemma at
+        # every radius
+        assert all(verify_integral_lemma(i, b) for i in range(30) for b in range(20))
 
     @pytest.mark.parametrize("i, b, radius", [
         (0, 0, Fraction(1)), (2, 1, Fraction(3, 2)), (4, 3, Fraction(3)),
@@ -799,35 +819,36 @@ class TestIntegralLemma:
         # [R, R + 180], at the check's precision; (4, 3, 3) has criterion
         # 7's highest degree, 10
         coeffs = reverse_bessel(i).poly(i).shift(2 * b).coeffs[::-1]
-        with mpmath.workprec(mag._QUAD_PREC):
+        with mpmath.workprec(oracles._QUAD_PREC):
             rv = mpmath.mpf(radius.numerator) / radius.denominator
             direct = mpmath.quad(lambda r: mpmath.exp(-r) * mpmath.polyval(coeffs, r),
                                  [rv, rv + 2, rv + 8, rv + 24, rv + 64, rv + 180])
-            assembled, _ = mag._lemma_integral(i, b, radius)
+            assembled, _ = oracles._lemma_integral(i, b, radius)
             assert abs(direct * mpmath.exp(rv) - assembled) <= mpmath.mpf(10) ** (-30) * assembled
 
     def test_moments_keep_their_precision(self, monkeypatch):
         # moments first computed under a 53-bit context are still exact
         # enough to catch a 1e-28 fault, and no call leaves its precision
-        monkeypatch.setattr(mag, "_node_terms", {})
-        mag._moment.cache_clear()
+        monkeypatch.setattr(oracles, "_node_terms", {})
+        oracles._moment.cache_clear()
         prec = mpmath.mp.prec
         with mpmath.workprec(53):
             for j in range(5):
-                mag._moment(j)
+                oracles._moment(j)
             assert mpmath.mp.prec == 53
         assert mpmath.mp.prec == prec
-        assert verify_integral_lemma(*self.CASE)
+        assert oracles.quadrature_lemma(*self.CASE)
         scale = Fraction(10 ** 28 + 1, 10 ** 28)
         self._change_closed_form(monkeypatch, lambda tail: lambda r: scale * tail(r))
-        assert verify_integral_lemma(*self.CASE) is False
+        assert oracles.quadrature_lemma(*self.CASE) is False
         assert mpmath.mp.prec == prec
 
     def test_degree_36_sample(self):
         # sample 514 of `verify integral`, B_0 r^36 on [1, inf): its high
         # moments need more than the first width of 180
         assert next(itertools.islice(cli._integral_grid(), 513, None)) == (0, 18, 1)
-        assert verify_integral_lemma(0, 18, 1)
+        assert oracles.quadrature_lemma(0, 18, 1)
+        assert verify_integral_lemma(0, 18)
 
 
 class TestStructuralFacts:

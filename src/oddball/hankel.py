@@ -49,21 +49,31 @@ and never imports the pool module.  The interpolation runs in the caller.
 * Hankel valuation v.  B_m = R theta_{m-1} for m >= 1.  At s >= 1 every
   entry has the factor R, so v = k.  At s = 0, the Schur complement of the
   corner B_0 = 1 is [B_{i+j} - B_i B_j], all divisible by R, so v = k - 1.
-  The value H(x) at each point is divided by x^v, checked exact.
+  The point pass computes H(x) / x^v itself (next bullet), so only
+  `_valuation_and_points` names v, and no value is divided by x^v.
 * Hankel values.  At each x, the Desnanot-Jacobi identity on the offset-s
   matrix of size k+1, whose corner minors of size k are H^(s)_k, H^(s+2)_k
   and twice H^(s+1)_k and whose interior is H^(s+2)_(k-1), gives
-  H^(s)_(k+1) = (H^(s)_k H^(s+2)_k - (H^(s+1)_k)^2) / H^(s+2)_(k-1),
-  from H^(s)_0 = 1 and H^(s)_1 = B_s.  So the column B_lo(x) ..
-  B_(hi+2K-2)(x) gives, at level k, H^(s)_k(x) for every s from lo up to
+  H^(s)_(k+1) H^(s+2)_(k-1) = H^(s)_k H^(s+2)_k - (H^(s+1)_k)^2.  The pass
+  runs it on the theta column.  For s >= 1 every row of [B_{i+j+s}(x)] is
+  x times a row of [theta_{i+j+s-1}], so Theta^(s)_k = det
+  [theta_{i+j+s-1}]_{i,j<k} = H^(s)_k(x) / x^k, and dividing the identity
+  by x^(2k) leaves the same step, Theta^(s)_(k+1) = (Theta^(s)_k
+  Theta^(s+2)_k - (Theta^(s+1)_k)^2) / Theta^(s+2)_(k-1).  At s = 0, G_k =
+  H^(0)_k(x) / x^(k-1), and dividing by x^(2k-1) gives G_(k+1) = (G_k
+  Theta^(2)_k - x (Theta^(1)_k)^2) / Theta^(2)_(k-1).  Every level-0 entry
+  is 1, and at level 1 G_1 = B_0 = 1 and Theta^(s)_1 = theta_(s-1).  So
+  the column theta_(lo-1)(x) .. theta_(hi+2K-3)(x), headed by G_1 when
+  lo = 0, gives, at level k, H^(s)_k(x) / x^v for every s from lo up to
   hi + 2(K-k), in O(K (K + hi - lo)) operations: one pass per point serves
   every offset of a set from lo to hi.  Each offset's entries are recorded
   only at their own points, and the column starts at the least offset
   that still needs the point; offsets between those named run in the
-  recurrence but are not interpolated.  Every quotient is an integer
-  determinant, and its divisor H^(s+2)_(k-1)(x) is positive by the next
-  bullet; every division is checked (InexactDivision) and every level
-  value <= 0 raises RouteMismatch, with no fallback.
+  recurrence but are not interpolated.  Every quotient is an integer, a
+  determinant of theta's or G_k (R^(k-1) divides H^(0)_k), and its divisor
+  Theta^(s+2)_(k-1) is positive by the next bullet; every division is
+  checked (InexactDivision) and every level value <= 0 raises
+  RouteMismatch, with no fallback.
 * Positivity.  B_m(x) = e^x x^(2m) k_m(x), k_0 = e^(-r), k_{m+1} =
   -(1/r) k_m', so k_m(r) = int_0^inf (2t)^m e^(-r^2 t) g(t) dt with
   g(t) = e^(-1/(4t)) / sqrt(4 pi t^3) > 0.  Thus [B_{i+j+s}(x)] =
@@ -114,10 +124,25 @@ and never imports the pool module.  The interpolation runs in the caller.
   p <= 15.  Q_p[i] is an integer polynomial, a minor of the theta's, so
   entry p of "unit" is R^p times polynomials of degree <= p(p+1)/2, and
   x = 1 .. p(p+1)/2 + 1 give it.
-  `unit_numerators` checks H y = H^(0)_{p+1} e_0 symbolically, with
-  H from the reverse Bessel recurrence and H^(0)_{p+1} from the
-  Desnanot-Jacobi table, so a fault in the Heine pass it shares with the
-  det route raises RouteMismatch rather than making two routes agree.
+* Unit residual.  `unit_numerators` proves r_i = sum_j B_{i+j} y_j -
+  [i=0] H^(0)_{p+1} = 0 for every row i <= p, with the B from the reverse
+  Bessel recurrence, y from the Heine table and H^(0)_{p+1} from the
+  Desnanot-Jacobi table: three independent sources, so a fault in the
+  Heine pass it shares with the det route raises RouteMismatch rather
+  than making two routes agree.  A coefficient of B_{i+j} y_j is a sum of
+  products of one coefficient of each, so every coefficient of r_i is at
+  most M = ||H^(0)_{p+1}||_inf + max_i sum_j ||B_{i+j}||_1 ||y_j||_inf in
+  absolute value.  Take X = 2^(8w) > 2M, and above every coefficient of
+  the inputs, so that each value at X is its packed sign halves
+  (`poly._value_at_power_of_two`).  Then the coefficients of r_i are the
+  balanced base-X digits of r_i(X): if c_t is the top nonzero one,
+  |sum_{l<t} c_l X^l| <= M (X^t - 1)/(X - 1) < X^t <= |c_t X^t|, so r_i(X)
+  != 0.  Hence r_i(X) = sum_j B_{i+j}(X) y_j(X) - [i=0] H^(0)_{p+1}(X) = 0,
+  for each i, proves r_i = 0: each polynomial is evaluated once, and each
+  row costs p + 1 integer products, not p + 1 polynomial products.  X is
+  picked from the inputs as given, so no wrong input can be made to
+  vanish there.  The symbolic `_check_unit_residual` stays as the oracle,
+  which `solve_unit_rhs` runs.
 * Bordered degree and valuation.  F_p = R^p sum_i xi_{p,i} Q_p[i] with
   deg xi_{p,i} = 2p + 2 + i (its R^(2p+2) B_i term leads; the lemma terms
   have degree 2p + 1 + i - j), so the unit bound gives deg F_p <= p + 2p
@@ -155,7 +180,7 @@ from .errors import (
     WorkerDied,
     at_least,
 )
-from .poly import IntPoly, RatFunc
+from .poly import IntPoly, RatFunc, _value_at_power_of_two
 
 
 class PolyMatrix:
@@ -332,17 +357,21 @@ def _point_values(kind: tuple, count: int, x: int) -> dict:
     values = {s: [] for s in offsets}
     if offsets:
         lo = min(offsets)
-        cur = ([1] + [x * t for t in theta])[lo:top + 1]  # B_lo(x) .. B_top(x)
+        g = int(lo == 0)  # the column heads with G_k, the offset-0 entry
+        cur = ([1] + theta)[lo:top + 1]  # level 1: G_1 = 1, Theta^(s)_1 = theta_(s-1)
         prev = [1] * len(cur)
         for k in range(1, count + 1):
             if k > 1:
-                prev, cur = cur, [_exact(a * c - b * b, d, x)
-                                  for a, b, c, d in zip(cur, cur[1:], cur[2:], prev[2:])]
+                step = [_exact(a * c - b * b, d, x)
+                        for a, b, c, d in zip(cur[g:], cur[g + 1:], cur[g + 2:], prev[g + 2:])]
+                if g:
+                    step.insert(0, _exact(cur[0] * cur[2] - x * cur[1] * cur[1], prev[2], x))
+                prev, cur = cur, step
             if min(cur) <= 0:
                 raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
             for s, low in offsets.items():
                 if k > low:
-                    values[s].append(_exact(cur[s - lo], x ** (k - (s == 0)), x))
+                    values[s].append(cur[s - lo])
     if "unit" in lows or "bordered" in lows:
         polys = _heine_polys(x, theta, count)
         if "unit" in lows:
@@ -454,7 +483,7 @@ def clear_hankel_cache() -> None:
 
 def _check_unit_residual(rows, nums, d: IntPoly) -> None:
     """RouteMismatch unless the rows times the numerators are d e_0,
-    recomputed symbolically."""
+    recomputed symbolically; the oracle for `_check_unit_residual_at_point`."""
     for r, row in enumerate(rows):
         acc = IntPoly.zero()
         for a, y in zip(row, nums):
@@ -488,13 +517,30 @@ def solve_unit_rhs(m: PolyMatrix) -> tuple:
     return tuple(RatFunc(num, d) for num in nums)
 
 
+def _check_unit_residual_at_point(b, nums, d: IntPoly) -> None:
+    """RouteMismatch unless sum_j b[i+j] nums[j] is d for row i = 0 and 0
+    for every other row, proven by one exact evaluation at X = 2^(8 width)
+    (the unit residual bullet of the module docstring): each polynomial is
+    evaluated once, and each row is a sum of integer products."""
+    norms = [sum(map(abs, a.coeffs)) for a in b]
+    tops = [max(map(abs, y.coeffs), default=0) for y in nums]
+    bound = max(map(abs, d.coeffs), default=0) + max(
+        sum(map(mul, norms[i:], tops)) for i in range(len(nums)))
+    width = max(2 * bound, *norms).bit_length() // 8 + 1
+    at = [_value_at_power_of_two(a.coeffs, width) for a in b]
+    ys = [_value_at_power_of_two(y.coeffs, width) for y in nums]
+    for r in range(len(nums)):
+        if sum(map(mul, at[r:], ys)) != (_value_at_power_of_two(d.coeffs, width) if r == 0 else 0):
+            raise RouteMismatch(f"unit-RHS residual check failed in row {r}")
+
+
 def unit_numerators(p: int) -> tuple:
     """The numerators y^(p) of [B_{i+j}]_{i,j<=p} y = H^(0)_{p+1} e_0 by
     Cramer's rule, entry p of the held "unit" table, with the residual
-    checked symbolically against the reverse Bessel polynomials."""
+    proven zero against the reverse Bessel polynomials and the held
+    H^(0)_{p+1} by one exact evaluation (`_check_unit_residual_at_point`)."""
     nums = _entry("unit", at_least("p", p, 0))
-    b = reverse_bessel(2 * p).polys
-    _check_unit_residual([b[i:i + p + 1] for i in range(p + 1)], nums, hankel_det(p + 1, 0))
+    _check_unit_residual_at_point(reverse_bessel(2 * p).polys, nums, hankel_det(p + 1, 0))
     return nums
 
 

@@ -93,6 +93,15 @@ def _halves(coeffs: tuple, width: int) -> tuple:
     return _pack([c if c > 0 else 0 for c in coeffs], width), neg
 
 
+def _value_at_power_of_two(coeffs: tuple, width: int) -> int:
+    """coeffs at R = 2^(8 width), every |c| below that: the packed positive
+    half less the packed negative half."""
+    if not coeffs:
+        return 0
+    pos, neg = _halves(coeffs, width)
+    return pos - neg
+
+
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 2

@@ -84,6 +84,22 @@ def test_no_package_module_imports_the_oracles():
     assert found == []
 
 
+def test_no_module_reads_the_environment():
+    # every setting is a command-line argument: the same command prints the
+    # same bytes whatever the environment holds
+    read = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in read
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and read & {alias.name for alias in node.names}
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
 def test_import_loads_no_deferred_module(flags):
     # every command starts by importing these; a top-level import of a

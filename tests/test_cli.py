@@ -237,13 +237,6 @@ class TestExitCodes:
         assert code == 1
         assert out == '{"agree":false,"samples":1}\n'
 
-    def test_precision_is_not_read_from_the_environment(self, capsys, monkeypatch):
-        argv = ("verify", "integral", "--samples", "1", "--json")
-        monkeypatch.delenv("ODDBALL_PRECISION", raising=False)
-        plain = _run(capsys, *argv)
-        monkeypatch.setenv("ODDBALL_PRECISION", "63")
-        assert _run(capsys, *argv) == plain == (0, '{"agree":true,"samples":1}\n', "")
-
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("check", ["derivative", "equality"])
     def test_jobs_below_one(self, capsys, check, jobs):

@@ -2,7 +2,8 @@
 hankel_det, by evaluation and interpolation, against det_bareiss; the
 Heine pass's bordered and unit tables against det_bareiss and
 solve_unit_rhs; unit-RHS solves and their first and last components as
-Hankel-determinant ratios."""
+Hankel-determinant ratios; the unit residual's one-evaluation certificate
+against the symbolic residual, its oracle."""
 
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddball import hankel, magnitude
+from oddball import cli, hankel, magnitude
 from oddball.bessel import reverse_bessel
 from oddball.errors import (
     InputError,
@@ -241,6 +242,22 @@ class TestEvaluationInterpolation:
             assert v + count - 1 == k * (k - 1) // 2 + k * s
             assert v == (k - 1 if s == 0 else k)
             assert det.valuation() >= v and det.degree <= v + count - 1
+
+    @pytest.mark.parametrize("kind", [(0, 1, 2, 3), (2, 3)], ids=["from-0", "from-2"])
+    def test_point_values_are_the_determinants_over_x_to_the_valuation(self, reference, kind):
+        # the theta column's entries, G_k at offset 0 and Theta^(s)_k above,
+        # are H(x) / x^v with v from `_valuation_and_points` alone
+        count = 10
+        for s in kind:
+            for k in range(count):
+                v, points = hankel._valuation_and_points(s, k)
+                for x in sorted({1, 2, 7, points}):
+                    if x > points:
+                        continue
+                    at = hankel._point_values(kind, count, x)[s]
+                    value = reference[k + 1, s](x)
+                    assert value % x ** v == 0
+                    assert at[k - (count - len(at))] == value // x ** v, (s, k, x)
 
     def test_unit_points_cover_the_oracle(self):
         # entry p of "unit" holds y_0 .. y_p, det H times the oracle's
@@ -528,3 +545,140 @@ class TestSolve:
         for n, want in LAST_COEFF.items():
             p = (n - 1) // 2
             assert unit_solution(p)[p] == want
+
+
+def _with(nums, j, y):
+    """nums with entry j replaced by y."""
+    return nums[:j] + [y] + nums[j + 1:]
+
+
+# each corruption of (y^(p), H^(0)_{p+1}), given X_0, the point the true
+# inputs select
+_CORRUPTIONS = {
+    "y-coefficient": lambda nums, d, x0, p: (
+        _with(nums, p // 2, nums[p // 2] + IntPoly([0, 1])), d),
+    "held-determinant": lambda nums, d, x0, p: (nums, d + IntPoly.one()),
+    # 3 (R - X_0) R^2 added to y_p vanishes at X_0 itself
+    "vanishing-at-the-point": lambda nums, d, x0, p: (
+        _with(nums, p, nums[p] + IntPoly([0, 0, -3 * x0, 3])), d),
+    "zero-numerator": lambda nums, d, x0, p: (_with(nums, p // 2, IntPoly.zero()), d),
+}
+
+
+class TestUnitCertificate:
+    """`unit_numerators`' residual certificate, one exact evaluation at
+    X = 2^(8w), against the symbolic `_check_unit_residual`, its oracle."""
+
+    MAX_P = 10
+
+    @pytest.fixture(autouse=True)
+    def held(self):
+        clear_hankel_cache()
+        hankel._hold(("unit", 0), self.MAX_P + 1)
+        yield
+        clear_hankel_cache()
+
+    @staticmethod
+    def _inputs(p):
+        """B_0 .. B_2p, the held y^(p) and the held H^(0)_{p+1}."""
+        return reverse_bessel(2 * p).polys, list(hankel._TABLES["unit"][p]), hankel._TABLES[0][p]
+
+    @staticmethod
+    def _point(monkeypatch, b, nums, d):
+        """X_0 = 2^(8w), read from the width that the certificate packs at."""
+        widths, real = set(), hankel._value_at_power_of_two
+
+        def spy(coeffs, width):
+            widths.add(width)
+            return real(coeffs, width)
+
+        with monkeypatch.context() as m:
+            m.setattr(hankel, "_value_at_power_of_two", spy)
+            hankel._check_unit_residual_at_point(b, nums, d)
+        (width,) = widths
+        return 1 << 8 * width
+
+    def _corrupt_held(self, monkeypatch, p, corruption):
+        """Hold the corruption of entry p in place of the true tables."""
+        b, nums, d = self._inputs(p)
+        nums, d = _CORRUPTIONS[corruption](nums, d, self._point(monkeypatch, b, nums, d), p)
+        units, dets = list(hankel._TABLES["unit"]), list(hankel._TABLES[0])
+        units[p], dets[p] = tuple(nums), d
+        monkeypatch.setitem(hankel._TABLES, "unit", tuple(units))
+        monkeypatch.setitem(hankel._TABLES, 0, tuple(dets))
+
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_both_certificates_accept_the_tables_and_reject_each_corruption_is_fatal(
+            self, monkeypatch, corruption):
+        for p in range(self.MAX_P + 1):
+            b, nums, d = self._inputs(p)
+            rows = [b[i:i + p + 1] for i in range(p + 1)]
+            hankel._check_unit_residual(rows, nums, d)
+            hankel._check_unit_residual_at_point(b, nums, d)
+            bad, bad_d = _CORRUPTIONS[corruption](nums, d, self._point(monkeypatch, b, nums, d), p)
+            with pytest.raises(RouteMismatch, match="row"):
+                hankel._check_unit_residual(rows, bad, bad_d)
+            with pytest.raises(RouteMismatch, match="row"):
+                hankel._check_unit_residual_at_point(b, bad, bad_d)
+
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    @pytest.mark.parametrize("p", [0, 3, 7])
+    def test_corrupted_held_table_is_fatal(self, monkeypatch, corruption, p):
+        self._corrupt_held(monkeypatch, p, corruption)
+        with pytest.raises(RouteMismatch, match="unit-RHS residual check failed in row"):
+            hankel.unit_numerators(p)
+
+    def test_corruption_vanishing_at_the_true_point_is_fatal(self, monkeypatch):
+        # the corrupted inputs pick a larger point: r_i(X_0) = 0 for every
+        # row, yet the residual is not 0
+        p = 5
+        b, nums, d = self._inputs(p)
+        x0 = self._point(monkeypatch, b, nums, d)
+        bad, _ = _CORRUPTIONS["vanishing-at-the-point"](nums, d, x0, p)
+        assert [sum(b[i + j](x0) * y(x0) for j, y in enumerate(bad)) for i in range(p + 1)] == [
+            d(x0)] + [0] * p
+        with pytest.raises(RouteMismatch):
+            hankel._check_unit_residual_at_point(b, bad, d)
+
+    def test_zero_polynomials_and_p_zero(self):
+        assert hankel.unit_numerators(0) == (IntPoly.one(),)
+        # zero entries in the matrix, the numerators and the right-hand side
+        two, zero, quad = IntPoly([2]), IntPoly.zero(), IntPoly([3, 0, 1])
+        for b, nums, d in [((two, zero, quad), (IntPoly([5]), zero), IntPoly([10])),
+                           ((two, zero, quad), (zero, zero), zero),
+                           ((zero,), (zero,), zero)]:
+            hankel._check_unit_residual_at_point(b, nums, d)
+            hankel._check_unit_residual([b[i:i + len(nums)] for i in range(len(nums))], nums, d)
+
+    def test_zero_numerator_is_fatal(self):
+        two, zero, quad = IntPoly([2]), IntPoly.zero(), IntPoly([3, 0, 1])
+        with pytest.raises(RouteMismatch, match="row 0"):
+            hankel._check_unit_residual_at_point((two, zero, quad), (zero, zero), IntPoly([10]))
+        with pytest.raises(RouteMismatch, match="row 1"):
+            hankel._check_unit_residual_at_point((two, IntPoly([1]), quad), (IntPoly([5]), zero), IntPoly([10]))
+
+    def test_no_polynomial_product(self, monkeypatch):
+        for p in range(self.MAX_P + 1):
+            reverse_bessel(2 * p)  # the Bessel table builds by scalar products
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "divexact"):
+            monkeypatch.setattr(IntPoly, name, counting(name, getattr(IntPoly, name)))
+        for p in range(self.MAX_P + 1):
+            hankel.unit_numerators(p)
+        assert calls == []
+
+    def test_corrupted_unit_table_fails_verify_boundary_is_fatal(self, monkeypatch, capsys):
+        hankel._hold(("bordered", "unit", 2, 0), 8)  # what `verify boundary --max 15` holds
+        self._corrupt_held(monkeypatch, 3, "y-coefficient")
+        code = cli.main(["verify", "boundary", "--max", "15"])
+        got = (code, *capsys.readouterr())
+        want = (1, "", "verification failed: unit-RHS residual check failed in row 0\n")
+        if got != want:  # no assert, so that the check still runs under python -O
+            pytest.fail(f"got {got}, want {want}")

@@ -16,11 +16,13 @@ Every determinant table is filled by kind, and held in one store,
   hankel_det(p+1, 0).
 
 Every table is computed by evaluation at integer points and interpolation,
-with no polynomial product or division.  Entry k is R^v q with deg q < N
-(`_valuation_and_points`), so x = 1..N give q, and Newton interpolation,
-each Delta^j / j! checked exact, rebuilds it.  `_hold` is the one way to
-fill the store: given the keys a caller reads and a count, it fills every
-table held shorter, entries 0..count-1, in one pass over the points.
+with no polynomial product or division.  Entry k is R^v c q with c its
+content (the content bullet) and deg q < N (`_valuation_and_points`), so
+the values q(x) at x = 1..N give q, Newton interpolation, each
+Delta^j / j! checked exact, rebuilds it, and c times it is the entry.
+`_hold` is the one way to fill the store: given the keys a caller reads
+and a count, it fills every table held shorter, entries 0..count-1, in
+one pass over the points, whose counts N it works out once.
 `_entry` is the one way to read it, so no other module knows its layout.
 At each x, `_point_values` computes theta(x) once and runs the two
 recurrences below on it, Desnanot-Jacobi for the offsets and Heine for
@@ -55,25 +57,28 @@ and never imports the pool module.  The interpolation runs in the caller.
   matrix of size k+1, whose corner minors of size k are H^(s)_k, H^(s+2)_k
   and twice H^(s+1)_k and whose interior is H^(s+2)_(k-1), gives
   H^(s)_(k+1) H^(s+2)_(k-1) = H^(s)_k H^(s+2)_k - (H^(s+1)_k)^2.  The pass
-  runs it on the theta column.  For s >= 1 every row of [B_{i+j+s}(x)] is
-  x times a row of [theta_{i+j+s-1}], so Theta^(s)_k = det
-  [theta_{i+j+s-1}]_{i,j<k} = H^(s)_k(x) / x^k, and dividing the identity
-  by x^(2k) leaves the same step, Theta^(s)_(k+1) = (Theta^(s)_k
-  Theta^(s+2)_k - (Theta^(s+1)_k)^2) / Theta^(s+2)_(k-1).  At s = 0, G_k =
-  H^(0)_k(x) / x^(k-1), and dividing by x^(2k-1) gives G_(k+1) = (G_k
-  Theta^(2)_k - x (Theta^(1)_k)^2) / Theta^(2)_(k-1).  Every level-0 entry
-  is 1, and at level 1 G_1 = B_0 = 1 and Theta^(s)_1 = theta_(s-1).  So
-  the column theta_(lo-1)(x) .. theta_(hi+2K-3)(x), headed by G_1 when
-  lo = 0, gives, at level k, H^(s)_k(x) / x^v for every s from lo up to
-  hi + 2(K-k), in O(K (K + hi - lo)) operations: one pass per point serves
-  every offset of a set from lo to hi.  Each offset's entries are recorded
-  only at their own points, and the column starts at the least offset
-  that still needs the point; offsets between those named run in the
-  recurrence but are not interpolated.  Every quotient is an integer, a
-  determinant of theta's or G_k (R^(k-1) divides H^(0)_k), and its divisor
-  Theta^(s+2)_(k-1) is positive by the next bullet; every division is
-  checked (InexactDivision) and every level value <= 0 raises
-  RouteMismatch, with no fallback.
+  runs it on the theta column, each level divided by its content sf(k)
+  (the content bullet).  For s >= 1 every row of [B_{i+j+s}(x)] is x
+  times a row of [theta_{i+j+s-1}], so Theta^(s)_k = det
+  [theta_{i+j+s-1}]_{i,j<k} / sf(k) = H^(s)_k(x) / (x^k sf(k)); dividing
+  the identity by x^(2k) sf(k)^2, with sf(k+1) sf(k-1) / sf(k)^2 = k,
+  leaves Theta^(s)_(k+1) = (Theta^(s)_k Theta^(s+2)_k - (Theta^(s+1)_k)^2)
+  / (k Theta^(s+2)_(k-1)).  At s = 0, G_k = H^(0)_k(x) / (x^(k-1) sf(k)),
+  and dividing by x^(2k-1) sf(k)^2 gives G_(k+1) = (G_k Theta^(2)_k - x
+  (Theta^(1)_k)^2) / (k Theta^(2)_(k-1)).  Every level-0 entry is 1, and
+  at level 1 G_1 = B_0 = 1 and Theta^(s)_1 = theta_(s-1), since sf(0) =
+  sf(1) = 1.  So the column theta_(lo-1)(x) .. theta_(hi+2K-3)(x), headed
+  by G_1 when lo = 0, gives, at level k, H^(s)_k(x) / (x^v sf(k)) for
+  every s from lo up to hi + 2(K-k), in O(K (K + hi - lo)) operations:
+  one pass per point serves every offset of a set from lo to hi.  Each
+  offset's entries are recorded only at their own points, and the column
+  starts at the least offset that still needs the point; offsets between
+  those named run in the recurrence but are not interpolated.  Every
+  quotient is a determinant of theta's or G_k (R^(k-1) divides H^(0)_k)
+  over its content, an integer where the content bullet's observation
+  holds, and its divisor k Theta^(s+2)_(k-1) is positive by the next
+  bullet; every division is checked (InexactDivision) and every level
+  value <= 0 raises RouteMismatch, with no fallback.
 * Positivity.  B_m(x) = e^x x^(2m) k_m(x), k_0 = e^(-r), k_{m+1} =
   -(1/r) k_m', so k_m(r) = int_0^inf (2t)^m e^(-r^2 t) g(t) dt with
   g(t) = e^(-1/(4t)) / sqrt(4 pi t^3) > 0.  Thus [B_{i+j+s}(x)] =
@@ -94,20 +99,46 @@ and never imports the pool module.  The interpolation runs in the caller.
   Times D_{p+1} D_p^2, from Q_{-1} = 0, Q_0 = 1 and D_0 = 1:
       D_p^2 Q_{p+1} = D_{p+1} D_p t Q_p - (D_p E_p + Q_p[p-1] D_{p+1}) Q_p
                       - D_{p+1}^2 Q_{p-1},
-  O(p) integer operations per level.  Every coefficient of Q_{p+1} is a
-  minor of the c's, an integer, so every division is checked
-  (InexactDivision), and every D_{p+1} <= 0 raises RouteMismatch, with no
-  fallback.  Expanding F_p along its border row gives F_p(x) = x^p sum_i
-  xi_{p,i}(x) Q_p[i].  The cofactor (0, i) of [B_{i+j}]_{i,j<=p}, with
-  rows 1..p the offset-1 rows, is y_i = (-1)^p x^p Q_p[i] (p transpositions
-  move row 0 below them), so entry p of "unit" is (-1)^p Q_p.  The border
-  row sums in O(p) (`_border_sum`).  By the integral lemma
-  (`magnitude._lemma_tail`), xi_{p,i}(x) / x = x^(2p+1) B_i(x) + n sum_j
-  2^j (p-i)!/(p-i-j)! x^(2(p-j)) theta_{i+j}(x) over j <= p - i; with
+  O(p) integer operations per level.  The pass runs it on q_p = Q_p /
+  sf(p) and d_p = D_p / sf(p) (the content bullet): with sf(p+1) / sf(p)
+  = p!, d_{p+1} = (sum_j q_p[j] c_{j+p}) / p!, alpha = d_p sum_j q_p[j]
+  c_{j+p+1} + p! q_p[p-1] d_{p+1} and
+      p! d_p^2 q_{p+1} = p! d_{p+1} d_p t q_p - alpha q_p
+                         - p p! d_{p+1}^2 q_{p-1}.
+  Every coefficient of Q_{p+1} is a minor of the c's, an integer, and
+  every q_{p+1}[i] one where the content bullet's observation holds; every
+  division is checked (InexactDivision), and every d_{p+1} <= 0 raises
+  RouteMismatch, with no fallback.  Expanding F_p along its border row
+  gives F_p(x) = x^p sum_i xi_{p,i}(x) Q_p[i].  The cofactor (0, i) of
+  [B_{i+j}]_{i,j<=p}, with rows 1..p the offset-1 rows, is y_i = (-1)^p
+  x^p Q_p[i] (p transpositions move row 0 below them), so entry p of
+  "unit" is (-1)^p Q_p, and the pass gives (-1)^p q_p.  The border row
+  sums in O(p) (`_border_sum`), against q_p; over p! it is F_p(x) /
+  (x^(p+1) sf(p+1)).  By the integral lemma (`magnitude._lemma_tail`),
+  xi_{p,i}(x) / x = x^(2p+1) B_i(x) + n sum_j 2^j (p-i)!/(p-i-j)!
+  x^(2(p-j)) theta_{i+j}(x) over j <= p - i; with
   m = i + j and T_m = sum_{i<=m} 2^(m-i) (p-i)!/(p-m)! x^(2i) Q_p[i],
       sum_i (xi_{p,i}(x) / x) Q_p[i] = x^(2p+1) (Q_p[0] + x sum_{i>=1}
                   Q_p[i] theta_{i-1}) + n sum_{m<=p} theta_m x^(2(p-m)) T_m,
   and T_0 = Q_p[0], T_m = 2(p-m+1) T_{m-1} + Q_p[m] x^(2m), all integers.
+* Content.  The content of every held entry, the gcd of its
+  coefficients, is a superfactorial sf(k) = 0! 1! .. (k-1)!
+  (`_superfactorials`): sf(k) for H^(s)_k, sf(p) for "unit" entry p (the
+  gcd over its components) and sf(p+1) for F_p.  This is observed, not
+  proven: for s <= 3 and k <= 24, and for p <= 13; tests/test_hankel.py
+  checks every entry for s <= 3 and k <= 16, and for p <= 13.  The
+  recurrences start from H_0 = Q_0 = 1 and H_1 = B_s, monic, as they are,
+  so sf(0) = sf(1) = 1 is required, and both recurrences divide by the
+  contents' steps, sf(k+1) / sf(k) = k!, and the ratio of two steps, k
+  (`_content_factors`, which refuses a non-integer step or a first
+  content other than 1).  `_hold` multiplies each interpolated entry back
+  by its content.  Each value the
+  pass computes is the exact rational value of the entry at x over the
+  content it takes; every division is checked, so either one leaves a
+  remainder and raises InexactDivision, or each value is that integer,
+  and the entry interpolated and multiplied back is the true one.  So a
+  wrong content, one whose steps are not integers included, raises and
+  never gives a wrong table.
 * Unit degree.  deg Q_p[i] <= p(p+1)/2 - i, the Hankel degree bullet's
   argument on Heine's polynomials.  With u and mu as there, c_m =
   B_{m+1}/R = e^R R^(2m+1) int u^(m+1) dmu: the moments of u dmu, row i
@@ -167,6 +198,7 @@ for ROADMAP item 1, as the `oracles` docstring says.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import mul
 
@@ -289,10 +321,20 @@ def _valuation_and_points(key, k: int) -> tuple:
     return v, degree - v + 1
 
 
-def _interpolate(values, valuation: int) -> IntPoly:
-    """R^valuation q, q the integer polynomial of degree < len(values) with
-    q(x) = values[x - 1]: q = sum_j (Delta^j q(1) / j!) (x-1)...(x-j), by
-    Horner in that basis."""
+def _superfactorials(count: int) -> list:
+    """sf(0) .. sf(count), sf(k) = 0! 1! .. (k-1)!: the contents of the held
+    entries (the content bullet), for the point pass and `_hold` alike."""
+    sf, factorial = [1], 1
+    for k in range(count):
+        sf.append(sf[-1] * factorial)
+        factorial *= k + 1
+    return sf
+
+
+def _interpolate(values, valuation: int, content: int) -> IntPoly:
+    """R^valuation content q, q the integer polynomial of degree <
+    len(values) with q(x) = values[x - 1]: q = sum_j (Delta^j q(1) / j!)
+    (x-1)...(x-j), by Horner in that basis."""
     diffs, newton, fact = values, [], 1
     for j in range(len(values)):
         newton.append(_exact(diffs[0], fact, 1))
@@ -304,7 +346,7 @@ def _interpolate(values, valuation: int) -> IntPoly:
         m = j + 1
         coeffs = [newton[j] - m * coeffs[0]] + [
             c - m * d for c, d in zip(coeffs, coeffs[1:] + [0])]
-    return IntPoly(coeffs).shift(valuation)
+    return IntPoly([content * c for c in coeffs]).shift(valuation)
 
 
 def _border_sum(x: int, p: int, theta: list, q: list, squares: list) -> int:
@@ -318,17 +360,41 @@ def _border_sum(x: int, p: int, theta: list, q: list, squares: list) -> int:
     return x * squares[p] * (q[0] + x * sum(map(mul, q[1:], theta))) + (2 * p + 1) * tail
 
 
-def _heine_polys(x: int, c: list, count: int) -> list:
-    """The coefficient lists of Q_0 .. Q_{count-1} at x, for the moments
-    c[m] = theta_m(x), by the three-term recurrence of the Heine bullet."""
+def _content_factors(contents: list) -> list:
+    """[(f_k, r_k)] for k < len(contents) - 1: f_k = contents[k+1] /
+    contents[k] and r_k = f_k / f_(k-1) (r_0 = f_0), k! and k for the
+    superfactorials, the divisors of the point pass.  The pass starts from
+    H_0 = Q_0 = 1 and H_1 = B_s as they are, so contents 0 and 1 must be 1.
+    InexactDivision otherwise, or when a division leaves a remainder: so a
+    wrong content is fatal, here or in the pass (the content bullet)."""
+    if contents[:2] != [1, 1]:
+        raise InexactDivision(f"contents {contents[:2]} of H_0 and H_1 are not [1, 1]")
+    factors, prev = [], 1
+    for a, b in zip(contents, contents[1:]):
+        f, rest = divmod(b, a)
+        r, rest_r = divmod(f, prev)
+        if rest or rest_r:
+            raise InexactDivision(f"content {b} after {a} is not an integer step")
+        factors.append((f, r))
+        prev = f
+    return factors
+
+
+def _heine_polys(x: int, c: list, factors: list) -> list:
+    """The coefficient lists of q_p = Q_p / sf(p) at x, p = 0 ..
+    len(factors) - 1, for the moments c[m] = theta_m(x), by the three-term
+    recurrence of the Heine bullet with (f, r) = factors[p]
+    (`_content_factors`)."""
     q_prev, q, d = [], [1], 1
     polys = [q]
-    for p in range(count - 1):
-        d_next = sum(map(mul, q, c[p:]))
+    for p in range(len(factors) - 1):
+        f, r = factors[p]
+        d_next = _exact(sum(map(mul, q, c[p:])), f, x)
         if d_next <= 0:
             raise RouteMismatch(f"Hankel determinant {p + 1} at offset 1 is {d_next} at x={x}")
-        alpha = d * sum(map(mul, q, c[p + 1:])) + (q[p - 1] if p else 0) * d_next
-        a, b, dd = d_next * d, d_next * d_next, d * d
+        alpha = d * sum(map(mul, q, c[p + 1:])) + (f * q[p - 1] * d_next if p else 0)
+        fd = f * d_next
+        a, b, dd = fd * d, r * fd * d_next, f * d * d
         q_prev, q = q, [_exact(a * up - alpha * mid - b * low, dd, x)
                         for up, mid, low in zip([0] + q, q + [0], q_prev + [0, 0])]
         polys.append(q)
@@ -336,19 +402,23 @@ def _heine_polys(x: int, c: list, count: int) -> list:
     return polys
 
 
-def _point_values(kind: tuple, count: int, x: int) -> dict:
+def _point_values(points: dict, factors: list, x: int) -> dict:
     """{key: entries low .. count-1 of the table `key` at x, each divided by
-    its R^v}, for each table of `kind` that x is a point of: entry k is
-    evaluated at x = 1 .. N_k only (`_valuation_and_points`), so low is the
-    number of entries with N_k < x.  theta(x) is computed once; the offsets
-    share one Desnanot-Jacobi recurrence, whose level k holds H^(s)_k(x) for
-    every s from the least offset that needs x up, and "bordered" and
-    "unit" one Heine recurrence: the border sums against Q_p, and (-1)^p
-    Q_p, a "unit" entry being the list of its components.  Module level,
-    so that pool workers, forked or spawned, need only its arguments."""
+    its R^v and its content}, for each table that x is a point of: points
+    maps each key of the pass to the point counts N_0 .. N_{count-1} of its
+    entries (`_valuation_and_points`), entry k is evaluated at x = 1 .. N_k
+    only, so low is the number of entries with N_k < x, and factors[k] =
+    (k!, k) (`_content_factors`).  theta(x) is computed once; the offsets
+    share one Desnanot-Jacobi recurrence, whose level k holds H^(s)_k(x) /
+    (x^v sf(k)) for every s from the least offset that needs x up, and
+    "bordered" and "unit" one Heine recurrence: the border sums against
+    q_p = Q_p / sf(p) over p!, and (-1)^p q_p, a "unit" entry being the
+    list of its components.  Module level, so that pool workers, forked
+    or spawned, need only its arguments."""
+    count = len(factors)
     lows = {}
-    for key in kind:
-        low = sum(_valuation_and_points(key, k)[1] < x for k in range(count))
+    for key, need in points.items():
+        low = bisect_left(need, x)
         if low < count:
             lows[key] = low
     offsets = {s: low for s, low in lows.items() if isinstance(s, int)}
@@ -362,10 +432,11 @@ def _point_values(kind: tuple, count: int, x: int) -> dict:
         prev = [1] * len(cur)
         for k in range(1, count + 1):
             if k > 1:
-                step = [_exact(a * c - b * b, d, x)
+                r = factors[k - 1][1]
+                step = [_exact(a * c - b * b, r * d, x)
                         for a, b, c, d in zip(cur[g:], cur[g + 1:], cur[g + 2:], prev[g + 2:])]
                 if g:
-                    step.insert(0, _exact(cur[0] * cur[2] - x * cur[1] * cur[1], prev[2], x))
+                    step.insert(0, _exact(cur[0] * cur[2] - x * cur[1] * cur[1], r * prev[2], x))
                 prev, cur = cur, step
             if min(cur) <= 0:
                 raise RouteMismatch(f"a size-{k} Hankel determinant is {min(cur)} at x={x}")
@@ -373,13 +444,13 @@ def _point_values(kind: tuple, count: int, x: int) -> dict:
                 if k > low:
                     values[s].append(cur[s - lo])
     if "unit" in lows or "bordered" in lows:
-        polys = _heine_polys(x, theta, count)
+        polys = _heine_polys(x, theta, factors)
         if "unit" in lows:
             values["unit"] = [[-a for a in q] if p % 2 else q
                               for p, q in enumerate(polys) if p >= lows["unit"]]
         if "bordered" in lows:
             squares = [x ** (2 * k) for k in range(count)]
-            values["bordered"] = [_border_sum(x, p, theta, polys[p], squares)
+            values["bordered"] = [_exact(_border_sum(x, p, theta, polys[p], squares), factors[p][0], x)
                                   for p in range(lows["bordered"], count)]
     return values
 
@@ -433,21 +504,26 @@ def _hold(keys, count: int, jobs: int = 1) -> None:
     with at least `count` entries.  Those held shorter are filled together:
     `_point_values` is mapped over every point x = 1 .. N that one of their
     entries needs, by `_pool_map` with up to `jobs` workers, and each entry
-    is interpolated here from the values at its own points."""
+    is interpolated here from the values at its own points and multiplied
+    back by its content: sf(k+1) for entry k of an offset, sf(p) for each
+    component of "unit" entry p and sf(p+1) for "bordered" entry p."""
     kind = tuple(key for key in keys if len(_TABLES.get(key, ())) < count)
     if not kind:
         return
     needs = {key: [_valuation_and_points(key, k) for k in range(count)] for key in kind}
+    points = {key: tuple(n for _, n in need) for key, need in needs.items()}
+    contents = _superfactorials(count)
     values = {key: [[] for _ in range(count)] for key in kind}
-    points = range(1, max(need[-1][1] for need in needs.values()) + 1)
-    for at in _pool_map(partial(_point_values, kind, count), points, jobs):
+    xs = range(1, max(n[-1] for n in points.values()) + 1)
+    for at in _pool_map(partial(_point_values, points, _content_factors(contents)), xs, jobs):
         for key, entries in at.items():
             for vals, value in zip(values[key][count - len(entries):], entries):
                 vals.append(value)
     for key, need in needs.items():
         _TABLES[key] = tuple(
-            tuple(_interpolate(col, v) for col in zip(*vals)) if key == "unit"
-            else _interpolate(vals, v) for (v, _), vals in zip(need, values[key]))
+            tuple(_interpolate(col, v, contents[k]) for col in zip(*vals)) if key == "unit"
+            else _interpolate(vals, v, contents[k + 1])
+            for k, ((v, _), vals) in enumerate(zip(need, values[key])))
 
 
 def _entry(key, k: int):

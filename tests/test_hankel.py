@@ -5,6 +5,7 @@ solve_unit_rhs; unit-RHS solves and their first and last components as
 Hankel-determinant ratios; the unit residual's one-evaluation certificate
 against the symbolic residual, its oracle."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from oddball import cli, hankel, magnitude
 from oddball.bessel import reverse_bessel
 from oddball.errors import (
+    InexactDivision,
     InputError,
     OddballError,
     RouteMismatch,
@@ -246,18 +248,55 @@ class TestEvaluationInterpolation:
     @pytest.mark.parametrize("kind", [(0, 1, 2, 3), (2, 3)], ids=["from-0", "from-2"])
     def test_point_values_are_the_determinants_over_x_to_the_valuation(self, reference, kind):
         # the theta column's entries, G_k at offset 0 and Theta^(s)_k above,
-        # are H(x) / x^v with v from `_valuation_and_points` alone
+        # are H(x) / (x^v sf(k+1)), v from `_valuation_and_points` alone and
+        # sf from `_superfactorials`, and each x gives the entries it is a
+        # point of
         count = 10
+        contents = hankel._superfactorials(count)
+        factors = hankel._content_factors(contents)
+        points = {s: tuple(hankel._valuation_and_points(s, k)[1] for k in range(count))
+                  for s in kind}
         for s in kind:
             for k in range(count):
-                v, points = hankel._valuation_and_points(s, k)
-                for x in sorted({1, 2, 7, points}):
-                    if x > points:
+                v, n = hankel._valuation_and_points(s, k)
+                for x in sorted({1, 2, 7, n}):
+                    if x > n:
                         continue
-                    at = hankel._point_values(kind, count, x)[s]
+                    at = hankel._point_values(points, factors, x)[s]
+                    assert len(at) == sum(m >= x for m in points[s]), (s, x)
                     value = reference[k + 1, s](x)
-                    assert value % x ** v == 0
-                    assert at[k - (count - len(at))] == value // x ** v, (s, k, x)
+                    assert value % (x ** v * contents[k + 1]) == 0
+                    assert at[k - (count - len(at))] == value // (x ** v * contents[k + 1]), (s, k, x)
+
+    def test_every_entry_has_its_superfactorial_content(self):
+        # the contents the point pass divides out, held once: H^(s)_k has
+        # sf(k) = 0! 1! .. (k-1)!, "unit" entry p (the gcd over its
+        # components) sf(p) and "bordered" entry p sf(p+1)
+        sf = hankel._superfactorials(16)
+        assert sf[:6] == [1, 1, 1, 2, 12, 288]
+        hankel._hold(self.OFFSETS, 16)
+        hankel._hold(("bordered", "unit"), 14)
+        for s in self.OFFSETS:
+            assert [det.content() for det in hankel._TABLES[s]] == sf[1:17], s
+        assert [math.gcd(*(y.content() for y in ys)) for ys in hankel._TABLES["unit"]] == sf[:14]
+        assert [f.content() for f in hankel._TABLES["bordered"]] == sf[1:15]
+
+    @pytest.mark.parametrize("wrong", [
+        lambda sf, count: sf(count + 1)[1:],  # sf(k+1) for sf(k): each step k+1, not k
+        lambda sf, count: [c * (1 + (k == 5)) for k, c in enumerate(sf(count))],  # sf(5) doubled
+    ], ids=["off-by-one", "one-doubled"])
+    @pytest.mark.parametrize("fill", [
+        lambda: hankel_det(6, 0),
+        lambda: hankel._hold(("bordered", "unit"), 8),
+    ], ids=["offset", "heine"])
+    def test_wrong_content_is_fatal(self, monkeypatch, wrong, fill):
+        # the contents are observed, not proven: a wrong one raises, and
+        # no table is held
+        real = hankel._superfactorials
+        monkeypatch.setattr(hankel, "_superfactorials", lambda count: wrong(real, count))
+        with pytest.raises(InexactDivision):
+            fill()
+        assert hankel._TABLES == {}
 
     def test_unit_points_cover_the_oracle(self):
         # entry p of "unit" holds y_0 .. y_p, det H times the oracle's
@@ -280,19 +319,20 @@ class TestEvaluationInterpolation:
         count = top + 1
         units = [[[] for _ in range(p + 1)] for p in range(count)]
         borders = [[] for _ in range(count)]
+        factors = hankel._content_factors(hankel._superfactorials(count))
         for x in range(1, top * top + 2 * top + 3):
             theta = hankel._theta_values(x, 2 * count - 2)
             squares = [x ** (2 * k) for k in range(count)]
-            for p, q in enumerate(hankel._heine_polys(x, theta, count)):
+            for p, q in enumerate(hankel._heine_polys(x, theta, factors)):
                 if x <= p * p + 1:
                     for column, c in zip(units[p], q):
                         column.append(c)
                 if x <= p * p + 2 * p + 2:
                     borders[p].append(hankel._border_sum(x, p, theta, q, squares))
         for p in range(count):
-            assert [hankel._interpolate(column, 0).degree for column in units[p]] == [
+            assert [hankel._interpolate(column, 0, 1).degree for column in units[p]] == [
                 p * (p + 1) // 2 - i for i in range(p + 1)], p
-            assert hankel._interpolate(borders[p], p + 1).degree <= (p * p + 7 * p + 4) // 2, p
+            assert hankel._interpolate(borders[p], p + 1, 1).degree <= (p * p + 7 * p + 4) // 2, p
 
     def test_heine_pass_matches_the_oracles(self, heine_reference):
         hankel._hold(("bordered", "unit"), self.MAX_P + 1)
@@ -327,9 +367,9 @@ class TestEvaluationInterpolation:
         interpolated = []
         real = hankel._interpolate
 
-        def interpolate(values, v):
+        def interpolate(values, v, content):
             interpolated.append((len(values), v))
-            return real(values, v)
+            return real(values, v, content)
 
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
         hankel_det(8, s)  # a lone offset: the one-offset pass, interpolating only offset s
@@ -346,9 +386,9 @@ class TestEvaluationInterpolation:
             points.append(x)
             return real_theta(x, top)
 
-        def interpolate(values, v):
+        def interpolate(values, v, content):
             interpolated.append((len(values), v))
-            return real_interpolate(values, v)
+            return real_interpolate(values, v, content)
 
         monkeypatch.setattr(hankel, "_theta_values", theta)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
@@ -369,9 +409,9 @@ class TestEvaluationInterpolation:
             points.append(x)
             return real_theta(x, top)
 
-        def interpolate(values, v):
+        def interpolate(values, v, content):
             interpolated.append((len(values), v))
-            return real_interpolate(values, v)
+            return real_interpolate(values, v, content)
 
         monkeypatch.setattr(hankel, "_theta_values", theta)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
@@ -425,7 +465,7 @@ class TestInterpolation:
     def test_round_trip(self, case):
         f, v, count = case
         values = [f(x) // x ** v for x in range(1, count + 1)]
-        assert hankel._interpolate(values, v) == f
+        assert hankel._interpolate(values, v, 1) == f
 
     # Below four points a single changed value can still come from an integer
     # polynomial; from four on, only the checked divisions can notice it.
@@ -438,7 +478,7 @@ class TestInterpolation:
         values = [f(x) // x ** v for x in range(1, count + 1)]
         values[index % count] += delta
         with pytest.raises(OddballError):
-            hankel._interpolate(values, v)
+            hankel._interpolate(values, v, 1)
 
 
 class TestSolve:
@@ -483,11 +523,11 @@ class TestSolve:
         # interpolation; only unit_solution's residual check can catch it
         real = hankel._point_values
 
-        def corrupted(kind, count, x):
-            # y_0 of entry 3 one larger at each of its points: R^3 more
-            values = real(kind, count, x)
+        def corrupted(points, factors, x):
+            # y_0 / sf(3) of entry 3 one larger at each of its points: 2 R^3 more
+            values = real(points, factors, x)
             units = values.get("unit", [])
-            index = 3 - (count - len(units))  # the values start at entry count - len
+            index = 3 - (len(factors) - len(units))  # the values start at entry count - len
             if 0 <= index < len(units):
                 units[index] = [units[index][0] + 1] + units[index][1:]
             return values

@@ -171,9 +171,9 @@ class TestBorderedEngine:
             reduced.append((p, x))
             return real_border(x, p, *rest)
 
-        def interpolate(values, v):
+        def interpolate(values, v, content):
             interpolated.append(len(values))
-            return real_interpolate(values, v)
+            return real_interpolate(values, v, content)
 
         monkeypatch.setattr(hankel, "_border_sum", border)
         monkeypatch.setattr(hankel, "_interpolate", interpolate)
@@ -188,9 +188,9 @@ class TestBorderedEngine:
         calls = []
         real = hankel._point_values
 
-        def recording(kind, count, x):
-            calls.append((kind, count, x))
-            return real(kind, count, x)
+        def recording(points, factors, x):
+            calls.append((tuple(points), len(factors), x))
+            return real(points, factors, x)
 
         monkeypatch.setattr(hankel, "_point_values", recording)
         assert mag._bordered_det(4) == reference[4]
@@ -341,9 +341,9 @@ class TestCampaignPool:
         calls = []
         real = hankel._point_values
 
-        def recording(kind, count, x):
-            calls.append((kind, count, x))
-            return real(kind, count, x)
+        def recording(points, factors, x):
+            calls.append((tuple(points), len(factors), x))
+            return real(points, factors, x)
 
         monkeypatch.setattr(hankel, "_point_values", recording)
         campaign(9)
@@ -362,7 +362,7 @@ class TestCampaignPool:
         real_map, real_pool = hankel._pool_map, concurrent.futures.ProcessPoolExecutor
 
         def mapping(fn, items, jobs):
-            maps.append((fn.func, fn.args, list(items), jobs))
+            maps.append((fn.func, tuple(fn.args[0]), len(fn.args[1]), list(items), jobs))
             return real_map(fn, items, jobs)
 
         def pool(*args, **kwargs):
@@ -373,7 +373,7 @@ class TestCampaignPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         campaign(9, jobs=2)
         points = max(hankel._valuation_and_points(kind, 4)[1] for kind in kinds)
-        assert maps == [(hankel._point_values, (kinds, 5), list(range(1, points + 1)), 2)]
+        assert maps == [(hankel._point_values, kinds, 5, list(range(1, points + 1)), 2)]
         assert pools == [((), {"max_workers": 2})]
 
     @pytest.mark.parametrize("campaign, kinds", [
@@ -471,7 +471,9 @@ class TestCampaignPool:
 
         monkeypatch.setattr(hankel, "_theta_values", dying)
         with pytest.raises(WorkerDied):
-            hankel._pool_map(partial(hankel._point_values, (2, 0), 5), range(1, 17), 2)
+            points = {s: tuple(hankel._valuation_and_points(s, k)[1] for k in range(5)) for s in (2, 0)}
+            factors = hankel._content_factors(hankel._superfactorials(5))
+            hankel._pool_map(partial(hankel._point_values, points, factors), range(1, 17), 2)
         code = cli.main(["verify", "equality", "--max", "15", "--jobs", "2", "--json"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""

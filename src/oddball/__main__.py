@@ -1,9 +1,4 @@
-"""`python -m oddball`: the command-line interface of `oddball.cli`.
-
-A process pool started by spawn does not re-run a main module named
-`*.__main__` in its workers, so under `python -m oddball` a worker loads
-only what its per-point function imports, not the CLI.
-"""
+"""`python -m oddball`: the command-line interface of `oddball.cli`."""
 
 import sys
 

@@ -59,8 +59,8 @@ class RouteMismatch(OddballError):
 
 
 class WorkerDied(OddballError):
-    """A process-pool worker ended (killed, out of memory, exited) before it
-    returned its points, so the table pass has no result."""
+    """A forked helper of the table pass ended (killed, out of memory,
+    exited) before it sent its points, so the pass has no result."""
 
 
 class Disagreement(OddballError):

@@ -26,11 +26,11 @@ one pass over the points, whose counts N it works out once.
 `_entry` is the one way to read it, so no other module knows its layout.
 At each x, `_point_values` computes theta(x) once and runs the two
 recurrences below on it, Desnanot-Jacobi for the offsets and Heine for
-"bordered" and "unit".  The points are independent, so a pool of workers
-that hold nothing can share them (`_pool_map`): up to `jobs` workers, at
+"bordered" and "unit".  The points are independent, so the caller and
+helpers it forks can share them (`_pool_map`): up to `jobs` processes, at
 most one per usable CPU, once a pass has `_POOL_MIN_POINTS` points.  A
 smaller pass gains nothing from a second process, so it runs in the caller
-and never imports the pool module.  The interpolation runs in the caller.
+alone.  The interpolation runs in the caller.
 
 * Hankel degree.  deg H^(s)_k <= k(k-1)/2 + ks, the bound used.  With u = 2t
   and mu the positive measure e^(-R^2 t) g(t) dt of the positivity bullet
@@ -197,7 +197,9 @@ for ROADMAP item 1, as the `oracles` docstring says.
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
 from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import mul
@@ -206,6 +208,7 @@ from .bessel import BesselTable, reverse_bessel
 from .errors import (
     InexactDivision,
     InputError,
+    OddballError,
     RouteMismatch,
     SingularMatrix,
     TableTooSmall,
@@ -334,10 +337,15 @@ def _superfactorials(count: int) -> list:
 def _interpolate(values, valuation: int, content: int) -> IntPoly:
     """R^valuation content q, q the integer polynomial of degree <
     len(values) with q(x) = values[x - 1]: q = sum_j (Delta^j q(1) / j!)
-    (x-1)...(x-j), by Horner in that basis."""
+    (x-1)...(x-j), by Horner in that basis.  InexactDivision, naming j,
+    when j! does not divide Delta^j q(1)."""
     diffs, newton, fact = values, [], 1
     for j in range(len(values)):
-        newton.append(_exact(diffs[0], fact, 1))
+        coeff, rest = divmod(diffs[0], fact)
+        if rest:
+            raise InexactDivision(
+                f"Newton coefficient {j} is not an integer: {j}! does not divide Delta^{j} q(1)")
+        newton.append(coeff)
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         fact *= j + 1
     coeffs = [newton[-1]]
@@ -413,8 +421,7 @@ def _point_values(points: dict, factors: list, x: int) -> dict:
     (x^v sf(k)) for every s from the least offset that needs x up, and
     "bordered" and "unit" one Heine recurrence: the border sums against
     q_p = Q_p / sf(p) over p!, and (-1)^p q_p, a "unit" entry being the
-    list of its components.  Module level, so that pool workers, forked
-    or spawned, need only its arguments."""
+    list of its components."""
     count = len(factors)
     lows = {}
     for key, need in points.items():
@@ -455,14 +462,17 @@ def _point_values(points: dict, factors: list, x: int) -> dict:
     return values
 
 
-# The least table pass that starts a pool.  Importing the pool module and
-# starting two workers costs 33-48 ms, about a third of a 119-point pass.
-# Two workers against one process, on 2 vCPUs with CPython 3.11.7, in
-# interleaved fresh-process pairs: `verify equality` lost at 135 and 152
-# points (--max 29 and 31), tied at 170 and 189, and won from 209 (--max 37)
-# on; `verify derivative`, whose points carry no Heine recurrence, lost or
-# tied up to 232 (--max 41).
-_POOL_MIN_POINTS = 200
+# The least table pass that forks helpers.  A fork, its pipe and its reap
+# cost about 1 ms (0.9 ms after `import oddball.cli`), but a shorter pass
+# leaves a helper too little to do, and the two processes slow each other.
+# `--jobs 2` against `--jobs 1`, helpers forked at any size, on 2 vCPUs
+# with CPython 3.11.7, in 30 interleaved fresh-process pairs each:
+# `verify equality` tied at 77 points (--max 21: `--jobs 2` faster in 17
+# of 30) and gained from 90 (--max 23: 24 of 30, 5%; --max 25, 104 points:
+# 27 of 30, 8%); `verify derivative`, whose points carry no Heine
+# recurrence, tied at 92 (--max 25: 20 of 30) and gained from 106 (--max
+# 27: 28 of 30).
+_POOL_MIN_POINTS = 100
 
 
 def _usable_cpus() -> int:
@@ -473,25 +483,132 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], by a pool of up to `jobs` workers, at
-    most one per usable CPU, when that is two or more and there are at
-    least `_POOL_MIN_POINTS` items; else, or when no pool starts, here.
-    Each worker is sent fn and about four chunks of the items, nothing
-    else, so fn must be module level and need only its arguments.  A worker
-    that dies raises WorkerDied: nothing is computed again here."""
-    workers = min(jobs, len(items), _usable_cpus())
-    if workers > 1 and len(items) >= _POOL_MIN_POINTS:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+def _send(fd: int, frame: tuple) -> None:
+    """Write frame to fd, marshalled, after its length in 4 bytes."""
+    data = marshal.dumps(frame)
+    view = memoryview(len(data).to_bytes(4, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
-        except BrokenExecutor as exc:
-            raise WorkerDied(f"a pool worker died in the table pass ({exc})") from exc
-        except (OSError, NotImplementedError):  # no pool on this platform
-            pass
-    return list(map(fn, items))
+
+def _run_helper(fn, items, indices, fd: int) -> None:
+    """The body of a forked helper: send (i, fn(items[i])) to fd for each i
+    of indices (`_send`); an OddballError is sent as (-1, its class, its
+    message).  It leaves only by os._exit, so it never flushes the stdio
+    buffers it shares with the caller or runs its exit handlers."""
+    code = 1
+    try:
+        for i in indices:
+            _send(fd, (i, fn(items[i])))
+        code = 0
+    except OddballError as exc:
+        _send(fd, (-1, f"{type(exc).__module__}:{type(exc).__qualname__}", str(exc)))
+    finally:
+        os._exit(code)
+
+
+class _Helper:
+    """The caller's view of one forked helper: its pid, the read end of its
+    pipe, the frames it still owes and the bytes of a frame not yet whole."""
+
+    __slots__ = ("pid", "fd", "owed", "buf", "eof")
+
+    def __init__(self, pid: int, fd: int, owed: int):
+        self.pid, self.fd, self.owed, self.buf, self.eof = pid, fd, owed, bytearray(), False
+
+    def drain(self, out: list, unset) -> int:
+        """Store in out every whole frame the helper has sent, unless out
+        holds its index already, without blocking, and return how many
+        were new.  A forwarded OddballError is raised again here, with its
+        class and message; a pipe at EOF while frames are owed raises
+        WorkerDied."""
+        while not self.eof:
+            try:
+                chunk = os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                break
+            self.eof = not chunk
+            self.buf += chunk
+        new, buf, start = 0, self.buf, 0
+        while len(buf) - start >= 4:
+            end = start + 4 + int.from_bytes(buf[start:start + 4], "little")
+            if end > len(buf):
+                break
+            frame = marshal.loads(buf[start + 4:end])
+            start = end
+            if frame[0] < 0:
+                module, name = frame[1].split(":")
+                cls = getattr(sys.modules[module], name)
+                error = cls.__new__(cls)
+                error.args = (frame[2],)
+                raise error
+            self.owed -= 1
+            if out[frame[0]] is unset:
+                out[frame[0]] = frame[1]
+                new += 1
+        del buf[:start]
+        if self.eof and self.owed:
+            raise WorkerDied(f"a helper of the table pass died with {self.owed} points unsent")
+        return new
+
+
+def _pool_map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], by up to `jobs` processes, at most one
+    per usable CPU, when that is two or more, there are at least
+    `_POOL_MIN_POINTS` items and the platform forks; else here alone.
+
+    With w processes, the caller forks w - 1 helpers, which inherit fn and
+    the n items.  Helper h computes the items n-h, n-h-(w-1), ... from the
+    top down and sends each (index, value) to its own pipe (`_run_helper`);
+    fn's values must marshal.  Meanwhile the caller computes from the
+    bottom up, drains the pipes without blocking after each item
+    (`_Helper.drain`) and skips any item it already has.  So the caller
+    never waits for a helper, and a slow helper costs at most one item
+    computed twice.  An OddballError in a helper is raised again here, and
+    a helper that ends before it sends its items raises WorkerDied.  Every
+    helper is killed and reaped before this returns or raises; the items
+    of one that cannot be forked are left to the caller."""
+    n = len(items)
+    workers = min(jobs, n, _usable_cpus())
+    if workers < 2 or n < _POOL_MIN_POINTS or not hasattr(os, "fork"):
+        return list(map(fn, items))
+    import signal
+
+    helpers = []
+    try:
+        for h in range(1, workers):
+            indices = range(n - h, -1, 1 - workers)
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller computes these
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _run_helper(fn, items, indices, w)
+            os.close(w)
+            os.set_blocking(r, False)
+            helpers.append(_Helper(pid, r, len(indices)))
+        unset = object()
+        out, got = [unset] * n, 0
+        for i in range(n):
+            if out[i] is unset:
+                out[i] = fn(items[i])
+                got += 1
+            for helper in helpers:
+                got += helper.drain(out, unset)
+            if got == n:
+                break
+        return out
+    finally:
+        for helper in helpers:
+            os.close(helper.fd)
+            try:
+                os.kill(helper.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(helper.pid, 0)
 
 
 # key, an offset, "bordered" or "unit" -> entries 0..K-1 of that table, for

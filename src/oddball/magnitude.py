@@ -334,7 +334,7 @@ def _sweep(max_n: int, job, jobs: int, tables: tuple) -> CampaignReport:
     """Run job on every odd n <= max_n, ascending; each job returns its
     checked value or raises its own failure.  The determinant tables the
     jobs read, named by key (an offset, "bordered" or "unit"), are held
-    first, in one pass (`hankel._hold`) that up to `jobs` workers share."""
+    first, in one pass (`hankel._hold`) that up to `jobs` processes share."""
     at_least("jobs", jobs, 1)
     _hold(tables, odd_dimension(max_n) + 1, jobs)
     return CampaignReport(tuple(CampaignEntry(*r) for r in _run_jobs(job, range(1, max_n + 1, 2))))
@@ -342,15 +342,15 @@ def _sweep(max_n: int, job, jobs: int, tables: tuple) -> CampaignReport:
 
 def verify_formula_equality(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check det route == hankel route for every odd n <= max_n; up to
-    `jobs` workers share the table pass from --max 37 on
+    `jobs` processes share the table pass from --max 25 on
     (`hankel._POOL_MIN_POINTS`)."""
     return _sweep(max_n, _equality_job, jobs, ("bordered", 2, 0))
 
 
 def verify_derivative_conjecture(max_n: int, jobs: int = 1) -> CampaignReport:
     """Check d/dR of the hankel-route magnitude equals the conjectured form
-    for every odd n <= max_n; up to `jobs` workers share the table pass
-    from --max 39 on (`hankel._POOL_MIN_POINTS`)."""
+    for every odd n <= max_n; up to `jobs` processes share the table pass
+    from --max 27 on (`hankel._POOL_MIN_POINTS`)."""
     return _sweep(max_n, _derivative_job, jobs, (2, 1, 0))
 
 

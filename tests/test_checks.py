@@ -38,9 +38,9 @@ def test_no_assert_statements_in_package():
 # commands need it, so deferring it keeps it out of every other process's
 # start.  The costs are `python -X importtime` on CPython 3.11, 2 vCPUs.
 _DEFERRED_IMPORTS = {
-    # 27-34 ms with multiprocessing; only a table pass of 2 jobs or more and
-    # at least `hankel._POOL_MIN_POINTS` points
-    "concurrent.futures",
+    # 1.2-1.4 ms, for SIGKILL; only a table pass that forks helpers, of 2
+    # jobs or more and at least `hankel._POOL_MIN_POINTS` points
+    "signal",
 }
 
 
@@ -110,9 +110,9 @@ def test_import_loads_no_deferred_module(flags):
 
 
 def test_deferred_imports_run_on_first_use():
-    # a two-job pool, the first use of its module, started however few the
-    # points and however few CPUs this process may use, fills its tables
-    # afresh
+    # a two-job pass that forks a helper, the first use of `signal`, started
+    # however few the points and however few CPUs this process may use,
+    # fills its tables afresh
     out = _fresh_python([], (
         "from oddball import hankel\n"
         "from oddball.hankel import clear_hankel_cache\n"
@@ -124,7 +124,7 @@ def test_deferred_imports_run_on_first_use():
         "clear_hankel_cache()\n"
         "ok = pairs(2) == want\n"
         "print(ok, sorted(m for m in MODULES if m in sys.modules))"))
-    assert out == "True ['concurrent.futures']"
+    assert out == "True ['signal']"
 
 
 def test_no_package_module_but_the_oracles_imports_mpmath():
@@ -155,36 +155,42 @@ def test_verify_integral_loads_no_mpmath():
     assert out == '0 {"agree":true,"samples":60} False'
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
-def test_pool_under_spawn(flags):
-    # macOS's start method, on any platform, however few CPUs this process
-    # may use: each spawned worker imports `hankel` afresh and is sent only
-    # the per-point function and its points
-    out = _fresh_python(flags, (
-        "import multiprocessing\n"
-        "multiprocessing.set_start_method('spawn')\n"
+def test_buffered_line_printed_once_by_a_pooled_campaign():
+    # stdout, a pipe, is opened block-buffered, whatever PYTHONUNBUFFERED
+    # says: the line printed first is still in the buffer when the helper
+    # forks, and the caller waits until the helper has computed all its
+    # points and left, by os._exit, which flushes nothing
+    out = _fresh_python([], (
+        "import os\n"
+        "sys.stdout = open(sys.stdout.fileno(), 'w', closefd=False)\n"
         "from oddball import hankel\n"
-        "from oddball.magnitude import verify_derivative_conjecture, verify_formula_equality\n"
+        "from oddball.magnitude import verify_formula_equality\n"
         "hankel._POOL_MIN_POINTS = 1\n"
         "hankel._usable_cpus = lambda: 2\n"
-        "def pairs(campaign, jobs):\n"
-        "    hankel.clear_hankel_cache()\n"
-        "    return [(e.n, e.value) for e in campaign(7, jobs).entries]\n"
-        "print([pairs(c, 2) == pairs(c, 1)\n"
-        "       for c in (verify_formula_equality, verify_derivative_conjecture)],\n"
-        "      'concurrent.futures' in sys.modules)"))
-    assert out == "[True, True] True"
+        "parent, real, gate = os.getpid(), hankel._theta_values, list(os.pipe())\n"
+        "def theta(x, top):\n"
+        "    if os.getpid() == parent and gate[1] is not None:\n"
+        "        os.close(gate[1])\n"
+        "        gate[1] = None\n"
+        "        while os.read(gate[0], 1):\n"
+        "            pass\n"
+        "    return real(x, top)\n"
+        "hankel._theta_values = theta\n"
+        "print('printed before the campaign')\n"
+        "print(len(verify_formula_equality(9, 2).entries))"))
+    assert out == "printed before the campaign\n5"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
 def test_deferred_imports_skip_a_small_pass(flags):
-    # the benchmark's `verify equality --max 27 --jobs 2`: its 119-point
-    # table pass runs in process, and never loads the pool module
+    # `verify equality --max 23 --jobs 2`: its 90-point table pass, below
+    # `hankel._POOL_MIN_POINTS`, runs in process and loads no deferred
+    # module
     out = _fresh_python(flags, (
         "from oddball.magnitude import verify_formula_equality\n"
-        "entries = verify_formula_equality(27, 2).entries\n"
+        "entries = verify_formula_equality(23, 2).entries\n"
         "print(len(entries), sorted(m for m in MODULES if m in sys.modules))"))
-    assert out == "14 []"
+    assert out == "12 []"
 
 
 def _reached_modules(module: str) -> set:

@@ -480,6 +480,15 @@ class TestInterpolation:
         with pytest.raises(OddballError):
             hankel._interpolate(values, v, 1)
 
+    def test_inexact_newton_coefficient_names_it(self):
+        # x^4 at x = 1..5 with its value at x = 4 one too large: Delta^j q(1)
+        # reads values 1..j+1, so coefficients 0..2 stay integers, and
+        # Delta^3 q(1) grows by 1, which 3! does not divide
+        values = [x ** 4 for x in range(1, 6)]
+        values[3] += 1
+        with pytest.raises(InexactDivision, match=r"^Newton coefficient 3 is not an integer: 3! "):
+            hankel._interpolate(values, 0, 1)
+
 
 class TestSolve:
     def test_printed_solutions(self):

@@ -4,10 +4,8 @@ and derivative campaigns, the determinantal identity through the equality
 campaign, and the exact integral-lemma check against its quadrature
 oracle."""
 
-import concurrent.futures
 import itertools
 import math
-import multiprocessing
 import os
 import random
 from fractions import Fraction
@@ -26,6 +24,7 @@ from oddball.errors import (
     InexactDivision,
     NonpositiveRadius,
     ObservationFails,
+    RouteMismatch,
     WorkerDied,
 )
 from oddball.explaurent import ExpLaurent
@@ -50,9 +49,9 @@ from oddball.potential import boundary_limit_derivative
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Every table pass with jobs > 1 starts a pool, however few its points
+    """Every table pass with jobs > 1 forks helpers, however few its points
     and however few CPUs this process may use, so that a small campaign
-    reaches the pool of two workers on a one-CPU host too."""
+    reaches a pass of two processes on a one-CPU host too."""
     monkeypatch.setattr(hankel, "_POOL_MIN_POINTS", 1)
     monkeypatch.setattr(hankel, "_usable_cpus", lambda: 2)
 
@@ -354,27 +353,39 @@ class TestCampaignPool:
         (verify_formula_equality, ("bordered", 2, 0)),
         (verify_derivative_conjecture, (2, 1, 0)),
     ])
-    @pytest.mark.usefixtures("pooled")
-    def test_pool_maps_the_integer_points(self, monkeypatch, campaign, kinds):
-        # the pool gets the per-point function and the points, and its
-        # workers start with nothing: no initializer, no tables
-        maps, pools = [], []
-        real_map, real_pool = hankel._pool_map, concurrent.futures.ProcessPoolExecutor
+    def test_pool_maps_the_integer_points(self, monkeypatch, pools, campaign, kinds):
+        # the pass maps the per-point function over the points, and forks
+        # one helper, which inherits both and is sent nothing
+        maps = []
+        real_map = hankel._pool_map
 
         def mapping(fn, items, jobs):
             maps.append((fn.func, tuple(fn.args[0]), len(fn.args[1]), list(items), jobs))
             return real_map(fn, items, jobs)
 
-        def pool(*args, **kwargs):
-            pools.append((args, kwargs))
-            return real_pool(*args, **kwargs)
-
+        monkeypatch.setattr(hankel, "_POOL_MIN_POINTS", 1)
         monkeypatch.setattr(hankel, "_pool_map", mapping)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         campaign(9, jobs=2)
         points = max(hankel._valuation_and_points(kind, 4)[1] for kind in kinds)
         assert maps == [(hankel._point_values, kinds, 5, list(range(1, points + 1)), 2)]
-        assert pools == [((), {"max_workers": 2})]
+        assert pools == [1]
+
+    def test_pool_returns_the_items_in_order(self, pools, helper_exit):
+        # the caller computes item 0, then waits until the helper has
+        # computed every item from the top down and exited, and takes the
+        # rest from its pipe
+        parent, exited = os.getpid(), helper_exit()
+
+        def fn(item):
+            if os.getpid() == parent:
+                exited()
+            return [item, os.getpid()]
+
+        items = range(hankel._POOL_MIN_POINTS)
+        out = hankel._pool_map(fn, items, 2)
+        assert [item for item, _ in out] == list(items)
+        assert out[0][1] == parent and parent not in {pid for _, pid in out[1:]}
+        assert pools == [1]
 
     @pytest.mark.parametrize("campaign, kinds", [
         (verify_derivative_conjecture, (2, 1, 0)),
@@ -410,7 +421,7 @@ class TestCampaignPool:
     @pytest.mark.usefixtures("pooled")
     @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
     def test_jobs_run_in_the_calling_process(self, monkeypatch, campaign):
-        # a pool computes only the points: the per-n jobs read the held
+        # the helpers compute only the points: the per-n jobs read the held
         # tables, a few reductions each, here
         job = {verify_formula_equality: "_equality_job",
                verify_derivative_conjecture: "_derivative_job"}[campaign]
@@ -423,50 +434,55 @@ class TestCampaignPool:
     @pytest.mark.usefixtures("pooled")
     @pytest.mark.parametrize("campaign", [verify_formula_equality, verify_derivative_conjecture])
     def test_no_process_pool_runs_here(self, monkeypatch, campaign):
-        # ProcessPoolExecutor raises NotImplementedError on a platform
-        # without named semaphores
+        # a platform without os.fork runs the pass in process, to the same
+        # values
         want = [(e.n, e.value) for e in campaign(9, jobs=1).entries]
         clear_hankel_cache()
-
-        def no_pool(*args, **kwargs):
-            raise NotImplementedError("no named semaphores")
-
-        # `_pool_map` imports the pool class when it asks for a pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "fork")
         assert [(e.n, e.value) for e in campaign(9, jobs=2).entries] == want
 
+    def test_failed_fork_leaves_the_points_to_the_caller(self, monkeypatch, pools):
+        def no_fork():
+            raise BlockingIOError("fork: no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        items = range(hankel._POOL_MIN_POINTS)
+        assert hankel._pool_map(abs, items, 2) == list(items)
+        assert pools == []
+
     @pytest.mark.usefixtures("pooled")
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only a forked worker inherits the patched recurrence")
-    def test_route_mismatch_in_a_pool_worker_is_fatal(self, monkeypatch, capsys):
-        parent = os.getpid()
+    def test_route_mismatch_in_a_pool_worker_is_fatal(self, monkeypatch, capsys, helper_exit):
+        # every theta_m(x) negated in the helper alone, so D_1 = theta_0(x)
+        # < 0 at its first point, the top one, which only "bordered" needs;
+        # the caller waits for it to exit, and raises its RouteMismatch
+        parent, exited = os.getpid(), helper_exit()
         real = hankel._theta_values
 
         def corrupted(x, top):
-            values = real(x, top)
-            if x == 3 and os.getpid() != parent:
-                values[1] = 0  # B_2(3) = 3 theta_1 becomes 0, and H_2(3) = -9
-            return values
+            if os.getpid() != parent:
+                return [-v for v in real(x, top)]
+            exited()
+            return real(x, top)
 
         monkeypatch.setattr(hankel, "_theta_values", corrupted)
         code = cli.main(["verify", "equality", "--max", "9", "--jobs", "2", "--json"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err.startswith("verification failed:") and "Traceback" not in err
+        top = hankel._valuation_and_points("bordered", 4)[1]
+        assert err == f"verification failed: Hankel determinant 1 at offset 1 is -1 at x={top}\n"
 
     @pytest.mark.usefixtures("pooled")
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only a forked worker inherits the patched recurrence")
-    def test_dead_pool_worker_is_fatal(self, monkeypatch, capsys):
-        # a worker that ends without returning its points (killed, out of
+    def test_dead_pool_worker_is_fatal(self, monkeypatch, capsys, helper_exit):
+        # a helper that ends without sending its points (killed, out of
         # memory) is a typed failure: exit 1, one line, no traceback, and
         # nothing is computed again in the calling process
-        parent = os.getpid()
+        parent, gate = os.getpid(), [helper_exit()]
         real = hankel._theta_values
 
         def dying(x, top):
-            if x == 3 and os.getpid() != parent:
+            if os.getpid() != parent:
                 os._exit(1)
+            gate[0]()
             return real(x, top)
 
         monkeypatch.setattr(hankel, "_theta_values", dying)
@@ -474,40 +490,94 @@ class TestCampaignPool:
             points = {s: tuple(hankel._valuation_and_points(s, k)[1] for k in range(5)) for s in (2, 0)}
             factors = hankel._content_factors(hankel._superfactorials(5))
             hankel._pool_map(partial(hankel._point_values, points, factors), range(1, 17), 2)
+        gate[0] = helper_exit()
         code = cli.main(["verify", "equality", "--max", "15", "--jobs", "2", "--json"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err.startswith("verification failed: a pool worker died")
+        assert err.startswith("verification failed: a helper of the table pass died")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("fails", [None, "caller", "helper"])
+    def test_no_helper_outlives_the_pass(self, pools, helper_exit, fails):
+        # after a pass returns, or raises for a failed check in the caller
+        # or in its helper, this process has no child left, reaped or not
+        parent, exited = os.getpid(), helper_exit()
+
+        def fn(item):
+            here = "caller" if os.getpid() == parent else "helper"
+            if here == "caller":
+                exited()
+            if here == fails:
+                raise RouteMismatch(f"check failed in the {here}")
+            return item
+
+        items = range(hankel._POOL_MIN_POINTS)
+        if fails:
+            with pytest.raises(RouteMismatch, match=f"^check failed in the {fails}$"):
+                hankel._pool_map(fn, items, 2)
+        else:
+            assert hankel._pool_map(fn, items, 2) == list(items)
+        assert pools == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The keyword arguments of every pool that `_pool_map` starts, each
-        a recording pool that starts no process and maps here, in a process
-        that may use two CPUs."""
-        pools = []
+        """The number of helpers that each pass of `_pool_map` forks, for
+        every pass that forks one, in a process that may use two CPUs;
+        each helper is a real process."""
+        pools, forked = [], []
+        real_fork, real_map = os.fork, hankel._pool_map
+
+        def fork():
+            pid = real_fork()
+            forked.append(pid)
+            return pid
+
+        def pool_map(fn, items, jobs):
+            forked.clear()
+            try:
+                return real_map(fn, items, jobs)
+            finally:
+                if forked:
+                    pools.append(len(forked))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(hankel, "_pool_map", pool_map)
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 2)
-
-        class Recording:
-            def __init__(self, **kwargs):
-                pools.append(kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         return pools
 
-    @pytest.mark.parametrize("points, started", [(-1, []), (0, [{"max_workers": 2}])])
+    @pytest.fixture
+    def helper_exit(self):
+        """Make a gate for the next pass: a function that the caller calls
+        from its per-point function, and that blocks, at its first call,
+        until every helper forked since the gate was made has exited.  Each
+        helper inherits the write end of a pipe, which that call closes
+        here, so the read end reaches EOF when the last helper is gone and
+        all it sent is in its pipe."""
+        fds = []
+
+        def make():
+            r, w = os.pipe()
+            fds.extend((r, w))
+
+            def exited():
+                if w in fds:
+                    fds.remove(w)
+                    os.close(w)
+                    while os.read(r, 1):
+                        pass
+
+            return exited
+
+        yield make
+        for fd in fds:
+            os.close(fd)
+
+    @pytest.mark.parametrize("points, started", [(-1, []), (0, [1])])
     def test_pool_starts_at_the_threshold(self, pools, points, started):
         # a pass one point short of _POOL_MIN_POINTS runs here; one of that
-        # many starts a pool of all the jobs
+        # many forks a helper for the second of its two jobs
         items = range(hankel._POOL_MIN_POINTS + points)
         assert hankel._pool_map(abs, items, 2) == list(items)
         assert pools == started
@@ -515,27 +585,32 @@ class TestCampaignPool:
         assert pools == started
 
     def test_pool_starts_at_most_one_worker_per_cpu(self, monkeypatch, pools):
-        # a million jobs start one worker per usable CPU, and a process
-        # that may use one CPU runs the pass itself
-        items = range(hankel._POOL_MIN_POINTS)
-        assert hankel._pool_map(abs, items, 10 ** 6) == list(items)
-        assert pools == [{"max_workers": hankel._usable_cpus()}]
+        # a million jobs run one process per usable CPU, the caller and a
+        # helper for each other CPU, and a process that may use one CPU runs
+        # the pass itself; the helpers' strides interleave, and the items
+        # come back in order
+        items = range(-hankel._POOL_MIN_POINTS, hankel._POOL_MIN_POINTS)
+        assert hankel._pool_map(abs, items, 10 ** 6) == list(map(abs, items))
+        assert pools == [hankel._usable_cpus() - 1]
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
-        assert hankel._pool_map(abs, items, 10 ** 6) == list(items)
-        assert len(pools) == 1
+        assert hankel._pool_map(abs, items, 10 ** 6) == list(map(abs, items))
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 3)
+        assert hankel._pool_map(abs, items, 10 ** 6) == list(map(abs, items))
+        assert pools == [1, 2]
 
     def test_threshold_splits_the_small_and_extended_passes(self):
-        # the benchmark's `verify equality --max 27` (119 points) and the
-        # README's default --max 25 (104) run in process; both --extended
-        # passes, equality (n <= 39, 230 points) and derivative (n <= 57,
-        # 436 points), pool
+        # `verify equality --max 23` (90 points) and `verify derivative
+        # --max 25` (92), where two processes tied with one, run in
+        # process; the README's default `verify equality --max 25` (104),
+        # the benchmark's --max 27 (119) and `verify derivative --max 27`
+        # (106), where they gained, fork a helper
         def points(kinds, max_n):
             return max(hankel._valuation_and_points(kind, max_n // 2)[1] for kind in kinds)
 
         equality, derivative = ("bordered", 2, 0), (2, 1, 0)
-        assert [points(equality, 27), points(equality, 25)] == [119, 104]
-        assert [points(equality, 39), points(derivative, 57)] == [230, 436]
-        assert 119 < hankel._POOL_MIN_POINTS <= 230
+        assert [points(equality, 23), points(derivative, 25)] == [90, 92]
+        assert [points(equality, 25), points(equality, 27), points(derivative, 27)] == [104, 119, 106]
+        assert 92 < hankel._POOL_MIN_POINTS <= 104
 
 
 class TestObservation:

@@ -192,7 +192,7 @@ and only the tests' oracles run it: `det_bareiss`, for `hankel_det` and
 the bordered determinants, and `solve_unit_rhs`, for `unit_solution`,
 which eliminates [m | e_0] and back-substitutes in O(dim^3).
 `PolyMatrix` and `build_hankel` build their input.  The block waits here
-for ROADMAP item 1, as the `oracles` docstring says.
+for ROADMAP items 1b, then 4, as the `oracles` docstring says.
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ Routes to |B^n_R| as a reduced rational function of the radius:
   solution over its common Hankel denominator, they sum to one exact
   rational function, reduced once.  boundary_value_at runs the Laplacian
   chains symbolically on the potential built at one radius: the oracle,
-  which waits here for ROADMAP item 1; the others are in `oracles`.
+  which waits here for ROADMAP items 1b, then 4; the others are in `oracles`.
 
-The det = hankel, boundary = det = hankel and derivative campaigns are each
-one table pass and one timed loop (`_sweep`).  `hankel._hold` computes the
-tables the jobs read once, in one pass over the integer points, held by the
-calling process.  Then `_run_jobs`, the one timer of per-n work, the
-observation's too, runs a job per odd n, ascending, in this process; each
+The det = hankel, boundary = det = hankel, derivative and observation
+campaigns are each one table pass and one timed loop (`_sweep`).
+`hankel._hold` computes the tables the jobs read once, in one pass over the
+integer points, held by the calling process.  Then `_run_jobs`, the one
+timer of per-n work, runs a job per odd n, ascending, in this process; each
 returns its checked value or raises its own failure.
 Every route's numerator is over `_route_den(p)` = n! R H^(0)_{p+1}, so the
 equality and triple-route jobs compare numerators and reduce once, the
@@ -239,7 +239,7 @@ def derivative_conjecture_rhs(n: int) -> RatFunc:
 
 class CampaignEntry(NamedTuple):
     n: int
-    value: RatFunc
+    value: RatFunc | tuple  # the observation's is (power_shift, constant)
     millis: float
 
 
@@ -330,13 +330,14 @@ def _run_jobs(worker, ns) -> list:
     return records
 
 
-def _sweep(max_n: int, job, jobs: int, tables: tuple) -> CampaignReport:
-    """Run job on every odd n <= max_n, ascending; each job returns its
-    checked value or raises its own failure.  The determinant tables the
-    jobs read, named by key (an offset, "bordered" or "unit"), are held
-    first, in one pass (`hankel._hold`) that up to `jobs` processes share."""
+def _sweep(max_n: int, job, jobs: int, tables: tuple, top: int | None = None) -> CampaignReport:
+    """Run job on every odd n <= max_n, ascending; each returns its checked
+    value or raises its own failure.  The tables the jobs read, named by key
+    (an offset, "bordered" or "unit"), are held first, to size p + 1 at n =
+    top (default max_n), in one pass (`hankel._hold`) of up to `jobs` processes."""
     at_least("jobs", jobs, 1)
-    _hold(tables, odd_dimension(max_n) + 1, jobs)
+    p = odd_dimension(max_n)
+    _hold(tables, (p if top is None else odd_dimension(top)) + 1, jobs)
     return CampaignReport(tuple(CampaignEntry(*r) for r in _run_jobs(job, range(1, max_n + 1, 2))))
 
 
@@ -364,17 +365,8 @@ def verify_triple_route(max_n: int) -> CampaignReport:
 # numerator proportionality observation
 # ---------------------------------------------------------------------------
 
-class ObservationEntry(NamedTuple):
-    """num(|B^n|) = constant * R^power_shift * num(first coeff at n+2)."""
-
-    n: int
-    power_shift: int
-    constant: Fraction
-    millis: float
-
-
 def _observation_job(n: int) -> tuple:
-    """(power_shift, constant) of n's observation entry."""
+    """(power_shift, constant): num(|B^n|) = constant * R^power_shift * num(first coeff at n+2)."""
     p_up = odd_dimension(n + 2)
     prim_m, v_m, c_m = _strip_poly(magnitude_hankel(n).num)
     prim_a, v_a, c_a = _strip_poly(RatFunc(hankel_det(p_up, 2), hankel_det(p_up + 1, 0)).num)
@@ -386,13 +378,10 @@ def _observation_job(n: int) -> tuple:
 def verify_observation(max_n: int) -> CampaignReport:
     """Check that the magnitude numerator at n matches the numerator of the
     zeroth solve coefficient at n + 2, up to integer content and a power of
-    R; the extracted factors are reported, not assumed.  The offset-0 and
-    offset-2 tables it reads, up to p + 1 at n = max_n + 2, are held first
-    in one pass."""
-    p_top = odd_dimension(max_n) + 1  # p at n = max_n + 2
-    _hold((0, 2), p_top + 1)
-    return CampaignReport(tuple(ObservationEntry(n, *found, millis) for n, found, millis
-                                in _run_jobs(_observation_job, range(1, max_n + 1, 2))))
+    R; the extracted factors, each entry's (power_shift, constant), are
+    reported, not assumed.  The offset-0 and offset-2 tables it reads, up
+    to p + 1 at n = max_n + 2, are held first in one pass."""
+    return _sweep(max_n, _observation_job, 1, (0, 2), top=max_n + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ potential's h-chain two ways, numeric values and the integral lemma by
 mpmath, which no other module imports, and the parser that inverts
 `poly.format_poly`.  The errors that only these routes raise are here too.
 
-Waiting for ROADMAP item 1: `perfbench/tracer.py` binds these by module
-attribute, so they stay in their modules until it reads counters instead:
+Waiting for ROADMAP items 1b, then 4: `perfbench/tracer.py` binds these by
+module attribute, so they stay in their modules until it reads counters:
 `hankel`'s elimination block, kept together (`PolyMatrix`, `build_hankel`,
 `_eliminate`, `det_bareiss`, `solve_unit_rhs`); `magnitude`'s
 `boundary_value_at` with its `_boundary_sum`; and

@@ -377,10 +377,6 @@ class IntPoly:
         """JSON form: decimal strings, ascending powers."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, strings: Iterable[str]) -> "IntPoly":
-        return cls(int(s) for s in strings)
-
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Gcd in Z[R] including integer content, positive leading coefficient."""
@@ -487,7 +483,7 @@ class RatFunc:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RatFunc":
-        return cls(IntPoly.from_strings(d["num"]), IntPoly.from_strings(d["den"]))
+        return cls(IntPoly(map(int, d["num"])), IntPoly(map(int, d["den"])))
 
 
 def format_ratfunc(f: RatFunc) -> str:

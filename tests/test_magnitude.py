@@ -4,7 +4,9 @@ and derivative campaigns, the determinantal identity through the equality
 campaign, and the exact integral-lemma check against its quadrature
 oracle."""
 
+import fcntl
 import itertools
+import marshal
 import math
 import os
 import random
@@ -387,15 +389,61 @@ class TestCampaignPool:
         assert out[0][1] == parent and parent not in {pid for _, pid in out[1:]}
         assert pools == [1]
 
-    @pytest.mark.parametrize("campaign, kinds", [
-        (verify_derivative_conjecture, (2, 1, 0)),
-        (verify_formula_equality, ("bordered", 2, 0)),
-        (verify_triple_route, ("bordered", "unit", 2, 0)),
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a pipe of 1 MiB")
+    @pytest.mark.parametrize("split", [False, True])
+    def test_pool_frame_longer_than_one_read(self, monkeypatch, pools, helper_exit, split):
+        # each value but item 0's marshals to over 100 KB, more than one
+        # 64 KiB read; the pipe holds all six frames, so the helper sends
+        # them and exits before the caller drains.  One drain then joins
+        # every frame from several reads.  With the pipe made to read empty
+        # after each read (split), each drain reads 64 KiB and keeps the
+        # head of a frame for the next, and the top item, whole after three
+        # drains, still comes from the helper
+        parent, exited = os.getpid(), helper_exit()
+        real_pipe, real_read, ends, calls = os.pipe, os.read, [], itertools.count()
+
+        def pipe():
+            r, w = real_pipe()
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+            ends.append(r)
+            return r, w
+
+        def read(fd, size):
+            if split and fd in ends and next(calls) % 2:
+                raise BlockingIOError
+            return real_read(fd, size)
+
+        def value(item, pid):
+            return [item, pid, *range(item * 10 ** 12, item * 10 ** 12 + 12_000)]
+
+        def fn(item):
+            if os.getpid() == parent:
+                exited()
+            return value(item, os.getpid())
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(hankel, "_POOL_MIN_POINTS", 1)
+        out = hankel._pool_map(fn, range(6), 2)
+        pids = [v[1] for v in out]
+        assert out == [value(item, pid) for item, pid in enumerate(pids)]
+        assert pids[0] == parent and parent not in pids[5 if split else 1:]
+        assert min(len(marshal.dumps(v)) for v in out[1:]) > 100_000
+        assert pools == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("campaign, kinds, last", [
+        (verify_derivative_conjecture, (2, 1, 0), 4),
+        (verify_formula_equality, ("bordered", 2, 0), 4),
+        (verify_triple_route, ("bordered", "unit", 2, 0), 4),
+        (verify_observation, (0, 2), 5),
     ])
-    def test_derivative_campaign_runs_one_pass(self, monkeypatch, campaign, kinds):
+    def test_derivative_campaign_runs_one_pass(self, monkeypatch, campaign, kinds, last):
         # every table of a campaign shares one theta column per point, x =
         # 1..N for the entry with the most points, where a pass per kind
-        # or per offset takes one each
+        # or per offset takes one each; the observation holds p + 1 at
+        # n = max_n + 2, one entry further
         points = []
         real = hankel._theta_values
 
@@ -405,7 +453,7 @@ class TestCampaignPool:
 
         monkeypatch.setattr(hankel, "_theta_values", theta)
         campaign(9)
-        assert points == list(range(1, max(hankel._valuation_and_points(kind, 4)[1]
+        assert points == list(range(1, max(hankel._valuation_and_points(kind, last)[1]
                                            for kind in kinds) + 1))
 
     def test_held_tables_fill_nothing(self, monkeypatch):
@@ -617,24 +665,7 @@ class TestObservation:
     def test_holds_up_to_nine(self):
         report = verify_observation(9)
         for entry in report.entries:
-            assert entry.constant == 1
-            assert entry.power_shift == 0
-
-    def test_fills_in_one_pass(self, monkeypatch):
-        # offsets 0 and 2 share one theta column per point, x = 1..N for
-        # offset 2's entry p + 1, p at n = max_n + 2; two passes, one per
-        # offset, would run the points of each
-        points = []
-        real = hankel._theta_values
-
-        def theta(x, top):
-            points.append(x)
-            return real(x, top)
-
-        clear_hankel_cache()
-        monkeypatch.setattr(hankel, "_theta_values", theta)
-        verify_observation(9)
-        assert points == list(range(1, hankel._valuation_and_points(2, 5)[1] + 1))
+            assert entry.value == (0, 1)
 
     def test_printed_cases(self):
         # numerator of |B^n| equals numerator of the leading coefficient at n+2
